@@ -213,33 +213,41 @@ def train_logistic(
     context: Dict[str, set] = {}
     for inst in instances:
         context.setdefault(inst.sentence_id, set()).add(inst.expression)
-    examples: List[Tuple[FeatureVector, float, float]] = []
+    # Each example's features as integer ids, in sorted feature order, so the
+    # weight sums below do not depend on the string-hash seed.
+    ids: Dict[str, int] = {}
+    examples: List[Tuple[List[int], float, float]] = []
     cw_pos = len(instances) / (2.0 * n_pos) if class_weight == "balanced" else 1.0
     cw_neg = len(instances) / (2.0 * n_neg) if class_weight == "balanced" else 1.0
     for inst in instances:
         if inst.sentence_id not in by_id:
             raise ValidationError(f"instance references unknown sentence '{inst.sentence_id}'")
         feats = featurize(by_id[inst.sentence_id], inst, expressions=context[inst.sentence_id])
-        examples.append((feats, 1.0 if inst.label else 0.0, cw_pos if inst.label else cw_neg))
+        examples.append((
+            [ids.setdefault(f, len(ids)) for f in sorted(feats)],
+            1.0 if inst.label else 0.0,
+            cw_pos if inst.label else cw_neg,
+        ))
 
-    w: Dict[str, float] = {}
+    w = [0.0] * len(ids)
+    weight = w.__getitem__
     b = 0.0
     rng = random.Random(seed)
     order = list(range(len(examples)))
     for _ in range(epochs):
         rng.shuffle(order)
         for idx in order:
-            feats, y, cw = examples[idx]
-            z = b + sum(w.get(f, 0.0) for f in feats)
+            feat_ids, y, cw = examples[idx]
+            z = b + sum(map(weight, feat_ids))
             grad = (_sigmoid(z) - y) * cw
             if grad:
                 step = learning_rate * grad
-                for f in feats:
-                    w[f] = w.get(f, 0.0) - step
+                for i in feat_ids:
+                    w[i] -= step
                 b -= step
     return RelationModel(
         kind=RelationKind.LOGISTIC,
-        weights={f: v for f, v in w.items() if v != 0.0},
+        weights={f: w[i] for f, i in ids.items() if w[i] != 0.0},
         bias=b,
     )
 
@@ -258,7 +266,7 @@ def classify(
     if model.kind is RelationKind.ALWAYS_TRUE:
         return True, 1.0
     feats = featurize(sentence, inst, expressions=expressions)
-    score = _sigmoid(model.bias + sum(model.weights.get(f, 0.0) for f in feats))
+    score = _sigmoid(model.bias + sum(model.weights.get(f, 0.0) for f in sorted(feats)))
     return score > model.threshold, score
 
 

@@ -97,8 +97,9 @@ def _word_shape(word: str) -> str:
     return "".join(shape)
 
 
-def token_features(tokens: Sequence[Token], i: int, prev_label: str) -> List[str]:
-    """Feature strings for one token position (all implicit weight 1)."""
+def _static_features(tokens: Sequence[Token], i: int) -> List[str]:
+    """The feature templates of position ``i`` that do not depend on the
+    previous label: 9 word templates, then up to 3 POS templates."""
 
     def word(j: int) -> str:
         if j < 0:
@@ -119,8 +120,6 @@ def token_features(tokens: Sequence[Token], i: int, prev_label: str) -> List[str
         f"w+1={word(i + 1)}",
         f"w-2={word(i - 2)}",
         f"w+2={word(i + 2)}",
-        f"t-1={prev_label}",
-        f"t-1w={prev_label}|{lower}",
     ]
     if tok.pos is not None:
         feats.append(f"p0={tok.pos}")
@@ -129,6 +128,25 @@ def token_features(tokens: Sequence[Token], i: int, prev_label: str) -> List[str
     if i + 1 < len(tokens) and tokens[i + 1].pos is not None:
         feats.append(f"p+1={tokens[i + 1].pos}")
     return feats
+
+
+# token_features puts the two t-1 templates after the 9 word templates.
+_N_WORD_TEMPLATES = 9
+
+
+def _prev_features(prev_label: str, lower: str) -> List[str]:
+    """The two templates that depend on the previous label: ``t-1`` and ``t-1w``."""
+    return [f"t-1={prev_label}", f"t-1w={prev_label}|{lower}"]
+
+
+def token_features(tokens: Sequence[Token], i: int, prev_label: str) -> List[str]:
+    """Feature strings for one token position (all implicit weight 1)."""
+    static = _static_features(tokens, i)
+    return (
+        static[:_N_WORD_TEMPLATES]
+        + _prev_features(prev_label, tokens[i].text.lower())
+        + static[_N_WORD_TEMPLATES:]
+    )
 
 
 def _legal(label: str, prev: str) -> bool:
@@ -156,6 +174,22 @@ def _predict(weights: Mapping[str, Mapping[str, float]], feats: Sequence[str], p
     return best
 
 
+_LABEL_INDEX = {label: k for k, label in enumerate(TIE_ORDER)}
+# Previous-label contexts: the 7 labels, then the sentence start.
+_PREV_LABELS = TIE_ORDER + (_BOS,)
+_BOS_INDEX = len(TIE_ORDER)
+# Indices of the labels that may follow each previous-label context.
+_LEGAL_AFTER = tuple(
+    tuple(k for k, label in enumerate(TIE_ORDER) if _legal(label, prev)) for prev in _PREV_LABELS
+)
+
+
+def _new_row() -> tuple:
+    # (weights, lazy-average totals, stamps), one slot per label in TIE_ORDER
+    n = len(TIE_ORDER)
+    return ([0.0] * n, [0.0] * n, [0] * n)
+
+
 def train_perceptron(train: Dataset, epochs: int, seed: int) -> TaggerModel:
     """Averaged perceptron over the BIO label set.
 
@@ -164,50 +198,88 @@ def train_perceptron(train: Dataset, epochs: int, seed: int) -> TaggerModel:
     weights are the average of the weight vector over every token step,
     computed with the usual lazy accumulator trick. Deterministic for a
     fixed (dataset, epochs, seed).
+
+    Each feature's weights, lazy-average totals and stamps are 7-slot lists
+    in ``TIE_ORDER``, held in one row per feature. The templates that do not
+    depend on the previous label are built once per distinct ``tokens``
+    tuple (up-sampled duplicates share theirs), and each token keeps
+    references to its rows, so a step looks up only the two ``t-1`` rows.
+    Every update adds or subtracts 1.0, so weights, scores and totals are
+    integers held exactly in floats, and the result does not depend on the
+    order of any sum.
     """
     if not isinstance(epochs, int) or epochs < 0:
         raise ValidationError(f"epochs must be a non-negative integer, got {epochs!r}")
     if not train.sentences:
         raise ValidationError("cannot train a perceptron on an empty dataset")
-    data = [(s, encode(s)) for s in train.sentences]
 
-    weights: Dict[str, Dict[str, float]] = {}
-    totals: Dict[str, Dict[str, float]] = {}
-    stamps: Dict[str, Dict[str, int]] = {}
+    rows: Dict[str, tuple] = {}  # static feature -> row
+    # The t-1 and t-1w rows, per previous-label context; t-1w rows keyed by lower-cased word.
+    prev_rows = [_new_row() for _ in _PREV_LABELS]
+    prev_word_rows: List[Dict[str, tuple]] = [{} for _ in _PREV_LABELS]
+    # tokens tuple -> per token: (static rows, their weight lists, lower-cased word)
+    cache: Dict[tuple, list] = {}
+    data = []
+    for sentence in train.sentences:
+        tokens = sentence.tokens
+        steps = cache.get(tokens)
+        if steps is None:
+            steps = []
+            for i in range(len(tokens)):
+                static = []
+                for feat in _static_features(tokens, i):
+                    row = rows.get(feat)
+                    if row is None:
+                        row = rows[feat] = _new_row()
+                    static.append(row)
+                steps.append((tuple(static), tuple(r[0] for r in static), tokens[i].text.lower()))
+            cache[tokens] = steps
+        data.append((steps, [_LABEL_INDEX[label] for label in encode(sentence)]))
+
     step = 0
-
-    def bump(feat: str, label: str, delta: float) -> None:
-        row = weights.setdefault(feat, {})
-        trow = totals.setdefault(feat, {})
-        srow = stamps.setdefault(feat, {})
-        cur = row.get(label, 0.0)
-        trow[label] = trow.get(label, 0.0) + (step - srow.get(label, 0)) * cur
-        srow[label] = step
-        row[label] = cur + delta
-
     rng = random.Random(seed)
     order = list(range(len(data)))
     for _ in range(epochs):
         rng.shuffle(order)
         for idx in order:
-            sentence, gold = data[idx]
-            prev = _BOS
-            for i in range(len(sentence.tokens)):
+            steps, gold = data[idx]
+            prev = _BOS_INDEX
+            for (static, ws, lower), truth in zip(steps, gold):
                 step += 1
-                feats = token_features(sentence.tokens, i, prev)
-                guess = _predict(weights, feats, prev)
-                if guess != gold[i]:
-                    for feat in feats:
-                        bump(feat, gold[i], 1.0)
-                        bump(feat, guess, -1.0)
+                word_row = prev_word_rows[prev].get(lower)
+                if word_row is None:
+                    scores = list(map(sum, zip(*ws, prev_rows[prev][0])))
+                else:
+                    scores = list(map(sum, zip(*ws, prev_rows[prev][0], word_row[0])))
+                guess = max(_LEGAL_AFTER[prev], key=scores.__getitem__)
+                if guess != truth:
+                    if word_row is None:
+                        word_row = prev_word_rows[prev][lower] = _new_row()
+                    active = static + (prev_rows[prev], word_row)
+                    for w, totals, stamps in active:
+                        cur = w[truth]
+                        totals[truth] += (step - stamps[truth]) * cur
+                        stamps[truth] = step
+                        w[truth] = cur + 1.0
+                        cur = w[guess]
+                        totals[guess] += (step - stamps[guess]) * cur
+                        stamps[guess] = step
+                        w[guess] = cur - 1.0
                 prev = guess
 
+    if not step:
+        return TaggerModel(kind=TaggerKind.PERCEPTRON, weights={})
+    named = list(rows.items())
+    for p, prev_label in enumerate(_PREV_LABELS):
+        named.append((_prev_features(prev_label, "")[0], prev_rows[p]))
+        named.extend(
+            (_prev_features(prev_label, lower)[1], row) for lower, row in prev_word_rows[p].items()
+        )
     averaged: Dict[str, Dict[str, float]] = {}
-    for feat, row in weights.items():
+    for feat, (w, totals, stamps) in named:
         out = {}
-        for label, w in row.items():
-            total = totals[feat].get(label, 0.0) + (step - stamps[feat].get(label, 0)) * w
-            avg = total / step
+        for k, label in enumerate(TIE_ORDER):
+            avg = (totals[k] + (step - stamps[k]) * w[k]) / step
             if avg:
                 out[label] = avg
         if out:
@@ -325,21 +397,31 @@ def load_model(path: str) -> TaggerModel:
         raise ParseError(f"{path}: cannot read: {err}") from err
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: line {err.lineno}: {err.msg}") from err
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path}: top-level value must be an object")
     try:
         kind = TaggerKind(obj.get("kind"))
     except ValueError:
         raise ValidationError(f"{path}: unknown tagger kind {obj.get('kind')!r}")
     if kind is TaggerKind.POS_CHUNK:
-        return pos_chunk_tagger(obj.get("map", {}))
+        pos_map = obj.get("map", {})
+        if not isinstance(pos_map, dict):
+            raise ValidationError(f"{path}: 'map' must be an object")
+        return pos_chunk_tagger(pos_map)
     if kind is TaggerKind.PERCEPTRON:
+        raw = obj.get("weights", {})
+        if not isinstance(raw, dict):
+            raise ValidationError(f"{path}: 'weights' must be an object")
         weights: Dict[str, Dict[str, float]] = {}
-        for key, w in obj.get("weights", {}).items():
+        for key, w in raw.items():
             if "\t" not in key:
                 raise ValidationError(f"{path}: malformed weight key {key!r}")
             feat, label = key.rsplit("\t", 1)
             if label not in BIO_LABELS:
                 raise ValidationError(f"{path}: weight key has unknown label {label!r}")
-            if not isinstance(w, (int, float)) or not math.isfinite(w):
+            if isinstance(w, bool) or not isinstance(w, (int, float)):
+                raise ValidationError(f"{path}: weight for {key!r} is not a number")
+            if not math.isfinite(w):
                 raise ValidationError(f"{path}: non-finite weight for {key!r}")
             weights.setdefault(feat, {})[label] = float(w)
         return TaggerModel(kind=kind, weights=weights)

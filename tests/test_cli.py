@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sentigraph
 from helpers import opinion, sent, span
 from sentigraph import Dataset, FileFormat, load_dataset, save_dataset
 from sentigraph.cli import main
@@ -205,6 +209,25 @@ def test_predict_requires_model(synth_paths, capsys):
     assert main(["predict", "--data", test_path]) == 2
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        '[{"kind": "PERCEPTRON"}]',
+        '{"kind": "PERCEPTRON", "weights": [1.0]}',
+        '{"kind": "PERCEPTRON", "weights": {"w=x\\tB-EXP": true}}',
+        '{"kind": "POS_CHUNK", "map": "NOUN"}',
+    ],
+    ids=["top_level_list", "weights_list", "boolean_weight", "map_string"],
+)
+def test_predict_bad_tagger_model_exits_2(tmp_path, capsys, synth_paths, content):
+    _, test_path = synth_paths
+    model = tmp_path / "tagger.json"
+    model.write_text(content, encoding="utf-8")
+    assert main(["--output-dir", str(tmp_path / "preds"), "predict", "--data", test_path,
+                 "--tagger-model", str(model)]) == 2
+    assert str(model) in capsys.readouterr().err
+
+
 def test_train_rejects_bad_kind(synth_paths, capsys):
     train_path, _ = synth_paths
     assert main(["train", "tagger", "--train", train_path, "--kind", "oracle",
@@ -269,3 +292,21 @@ def test_pipeline_missing_config_key_names_field(tmp_path, capsys, synth_paths):
     config_path.write_text(json.dumps({"train": train_path, "test": test_path}), encoding="utf-8")
     assert main(["pipeline", str(config_path)]) == 2
     assert "output_dir" in capsys.readouterr().err
+
+
+def test_pipeline_artifacts_do_not_depend_on_hash_seed(tmp_path, synth_paths):
+    train_path, test_path = synth_paths
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sentigraph.__file__)))
+    runs = {}
+    for hash_seed in ("0", "1"):
+        config = _write_config(tmp_path, train_path, test_path,
+                               output_dir=str(tmp_path / f"run{hash_seed}"))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "sentigraph.cli", "pipeline", config],
+                       env=env, check=True, capture_output=True)
+        runs[hash_seed] = {
+            name: (tmp_path / f"run{hash_seed}" / name).read_bytes()
+            for name in ("relation_model.json", "instances.jsonl")
+        }
+    assert runs["0"] == runs["1"]
