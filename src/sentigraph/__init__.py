@@ -66,6 +66,7 @@ from .relation import (
     classify,
     featurize,
     generate_instances,
+    gold_instances,
     train_logistic,
 )
 from .span_codec import TagSequence, decode, encode, union_same_role
@@ -92,9 +93,10 @@ __all__ = [
     "ValidationError", "aggregate", "always_true_model", "classify",
     "compute_stats", "decode", "encode", "end_to_end", "featurize",
     "filter_overlapping", "format_report_table", "generate_instances",
-    "gold_graph", "graph_f1", "graph_from_sentence", "graphs_to_dataset",
-    "load_dataset", "load_external_predictions", "macro_average", "merge_stats",
-    "most_common_tagger", "pos_chunk_tagger", "relation_prf", "save_dataset",
+    "gold_graph", "gold_instances", "graph_f1", "graph_from_sentence",
+    "graphs_to_dataset", "load_dataset", "load_external_predictions",
+    "macro_average", "merge_stats", "most_common_tagger", "pos_chunk_tagger",
+    "relation_prf", "save_dataset",
     "stratified_report", "tag", "token_f1", "train_logistic", "train_perceptron",
     "union_same_role", "upsample", "write_triples",
 ]

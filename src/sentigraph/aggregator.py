@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .corpus import Dataset, OpinionTuple, Role, Sentence, Span
 from .errors import AggregationError, ValidationError
-from .relation import RelationModel, classify, generate_instances
-from .span_codec import decode
+from .relation import RelationInstance, RelationModel, classify, generate_instances, gold_instances
+from .span_codec import TagSequence, decode
 from .taggers import TaggerModel, tag
 
 
@@ -87,26 +87,37 @@ def gold_graph(sentence: Sentence) -> SentimentGraph:
     Tuples that share an expression span merge: the expression keeps the
     union of their holders and targets.
     """
-    entities = sentence.spans(Role.HOLDER) | sentence.spans(Role.TARGET)
-    expressions = sentence.spans(Role.EXPRESSION)
-    instances = generate_instances(sentence, entities, expressions, gold=sentence.opinions)
+    instances = gold_instances(sentence)
     decisions = {(i.entity, i.expression): bool(i.label) for i in instances}
-    return aggregate(sentence, entities, expressions, decisions)
+    # Every entity is in some instance unless there is no expression, and
+    # then no tuple needs it.
+    entities = {i.entity for i in instances}
+    return aggregate(sentence, entities, sentence.spans(Role.EXPRESSION), decisions)
 
 
 def end_to_end(
-    sentence: Sentence, tagger: TaggerModel, rel: RelationModel
-) -> SentimentGraph:
-    """Tag, decode, classify every pair, aggregate. No extra logic."""
-    spans = decode(tag(tagger, sentence))
+    sentence: Sentence,
+    tagger: Optional[TaggerModel],
+    rel: RelationModel,
+    labels: Optional[Sequence[str]] = None,
+) -> Tuple[TagSequence, SentimentGraph, List[Tuple[RelationInstance, float]]]:
+    """Stages 1-3 for one sentence: tag, decode, classify every pair, aggregate.
+
+    ``labels`` (for example tags read from an external CoNLL file) replace
+    the tagger's output; ``tagger`` may then be None. Returns the labels,
+    the graph and each candidate pair with its score, in instance order.
+    """
+    labels = tag(tagger, sentence) if labels is None else tuple(labels)
+    spans = decode(labels)
     entities = {s for s in spans if s.role is not Role.EXPRESSION}
     expressions = {s for s in spans if s.role is Role.EXPRESSION}
-    instances = generate_instances(sentence, entities, expressions)
-    decisions = {
-        (i.entity, i.expression): classify(rel, sentence, i, expressions=expressions)[0]
-        for i in instances
-    }
-    return aggregate(sentence, entities, expressions, decisions)
+    decisions = {}
+    scored = []
+    for inst in generate_instances(sentence, entities, expressions):
+        decision, score = classify(rel, sentence, inst, expressions=expressions)
+        decisions[(inst.entity, inst.expression)] = decision
+        scored.append((inst, score))
+    return labels, aggregate(sentence, entities, expressions, decisions), scored
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from . import aggregator, corpus, metrics, relation, taggers
-from .corpus import Dataset, FileFormat, OverlapPolicy, Role, STATS_COLUMNS
+from .corpus import Dataset, FileFormat, OverlapPolicy, STATS_COLUMNS
 from .errors import ConfigError, InputError, SentigraphError, StageError
 from .metrics import Stratum
-from .span_codec import decode
+# Not called here; benchmark/test_benchmark.py checks that its tracer restores cli.decode.
+from .span_codec import decode  # noqa: F401
 
 
 def _write_json(path: str, obj) -> None:
@@ -28,25 +29,31 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _fmt_table(rows: Sequence[Sequence[str]]) -> str:
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    return "\n".join(
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        for row in rows
-    )
-
-
 # ---------------------------------------------------------------------------
 # Pipeline configuration
 # ---------------------------------------------------------------------------
 
 
+def _check(name: str, ok: bool, problem: str) -> None:
+    if not ok:
+        raise ConfigError(f"config field '{name}': {problem}")
+
+
+# The options of both stages are checked when they are built, so a config
+# file and the ``train`` flags go through the same checks.
 @dataclass
 class TaggerConfig:
     kind: str = "PERCEPTRON"
     epochs: int = 10
     seed: int = 1
     pos_map: Optional[Dict[str, str]] = None
+
+    def __post_init__(self):
+        _check("tagger.kind", self.kind in taggers.TaggerKind.__members__,
+               f"unknown kind {self.kind!r}")
+        _check("tagger.epochs", self.epochs >= 0, "must be >= 0")
+        _check("tagger.pos_map", self.pos_map is None or isinstance(self.pos_map, dict),
+               "expected an object")
 
 
 @dataclass
@@ -57,6 +64,15 @@ class RelationConfig:
     threshold: float = 0.5
     seed: int = 2
     class_weight: Optional[str] = None
+
+    def __post_init__(self):
+        _check("relation.kind", self.kind in relation.RelationKind.__members__,
+               f"unknown kind {self.kind!r}")
+        _check("relation.epochs", self.epochs >= 1, "must be >= 1")
+        _check("relation.learning_rate", self.learning_rate > 0, "must be > 0")
+        _check("relation.threshold", 0.0 < self.threshold < 1.0, "must be in (0, 1)")
+        _check("relation.class_weight", self.class_weight in (None, "balanced"),
+               f"unknown class weight {self.class_weight!r}")
 
 
 @dataclass
@@ -71,6 +87,10 @@ class PipelineConfig:
     tagger: TaggerConfig = field(default_factory=TaggerConfig)
     relation: RelationConfig = field(default_factory=RelationConfig)
 
+    def __post_init__(self):
+        _check("overlap_policy", self.overlap_policy in OverlapPolicy.__members__,
+               f"unknown policy {self.overlap_policy!r}")
+
 
 def _cfg_get(obj: Mapping, key: str, kind, where: str, required: bool = False, default=None):
     if key not in obj:
@@ -78,8 +98,8 @@ def _cfg_get(obj: Mapping, key: str, kind, where: str, required: bool = False, d
             raise ConfigError(f"config field '{where}{key}': missing")
         return default
     value = obj[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+    if kind is float:
+        value = corpus.finite_number(value, f"config field '{where}{key}'")
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ConfigError(
             f"config field '{where}{key}': expected {kind.__name__}, got {value!r}"
@@ -88,16 +108,9 @@ def _cfg_get(obj: Mapping, key: str, kind, where: str, required: bool = False, d
 
 
 def load_config(path: str) -> PipelineConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as err:
-        raise ConfigError(f"config file '{path}': cannot read: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config file '{path}': line {err.lineno}: {err.msg}") from err
-    if not isinstance(obj, dict):
-        raise ConfigError("config file: top-level value must be an object")
-
+    obj = corpus.read_json_object(path)
+    tagger_obj = _cfg_get(obj, "tagger", dict, "", default={})
+    rel_obj = _cfg_get(obj, "relation", dict, "", default={})
     cfg = PipelineConfig(
         train=_cfg_get(obj, "train", str, "", required=True),
         test=_cfg_get(obj, "test", str, "", required=True),
@@ -106,43 +119,21 @@ def load_config(path: str) -> PipelineConfig:
         overlap_policy=_cfg_get(obj, "overlap_policy", str, "", default="DROP_SENTENCE"),
         upsample=_cfg_get(obj, "upsample", bool, "", default=False),
         upsample_seed=_cfg_get(obj, "upsample_seed", int, "", default=0),
+        tagger=TaggerConfig(
+            kind=_cfg_get(tagger_obj, "kind", str, "tagger.", default="PERCEPTRON").upper(),
+            epochs=_cfg_get(tagger_obj, "epochs", int, "tagger.", default=10),
+            seed=_cfg_get(tagger_obj, "seed", int, "tagger.", default=1),
+            pos_map=tagger_obj.get("pos_map"),
+        ),
+        relation=RelationConfig(
+            kind=_cfg_get(rel_obj, "kind", str, "relation.", default="LOGISTIC").upper(),
+            epochs=_cfg_get(rel_obj, "epochs", int, "relation.", default=30),
+            learning_rate=_cfg_get(rel_obj, "learning_rate", float, "relation.", default=0.5),
+            threshold=_cfg_get(rel_obj, "threshold", float, "relation.", default=0.5),
+            seed=_cfg_get(rel_obj, "seed", int, "relation.", default=2),
+            class_weight=rel_obj.get("class_weight"),
+        ),
     )
-    if cfg.overlap_policy not in OverlapPolicy.__members__:
-        raise ConfigError(
-            f"config field 'overlap_policy': unknown policy {cfg.overlap_policy!r}"
-        )
-    tagger_obj = obj.get("tagger", {})
-    if not isinstance(tagger_obj, dict):
-        raise ConfigError("config field 'tagger': expected an object")
-    cfg.tagger = TaggerConfig(
-        kind=_cfg_get(tagger_obj, "kind", str, "tagger.", default="PERCEPTRON").upper(),
-        epochs=_cfg_get(tagger_obj, "epochs", int, "tagger.", default=10),
-        seed=_cfg_get(tagger_obj, "seed", int, "tagger.", default=1),
-        pos_map=tagger_obj.get("pos_map"),
-    )
-    if cfg.tagger.kind not in ("PERCEPTRON", "POS_CHUNK", "MOST_COMMON"):
-        raise ConfigError(f"config field 'tagger.kind': unknown kind {cfg.tagger.kind!r}")
-    if cfg.tagger.epochs < 0:
-        raise ConfigError("config field 'tagger.epochs': must be >= 0")
-    rel_obj = obj.get("relation", {})
-    if not isinstance(rel_obj, dict):
-        raise ConfigError("config field 'relation': expected an object")
-    cfg.relation = RelationConfig(
-        kind=_cfg_get(rel_obj, "kind", str, "relation.", default="LOGISTIC").upper(),
-        epochs=_cfg_get(rel_obj, "epochs", int, "relation.", default=30),
-        learning_rate=_cfg_get(rel_obj, "learning_rate", float, "relation.", default=0.5),
-        threshold=_cfg_get(rel_obj, "threshold", float, "relation.", default=0.5),
-        seed=_cfg_get(rel_obj, "seed", int, "relation.", default=2),
-        class_weight=rel_obj.get("class_weight"),
-    )
-    if cfg.relation.kind not in ("LOGISTIC", "ALWAYS_TRUE"):
-        raise ConfigError(f"config field 'relation.kind': unknown kind {cfg.relation.kind!r}")
-    if cfg.relation.epochs < 1:
-        raise ConfigError("config field 'relation.epochs': must be >= 1")
-    if not cfg.relation.learning_rate > 0:
-        raise ConfigError("config field 'relation.learning_rate': must be > 0")
-    if not (0.0 < cfg.relation.threshold < 1.0):
-        raise ConfigError("config field 'relation.threshold': must be in (0, 1)")
     for key, value in (("train", cfg.train), ("test", cfg.test), ("dev", cfg.dev)):
         if value is not None and not os.path.isfile(value):
             raise ConfigError(f"config field '{key}': file not found: {value}")
@@ -163,15 +154,19 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(f"stage '{name}': {err}") from err
 
 
-def _gold_relation_instances(ds: Dataset) -> List[relation.RelationInstance]:
-    instances = []
-    for sentence in ds.sentences:
-        entities = sentence.spans(Role.HOLDER) | sentence.spans(Role.TARGET)
-        expressions = sentence.spans(Role.EXPRESSION)
-        instances.extend(
-            relation.generate_instances(sentence, entities, expressions, gold=sentence.opinions)
+def _filter_overlaps(ds: Dataset, policy: str, what: str) -> Dataset:
+    """Apply an overlap policy by name (``none`` keeps ``ds``); list affected ids on stderr."""
+    if policy.lower() == "none":
+        return ds
+    chosen = OverlapPolicy[policy.upper()]
+    ds, affected = corpus.filter_overlapping(ds, chosen)
+    if affected:
+        print(
+            f"overlap filter ({chosen.value}) affected {len(affected)} {what}: "
+            f"{', '.join(affected)}",
+            file=sys.stderr,
         )
-    return instances
+    return ds
 
 
 def _train_tagger(cfg: TaggerConfig, train_ds: Dataset) -> taggers.TaggerModel:
@@ -185,7 +180,7 @@ def _train_tagger(cfg: TaggerConfig, train_ds: Dataset) -> taggers.TaggerModel:
 def _train_relation(cfg: RelationConfig, train_ds: Dataset) -> relation.RelationModel:
     if cfg.kind == "ALWAYS_TRUE":
         return relation.always_true_model(threshold=cfg.threshold)
-    instances = _gold_relation_instances(train_ds)
+    instances = [inst for s in train_ds.sentences for inst in relation.gold_instances(s)]
     model = relation.train_logistic(
         instances,
         train_ds,
@@ -194,18 +189,16 @@ def _train_relation(cfg: RelationConfig, train_ds: Dataset) -> relation.Relation
         seed=cfg.seed,
         class_weight=cfg.class_weight,
     )
-    from dataclasses import replace
-
     return replace(model, threshold=cfg.threshold)
 
 
 def _predict(
     ds: Dataset,
-    tagger_model: taggers.TaggerModel,
+    tagger_model: Optional[taggers.TaggerModel],
     relation_model: relation.RelationModel,
     external_tags: Optional[Mapping[str, Sequence[str]]] = None,
 ):
-    """Run stages 1-3 over a dataset.
+    """``aggregator.end_to_end`` over a dataset.
 
     Returns (tags by id, graphs by id, scored instance rows).
     """
@@ -213,24 +206,27 @@ def _predict(
     graphs: Dict[str, aggregator.SentimentGraph] = {}
     rows = []
     for sentence in ds.sentences:
-        if external_tags is not None:
-            labels = tuple(external_tags[sentence.id])
-        else:
-            labels = taggers.tag(tagger_model, sentence)
-        tags[sentence.id] = labels
-        spans = decode(labels)
-        entities = {s for s in spans if s.role is not Role.EXPRESSION}
-        expressions = {s for s in spans if s.role is Role.EXPRESSION}
-        instances = relation.generate_instances(sentence, entities, expressions)
-        decisions = {}
-        for inst in instances:
-            decision, score = relation.classify(
-                relation_model, sentence, inst, expressions=expressions
-            )
-            decisions[(inst.entity, inst.expression)] = decision
-            rows.append((inst, score))
-        graphs[sentence.id] = aggregator.aggregate(sentence, entities, expressions, decisions)
+        labels = None if external_tags is None else external_tags[sentence.id]
+        tags[sentence.id], graphs[sentence.id], scored = aggregator.end_to_end(
+            sentence, tagger_model, relation_model, labels
+        )
+        rows.extend(scored)
     return tags, graphs, rows
+
+
+def _write_predictions(out_dir: str, ds: Dataset, tags, graphs, rows) -> Dict[str, str]:
+    """Write a split's predicted tags, graphs, triples and scored instances."""
+    paths = {
+        "predictions_conll": os.path.join(out_dir, "predictions.conll"),
+        "graphs": os.path.join(out_dir, "graphs.json"),
+        "triples": os.path.join(out_dir, "triples.jsonl"),
+        "instances": os.path.join(out_dir, "instances.jsonl"),
+    }
+    taggers.save_predictions_conll(paths["predictions_conll"], ds, tags)
+    corpus.save_dataset(aggregator.graphs_to_dataset(ds, graphs), paths["graphs"])
+    aggregator.write_triples(paths["triples"], [graphs[s.id] for s in ds.sentences])
+    relation.dump_instances(paths["instances"], rows)
+    return paths
 
 
 def _reports(
@@ -248,23 +244,10 @@ def _reports(
 
 def run_pipeline(cfg: PipelineConfig) -> Dict[str, str]:
     """Execute the full pipeline; returns the artifact paths that were written."""
-    policy = OverlapPolicy[cfg.overlap_policy]
     train_ds = _stage("load-train", corpus.load_dataset, cfg.train, FileFormat.JSON)
     test_ds = _stage("load-test", corpus.load_dataset, cfg.test, FileFormat.JSON)
-    train_f, dropped = corpus.filter_overlapping(train_ds, policy)
-    if dropped:
-        print(
-            f"overlap filter ({policy.value}) affected {len(dropped)} training "
-            f"sentence(s): {', '.join(dropped)}",
-            file=sys.stderr,
-        )
-    test_f, dropped_test = corpus.filter_overlapping(test_ds, policy)
-    if dropped_test:
-        print(
-            f"overlap filter ({policy.value}) affected {len(dropped_test)} test "
-            f"sentence(s): {', '.join(dropped_test)}",
-            file=sys.stderr,
-        )
+    train_f = _filter_overlaps(train_ds, cfg.overlap_policy, "training sentence(s)")
+    test_f = _filter_overlaps(test_ds, cfg.overlap_policy, "test sentence(s)")
     if cfg.upsample:
         train_f = _stage("upsample", corpus.upsample, train_f, cfg.upsample_seed)
 
@@ -275,10 +258,6 @@ def run_pipeline(cfg: PipelineConfig) -> Dict[str, str]:
     paths = {
         "tagger_model": os.path.join(cfg.output_dir, "tagger_model.json"),
         "relation_model": os.path.join(cfg.output_dir, "relation_model.json"),
-        "predictions_conll": os.path.join(cfg.output_dir, "predictions.conll"),
-        "graphs": os.path.join(cfg.output_dir, "graphs.json"),
-        "triples": os.path.join(cfg.output_dir, "triples.jsonl"),
-        "instances": os.path.join(cfg.output_dir, "instances.jsonl"),
         "report": os.path.join(cfg.output_dir, "report.json"),
         "report_txt": os.path.join(cfg.output_dir, "report.txt"),
     }
@@ -286,10 +265,7 @@ def run_pipeline(cfg: PipelineConfig) -> Dict[str, str]:
     relation.save_model(relation_model, paths["relation_model"])
 
     tags, graphs, rows = _stage("predict", _predict, test_f, tagger_model, relation_model)
-    taggers.save_predictions_conll(paths["predictions_conll"], test_f, tags)
-    corpus.save_dataset(aggregator.graphs_to_dataset(test_f, graphs), paths["graphs"])
-    aggregator.write_triples(paths["triples"], [graphs[s.id] for s in test_f.sentences])
-    relation.dump_instances(paths["instances"], rows)
+    paths.update(_write_predictions(cfg.output_dir, test_f, tags, graphs, rows))
 
     reports = _stage("evaluate", _reports, test_f, tags, graphs, True)
     _write_json(paths["report"], {"reports": [r.to_dict() for r in reports]})
@@ -300,7 +276,7 @@ def run_pipeline(cfg: PipelineConfig) -> Dict[str, str]:
 
     if cfg.dev is not None:
         dev_ds = _stage("load-dev", corpus.load_dataset, cfg.dev, FileFormat.JSON)
-        dev_f, _ = corpus.filter_overlapping(dev_ds, policy)
+        dev_f = _filter_overlaps(dev_ds, cfg.overlap_policy, "dev sentence(s)")
         paths["dev_predictions_conll"] = os.path.join(cfg.output_dir, "dev_predictions.conll")
         paths["dev_graphs"] = os.path.join(cfg.output_dir, "dev_graphs.json")
         paths["dev_report"] = os.path.join(cfg.output_dir, "dev_report.json")
@@ -342,13 +318,13 @@ def _cmd_stats(args) -> int:
                     for col in STATS_COLUMNS
                 )
             )
-        print(_fmt_table(table))
+        print(metrics.format_table(table))
         group_table = [("dataset", "labels_present", "sentences")]
         for name, stats in rows:
             for k, v in sorted(stats.label_group_counts.items()):
                 group_table.append((name, str(k), str(v)))
         print()
-        print(_fmt_table(group_table))
+        print(metrics.format_table(group_table))
     if args.output_dir:
         os.makedirs(args.output_dir, exist_ok=True)
         _write_json(os.path.join(args.output_dir, "stats.json"), payload)
@@ -359,39 +335,17 @@ def _cmd_convert(args) -> int:
     in_fmt = FileFormat[args.from_format.upper()]
     out_fmt = FileFormat[args.to_format.upper()]
     ds = corpus.load_dataset(args.input, in_fmt)
-    policy = None if args.overlap_policy == "none" else OverlapPolicy[args.overlap_policy.upper()]
-    if policy is not None and out_fmt is FileFormat.CONLL:
-        ds, report = corpus.filter_overlapping(ds, policy)
-        if report:
-            print(
-                f"overlap filter ({policy.value}) affected {len(report)} "
-                f"sentence(s): {', '.join(report)}",
-                file=sys.stderr,
-            )
+    if out_fmt is FileFormat.CONLL:
+        ds = _filter_overlaps(ds, args.overlap_policy, "sentence(s)")
     corpus.save_dataset(ds, args.output, out_fmt)
     return 0
 
 
 def _cmd_train(args) -> int:
-    ds = corpus.load_dataset(args.train, FileFormat.JSON)
-    policy = None if args.overlap_policy == "none" else OverlapPolicy[args.overlap_policy.upper()]
-    if policy is not None:
-        ds, report = corpus.filter_overlapping(ds, policy)
-        if report:
-            print(
-                f"overlap filter ({policy.value}) affected {len(report)} "
-                f"sentence(s): {', '.join(report)}",
-                file=sys.stderr,
-            )
     seed = args.train_seed if args.train_seed is not None else (args.seed or 0)
     if args.stage == "tagger":
         cfg = TaggerConfig(kind=args.kind.upper(), epochs=args.epochs, seed=seed)
-        if cfg.kind not in ("PERCEPTRON", "POS_CHUNK", "MOST_COMMON"):
-            raise ConfigError(f"--kind: unknown tagger kind {args.kind!r}")
-        if cfg.epochs < 0:
-            raise ConfigError("--epochs: must be >= 0")
-        model = _stage("train-tagger", _train_tagger, cfg, ds)
-        taggers.save_model(model, args.out)
+        train, save = _train_tagger, taggers.save_model
     else:
         cfg = RelationConfig(
             kind=args.kind.upper(),
@@ -400,14 +354,10 @@ def _cmd_train(args) -> int:
             threshold=args.threshold,
             seed=seed,
         )
-        if cfg.kind not in ("LOGISTIC", "ALWAYS_TRUE"):
-            raise ConfigError(f"--kind: unknown relation kind {args.kind!r}")
-        if cfg.epochs < 1:
-            raise ConfigError("--epochs: must be >= 1")
-        if not cfg.learning_rate > 0:
-            raise ConfigError("--learning-rate: must be > 0")
-        model = _stage("train-relation", _train_relation, cfg, ds)
-        relation.save_model(model, args.out)
+        train, save = _train_relation, relation.save_model
+    ds = corpus.load_dataset(args.train, FileFormat.JSON)
+    ds = _filter_overlaps(ds, args.overlap_policy, "sentence(s)")
+    save(_stage(f"train-{args.stage}", train, cfg, ds), args.out)
     return 0
 
 
@@ -415,9 +365,8 @@ def _cmd_predict(args) -> int:
     if not args.tagger_model and not args.external_conll:
         raise ConfigError("predict needs --tagger-model or --external-conll")
     ds = corpus.load_dataset(args.data, FileFormat.JSON)
-    external = None
+    tagger_model = external = None
     if args.external_conll:
-        tagger_model = taggers.external_tagger()
         external = taggers.load_external_predictions(args.external_conll, ds)
     else:
         tagger_model = taggers.load_model(args.tagger_model)
@@ -431,28 +380,13 @@ def _cmd_predict(args) -> int:
     tags, graphs, rows = _stage(
         "predict", _predict, ds, tagger_model, relation_model, external
     )
-    taggers.save_predictions_conll(os.path.join(out_dir, "predictions.conll"), ds, tags)
-    corpus.save_dataset(
-        aggregator.graphs_to_dataset(ds, graphs), os.path.join(out_dir, "graphs.json")
-    )
-    aggregator.write_triples(
-        os.path.join(out_dir, "triples.jsonl"), [graphs[s.id] for s in ds.sentences]
-    )
-    relation.dump_instances(os.path.join(out_dir, "instances.jsonl"), rows)
+    _write_predictions(out_dir, ds, tags, graphs, rows)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     ds = corpus.load_dataset(args.gold, FileFormat.JSON)
-    policy = None if args.overlap_policy == "none" else OverlapPolicy[args.overlap_policy.upper()]
-    if policy is not None:
-        ds, report = corpus.filter_overlapping(ds, policy)
-        if report:
-            print(
-                f"overlap filter ({policy.value}) affected {len(report)} gold "
-                f"sentence(s): {', '.join(report)}",
-                file=sys.stderr,
-            )
+    ds = _filter_overlaps(ds, args.overlap_policy, "gold sentence(s)")
     tags = graphs = None
     if args.pred_conll:
         tags = taggers.load_external_predictions(args.pred_conll, ds)

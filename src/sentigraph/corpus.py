@@ -34,9 +34,9 @@ opinions into a single tuple.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
-import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
@@ -694,6 +694,38 @@ def _sentence_from_conll(sent_id: str, rows: Sequence[Tuple[str, Optional[str], 
 # ---------------------------------------------------------------------------
 
 
+def read_json_object(path: str) -> dict:
+    """Parse a JSON file whose top-level value must be an object.
+
+    Every failure, from reading the file to the type of its top-level
+    value, raises ``ParseError`` with the path (and line, if known).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as err:
+        raise ParseError(f"{path}: cannot read: {err}") from err
+    except json.JSONDecodeError as err:
+        raise ParseError(f"{path}: line {err.lineno}: {err.msg}") from err
+    except ValueError as err:  # bytes that are not UTF-8, over-long integers
+        raise ParseError(f"{path}: {err}") from err
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: top-level value must be an object")
+    return obj
+
+
+def finite_number(value, what: str) -> float:
+    """A JSON number as a finite float; anything else raises ``ValidationError``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValidationError(f"{what} must be a finite number, got {value!r}")
+
+
 def _coerce_format(fmt: Union[FileFormat, str]) -> FileFormat:
     if isinstance(fmt, FileFormat):
         return fmt
@@ -707,31 +739,18 @@ def load_dataset(path: str, fmt: Union[FileFormat, str] = FileFormat.JSON) -> Da
     """Load a dataset file; every invariant is validated on the way in."""
     fmt = _coerce_format(fmt)
     if fmt is FileFormat.JSON:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except OSError as err:
-            raise ParseError(f"{path}: cannot read: {err}") from err
-        except json.JSONDecodeError as err:
-            raise ParseError(f"{path}: line {err.lineno}: {err.msg}") from err
-        return dataset_from_dict(obj, source=path)
+        return dataset_from_dict(read_json_object(path), source=path)
     blocks = read_conll_blocks(path)
     sentences = tuple(_sentence_from_conll(sent_id, rows) for sent_id, rows in blocks)
     name = re.sub(r"\.[^.]*$", "", path.replace("\\", "/").rsplit("/", 1)[-1]) or "dataset"
     return Dataset(name=name, sentences=sentences)
 
 
-def save_dataset(
-    ds: Dataset,
-    path: str,
-    fmt: Union[FileFormat, str] = FileFormat.JSON,
-    overlap_policy: Optional[OverlapPolicy] = None,
-) -> None:
+def save_dataset(ds: Dataset, path: str, fmt: Union[FileFormat, str] = FileFormat.JSON) -> None:
     """Write a dataset file.
 
-    JSON is lossless. CoNLL requires overlap-free sentences: with
-    ``overlap_policy=None`` a cross-role overlap raises; with a policy the
-    dataset is filtered first and a warning lists the affected sentences.
+    JSON is lossless. CoNLL requires overlap-free sentences: a cross-role
+    overlap raises, so filter with ``filter_overlapping`` first.
     """
     fmt = _coerce_format(fmt)
     if fmt is FileFormat.JSON:
@@ -741,14 +760,6 @@ def save_dataset(
         return
     from .span_codec import encode
 
-    if overlap_policy is not None:
-        ds, report = filter_overlapping(ds, overlap_policy)
-        if report:
-            warnings.warn(
-                f"CoNLL save under {overlap_policy.value} modified or dropped "
-                f"{len(report)} overlapping sentence(s): {', '.join(report)}",
-                stacklevel=2,
-            )
     blocks = []
     for sentence in ds.sentences:
         labels = encode(sentence)

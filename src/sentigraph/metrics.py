@@ -16,7 +16,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from .aggregator import SentimentGraph, gold_graph
 from .corpus import BIO_LABELS, Dataset, Role, Sentence, label_role
 from .errors import ValidationError
-from .relation import RelationInstance, generate_instances
+from .relation import RelationInstance, gold_instances
 from .span_codec import TagSequence, encode
 
 
@@ -282,9 +282,7 @@ def stratified_report(
             predicted_graph = pred_graphs[sentence.id]
             gold_graphs.append(gold_graph(sentence))
             predicted.append(predicted_graph)
-            entities = sentence.spans(Role.HOLDER) | sentence.spans(Role.TARGET)
-            expressions = sentence.spans(Role.EXPRESSION)
-            for inst in generate_instances(sentence, entities, expressions, gold=sentence.opinions):
+            for inst in gold_instances(sentence):
                 gold_insts.append(inst)
                 decisions.append(_graph_connects(predicted_graph, inst))
         graph = graph_f1(gold_graphs, predicted)
@@ -378,8 +376,12 @@ def format_report_table(reports: Sequence[EvalReport]) -> str:
                 f"{r.relation['negative'].f1:.3f}" if r.relation is not None else "-",
             )
         )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines = []
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return "\n".join(lines)
+    return format_table(rows)
+
+
+def format_table(rows: Sequence[Sequence[str]]) -> str:
+    """Left-aligned columns two spaces apart, each as wide as its widest cell."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return "\n".join(
+        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows
+    )

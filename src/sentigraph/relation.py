@@ -13,13 +13,14 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .corpus import Dataset, Role, Sentence, Span
+from .corpus import Dataset, Role, Sentence, Span, finite_number, read_json_object
 from .errors import ParseError, ValidationError
 
-# Sparse feature set; every present feature has implicit weight 1.
-FeatureVector = FrozenSet[str]
+# Sparse features in sorted order, so weight sums do not depend on the
+# string-hash seed; every present feature has implicit weight 1.
+FeatureVector = Tuple[str, ...]
 
 _DISTANCE_BUCKETS = ((0, "0"), (1, "1"), (2, "2"), (5, "3-5"), (10, "6-10"))
 _MAX_BETWEEN_WORDS = 10
@@ -113,6 +114,17 @@ def generate_instances(
     return instances
 
 
+def gold_instances(sentence: Sentence) -> List[RelationInstance]:
+    """Labeled instances for every gold holder|target x expression pair."""
+    spans = sentence.spans()
+    return generate_instances(
+        sentence,
+        {s for s in spans if s.role is not Role.EXPRESSION},
+        {s for s in spans if s.role is Role.EXPRESSION},
+        gold=sentence.opinions,
+    )
+
+
 def _distance_bucket(gap: int) -> str:
     for limit, name in _DISTANCE_BUCKETS:
         if gap <= limit:
@@ -166,7 +178,7 @@ def featurize(
         if s != exp and s.start >= first.end and s.end <= second.start
     )
     feats.add(f"n_exp_between={n_between}")
-    return frozenset(feats)
+    return tuple(sorted(feats))
 
 
 def _sigmoid(z: float) -> float:
@@ -213,8 +225,7 @@ def train_logistic(
     context: Dict[str, set] = {}
     for inst in instances:
         context.setdefault(inst.sentence_id, set()).add(inst.expression)
-    # Each example's features as integer ids, in sorted feature order, so the
-    # weight sums below do not depend on the string-hash seed.
+    # Each example's features as integer ids, in featurize's sorted order.
     ids: Dict[str, int] = {}
     examples: List[Tuple[List[int], float, float]] = []
     cw_pos = len(instances) / (2.0 * n_pos) if class_weight == "balanced" else 1.0
@@ -224,7 +235,7 @@ def train_logistic(
             raise ValidationError(f"instance references unknown sentence '{inst.sentence_id}'")
         feats = featurize(by_id[inst.sentence_id], inst, expressions=context[inst.sentence_id])
         examples.append((
-            [ids.setdefault(f, len(ids)) for f in sorted(feats)],
+            [ids.setdefault(f, len(ids)) for f in feats],
             1.0 if inst.label else 0.0,
             cw_pos if inst.label else cw_neg,
         ))
@@ -266,7 +277,7 @@ def classify(
     if model.kind is RelationKind.ALWAYS_TRUE:
         return True, 1.0
     feats = featurize(sentence, inst, expressions=expressions)
-    score = _sigmoid(model.bias + sum(model.weights.get(f, 0.0) for f in sorted(feats)))
+    score = _sigmoid(model.bias + sum(model.weights.get(f, 0.0) for f in feats))
     return score > model.threshold, score
 
 
@@ -288,27 +299,19 @@ def save_model(model: RelationModel, path: str) -> None:
 
 
 def load_model(path: str) -> RelationModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as err:
-        raise ParseError(f"{path}: cannot read: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ParseError(f"{path}: line {err.lineno}: {err.msg}") from err
+    obj = read_json_object(path)
     try:
         kind = RelationKind(obj.get("kind"))
     except ValueError:
         raise ValidationError(f"{path}: unknown relation model kind {obj.get('kind')!r}")
     weights = obj.get("weights", {})
-    if not isinstance(weights, dict) or not all(
-        isinstance(v, (int, float)) for v in weights.values()
-    ):
+    if not isinstance(weights, dict):
         raise ValidationError(f"{path}: 'weights' must map features to numbers")
     return RelationModel(
         kind=kind,
-        weights={k: float(v) for k, v in weights.items()},
-        bias=float(obj.get("bias", 0.0)),
-        threshold=float(obj.get("threshold", 0.5)),
+        weights={k: finite_number(v, f"{path}: weight for {k!r}") for k, v in weights.items()},
+        bias=finite_number(obj.get("bias", 0.0), f"{path}: 'bias'"),
+        threshold=finite_number(obj.get("threshold", 0.5), f"{path}: 'threshold'"),
     )
 
 

@@ -1,9 +1,9 @@
 """Sequence taggers for opinion component extraction.
 
-Four tagger kinds share one ``tag()`` interface: the all-O majority
-baseline, a POS-to-label chunking baseline, a trainable averaged
-perceptron, and an adapter kind for predictions produced by an external
-model and loaded from a CoNLL file.
+Three tagger kinds share one ``tag()`` interface: the all-O majority
+baseline, a POS-to-label chunking baseline and a trainable averaged
+perceptron. Tags produced by an external model are read from a CoNLL
+file with ``load_external_predictions`` instead.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ from .corpus import (
     Dataset,
     Sentence,
     Token,
+    finite_number,
     label_role,
     read_conll_blocks,
+    read_json_object,
     write_conll_blocks,
 )
 from .errors import ModelError, ParseError, ValidationError
@@ -32,7 +34,6 @@ class TaggerKind(Enum):
     MOST_COMMON = "MOST_COMMON"
     POS_CHUNK = "POS_CHUNK"
     PERCEPTRON = "PERCEPTRON"
-    EXTERNAL = "EXTERNAL"
 
 
 # Universal-POS lookup for the chunking baseline: nominals become targets,
@@ -64,10 +65,6 @@ class TaggerModel:
 def most_common_tagger() -> TaggerModel:
     """Majority-class baseline; the majority token label is O."""
     return TaggerModel(kind=TaggerKind.MOST_COMMON)
-
-
-def external_tagger() -> TaggerModel:
-    return TaggerModel(kind=TaggerKind.EXTERNAL)
 
 
 def pos_chunk_tagger(pos_map: Optional[Mapping[str, str]] = None) -> TaggerModel:
@@ -294,20 +291,15 @@ def tag(model: TaggerModel, sentence: Sentence) -> TagSequence:
         return ("O",) * n
     if model.kind is TaggerKind.POS_CHUNK:
         return _tag_pos_chunk(model, sentence)
-    if model.kind is TaggerKind.PERCEPTRON:
-        if model.weights is None:
-            raise ModelError("perceptron model has no weights; train or load it first")
-        labels = []
-        prev = _BOS
-        for i in range(n):
-            guess = _predict(model.weights, token_features(sentence.tokens, i, prev), prev)
-            labels.append(guess)
-            prev = guess
-        return tuple(labels)
-    raise ModelError(
-        "EXTERNAL tagger has no inference of its own; load a predictions file "
-        "with load_external_predictions()"
-    )
+    if model.weights is None:
+        raise ModelError("perceptron model has no weights; train or load it first")
+    labels = []
+    prev = _BOS
+    for i in range(n):
+        guess = _predict(model.weights, token_features(sentence.tokens, i, prev), prev)
+        labels.append(guess)
+        prev = guess
+    return tuple(labels)
 
 
 def _tag_pos_chunk(model: TaggerModel, sentence: Sentence) -> TagSequence:
@@ -390,15 +382,7 @@ def save_model(model: TaggerModel, path: str) -> None:
 
 
 def load_model(path: str) -> TaggerModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as err:
-        raise ParseError(f"{path}: cannot read: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ParseError(f"{path}: line {err.lineno}: {err.msg}") from err
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{path}: top-level value must be an object")
+    obj = read_json_object(path)
     try:
         kind = TaggerKind(obj.get("kind"))
     except ValueError:
@@ -419,10 +403,6 @@ def load_model(path: str) -> TaggerModel:
             feat, label = key.rsplit("\t", 1)
             if label not in BIO_LABELS:
                 raise ValidationError(f"{path}: weight key has unknown label {label!r}")
-            if isinstance(w, bool) or not isinstance(w, (int, float)):
-                raise ValidationError(f"{path}: weight for {key!r} is not a number")
-            if not math.isfinite(w):
-                raise ValidationError(f"{path}: non-finite weight for {key!r}")
-            weights.setdefault(feat, {})[label] = float(w)
+            weights.setdefault(feat, {})[label] = finite_number(w, f"{path}: weight for {key!r}")
         return TaggerModel(kind=kind, weights=weights)
     return TaggerModel(kind=kind)

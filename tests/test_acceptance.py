@@ -424,7 +424,7 @@ def test_criterion_9_stratified_partition_and_merge():
     tagger = pos_chunk_tagger()
     rel = always_true_model()
     tags = {s.id: tag(tagger, s) for s in ds.sentences}
-    graphs = {s.id: end_to_end(s, tagger, rel) for s in ds.sentences}
+    graphs = {s.id: end_to_end(s, tagger, rel)[1] for s in ds.sentences}
 
     full = stratified_report(ds, tags, graphs, stratum=Stratum.ALL)
     single = stratified_report(ds, tags, graphs, stratum=Stratum.SINGLE_TARGET)

@@ -17,6 +17,7 @@ from sentigraph import (
     end_to_end,
     generate_instances,
     gold_graph,
+    gold_instances,
     graph_from_sentence,
     graphs_to_dataset,
     most_common_tagger,
@@ -141,8 +142,10 @@ def test_gold_echo_plus_always_true_equals_gold():
 
 
 def test_most_common_tagger_yields_empty_graph():
-    graph = end_to_end(love_school(), most_common_tagger(), always_true_model())
+    labels, graph, scored = end_to_end(love_school(), most_common_tagger(), always_true_model())
+    assert labels == ("O", "O", "O")
     assert graph.tuples == ()
+    assert scored == []
 
 
 def test_end_to_end_matches_manual_composition():
@@ -159,25 +162,30 @@ def test_end_to_end_matches_manual_composition():
             for i in generate_instances(sentence, entities, expressions)
         }
         manual = aggregate(sentence, entities, expressions, decisions)
-        assert end_to_end(sentence, tagger, rel) == manual
+        assert end_to_end(sentence, tagger, rel)[:2] == (labels, manual)
 
 
 def test_end_to_end_with_trained_models():
     train = generate_corpus(150, seed=91, name="train")
     test = generate_corpus(30, seed=92, name="test")
     tagger = train_perceptron(train, epochs=5, seed=1)
-    instances = []
-    for sentence in train.sentences:
-        entities = sentence.spans(Role.HOLDER) | sentence.spans(Role.TARGET)
-        expressions = sentence.spans(Role.EXPRESSION)
-        instances.extend(
-            generate_instances(sentence, entities, expressions, gold=sentence.opinions)
-        )
+    instances = [inst for s in train.sentences for inst in gold_instances(s)]
     rel = train_logistic(instances, train, epochs=10, learning_rate=0.5, seed=2)
-    graphs = [end_to_end(s, tagger, rel) for s in test.sentences]
-    assert any(g.tuples for g in graphs)
-    for graph, sentence in zip(graphs, test.sentences):
+    graphs = []
+    for sentence in test.sentences:
+        labels, graph, scored = end_to_end(sentence, tagger, rel)
         assert graph.sentence_id == sentence.id
+        # external labels take the tagger's place
+        assert end_to_end(sentence, None, rel, labels=list(labels)) == (labels, graph, scored)
+        spans = decode(labels)
+        assert [inst for inst, _ in scored] == generate_instances(
+            sentence,
+            {s for s in spans if s.role is not Role.EXPRESSION},
+            {s for s in spans if s.role is Role.EXPRESSION},
+        )
+        assert all(0.0 <= score <= 1.0 for _, score in scored)
+        graphs.append(graph)
+    assert any(g.tuples for g in graphs)
 
 
 def test_graphs_to_dataset_round_trip():

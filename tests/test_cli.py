@@ -228,6 +228,38 @@ def test_predict_bad_tagger_model_exits_2(tmp_path, capsys, synth_paths, content
     assert str(model) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        '[{"kind": "LOGISTIC"}]',
+        '{"kind": "LOGISTIC", "threshold": "high"}',
+        '{"kind": "LOGISTIC", "bias": [1]}',
+        '{"kind": "LOGISTIC", "weights": {"a": true}}',
+        '{"kind": "LOGISTIC", "bias": 1' + "0" * 400 + "}",
+    ],
+    ids=["top_level_list", "threshold_string", "bias_list", "boolean_weight", "bias_too_large"],
+)
+def test_predict_bad_relation_model_exits_2(tmp_path, capsys, synth_paths, content):
+    _, test_path = synth_paths
+    tagger = tmp_path / "tagger.json"
+    tagger.write_text('{"kind": "MOST_COMMON"}', encoding="utf-8")
+    model = tmp_path / "rel.json"
+    model.write_text(content, encoding="utf-8")
+    assert main(["--output-dir", str(tmp_path / "preds"), "predict", "--data", test_path,
+                 "--tagger-model", str(tagger), "--relation-model", str(model)]) == 2
+    assert str(model) in capsys.readouterr().err
+
+
+def test_train_relation_rejects_threshold_before_loading_data(tmp_path, capsys):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{", encoding="utf-8")
+    out = tmp_path / "rel.json"
+    assert main(["train", "relation", "--train", str(broken), "--threshold", "1.5",
+                 "--out", str(out)]) == 2
+    assert "relation.threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rejects_bad_kind(synth_paths, capsys):
     train_path, _ = synth_paths
     assert main(["train", "tagger", "--train", train_path, "--kind", "oracle",
@@ -277,6 +309,28 @@ def test_pipeline_invalid_epochs_names_field(tmp_path, capsys, synth_paths):
     )
     assert main(["pipeline", config]) == 2
     assert "tagger.epochs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, field_name",
+    [
+        ({"tagger": {"kind": "POS_CHUNK", "pos_map": "NOUN"}}, "tagger.pos_map"),
+        ({"relation": {"kind": "LOGISTIC", "class_weight": "inverse"}}, "relation.class_weight"),
+        ({"relation": {"kind": "LOGISTIC", "threshold": 1.5}}, "relation.threshold"),
+    ],
+    ids=["pos_map_string", "unknown_class_weight", "threshold_above_one"],
+)
+def test_pipeline_invalid_option_named_before_loading_data(tmp_path, capsys, overrides,
+                                                           field_name):
+    # The datasets do not parse, so only a check made before loading them can
+    # name the option.
+    broken = tmp_path / "broken.json"
+    broken.write_text("{", encoding="utf-8")
+    config = _write_config(tmp_path, str(broken), str(broken), **overrides)
+    assert main(["pipeline", config]) == 2
+    err = capsys.readouterr().err
+    assert field_name in err
+    assert "Traceback" not in err
 
 
 def test_pipeline_missing_train_file_names_field(tmp_path, capsys, synth_paths):

@@ -149,6 +149,22 @@ def test_load_json_missing_key_names_record(tmp_path):
     assert "tokens" in str(err.value) and "id='b'" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"name": "\xff", "sentences": []}',
+        b'{"name": "x", "sentences": [], "n": 1' + b"0" * 5000 + b"}",
+    ],
+    ids=["not_utf8", "integer_too_long"],
+)
+def test_load_json_undecodable_is_parse_error(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(ParseError) as err:
+        load_dataset(str(path))
+    assert str(path) in str(err.value)
+
+
 def test_load_missing_file_is_input_error(tmp_path):
     with pytest.raises(ParseError):
         load_dataset(str(tmp_path / "nope.json"))
@@ -249,14 +265,6 @@ def test_conll_save_overlap_errors_without_policy(tmp_path):
     ds = Dataset(name="x", sentences=[_overlapping_sentence()])
     with pytest.raises(CodecError):
         save_dataset(ds, str(tmp_path / "x.conll"), FileFormat.CONLL)
-
-
-def test_conll_save_overlap_warns_with_policy(tmp_path):
-    ds = Dataset(name="x", sentences=[_overlapping_sentence()])
-    path = tmp_path / "x.conll"
-    with pytest.warns(UserWarning, match="clash"):
-        save_dataset(ds, str(path), FileFormat.CONLL, overlap_policy=OverlapPolicy.DROP_SENTENCE)
-    assert len(load_dataset(str(path), FileFormat.CONLL)) == 0
 
 
 def test_conll_load_entity_without_expression_rejected(tmp_path):

@@ -1,0 +1,104 @@
+"""Pinned sha256 digests of every CLI artifact on small generated data.
+
+Three runs share one working directory: ``pipeline`` with a dev split
+(11 files), ``predict --external-conll`` on the dev split's predicted tags,
+and ``evaluate --strata --output`` on the pipeline's test predictions. The
+training and test splits each hold one sentence with a cross-role overlap,
+so the overlap filter takes part. The digests were computed before the
+stage-1 to 3 code paths were merged into one; any refactor of the
+pipeline must write the same bytes.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from helpers import opinion, sent, span
+from sentigraph import Dataset, save_dataset
+from sentigraph.cli import main
+from sentigraph.synth import generate_corpus
+
+PIPELINE = {
+    "dev_graphs.json": "100a5818123325b437329b674287b01b31c7b111919b8e2e94a3cd870e3ada0e",
+    "dev_predictions.conll": "29e488c8a9cedfacd2437af8cde45dc796d78b6457d182014b9b5ad28a02e3ba",
+    "dev_report.json": "2cf9861e96113c7d59c62bb34fba2d6828b269c941a589b9c605a2fe7911fb59",
+    "graphs.json": "979c4ba96f44131af0a160d733e296f7d9a6d7ccb6bdef9db07f3631c8d640d7",
+    "instances.jsonl": "c5e5cd000550d39bc39e0188ac48ca39513aabc239f0c2c533159b72d551612a",
+    "predictions.conll": "08d89f9d57dac97c3a5636d9fed67380f10c36d3f6a2b83d2da9723d61211d1c",
+    "relation_model.json": "1c8fd4bd7b6da9dad7c936d717c3fffffce6f0c34df459954f6a6e684f68ac01",
+    "report.json": "84125f5827e62a946ff4feca09632c517fef7cef7b702614d69f0cf946aad7ef",
+    "report.txt": "5acf5a190551da76ce496afb6ffb8d35425acf8e345637670a5c429d70b60618",
+    "tagger_model.json": "70a06df315dc1bed5c06d24cbe29ab501cd3ca4827da5a5eafd4e7441f34ab99",
+    "triples.jsonl": "28a7a20ba01ccae33ecbedd90a07eb4b36cb18f39ecc5972c006a593c433e1fa",
+}
+PREDICT_EXTERNAL = {
+    "graphs.json": "100a5818123325b437329b674287b01b31c7b111919b8e2e94a3cd870e3ada0e",
+    "instances.jsonl": "acbf23c7c243ffd59cfa02a85a244eefc7d32a7ef0b3ec2fa0379f92b4641231",
+    "predictions.conll": "29e488c8a9cedfacd2437af8cde45dc796d78b6457d182014b9b5ad28a02e3ba",
+    "triples.jsonl": "6bcffbbc8504620124a2d944ccb698555e6b64d94a1da85e5798112b6166e9d7",
+}
+EVALUATE = {"report.json": "84125f5827e62a946ff4feca09632c517fef7cef7b702614d69f0cf946aad7ef"}
+
+
+def _clash(sent_id: str):
+    return sent(
+        sent_id, ["bob", "hates", "the", "pizza"],
+        opinions=[opinion(holders=[span("h", 0, 2)], targets=[span("t", 3, 4)],
+                          expressions=[span("e", 1, 2)])],
+    )
+
+
+def _with_clash(ds: Dataset, sent_id: str) -> Dataset:
+    return Dataset(name=ds.name, sentences=ds.sentences + (_clash(sent_id),))
+
+
+def _digests(directory, names):
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in names}
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("digests")
+    save_dataset(_with_clash(generate_corpus(80, seed=71, name="train"), "clash-train"),
+                 str(root / "train.json"))
+    save_dataset(generate_corpus(30, seed=72, name="dev"), str(root / "dev.json"))
+    save_dataset(_with_clash(generate_corpus(40, seed=73, name="test"), "clash-test"),
+                 str(root / "test.json"))
+    config = root / "config.json"
+    config.write_text(json.dumps({
+        "train": str(root / "train.json"),
+        "dev": str(root / "dev.json"),
+        "test": str(root / "test.json"),
+        "output_dir": str(root / "run"),
+        "upsample": True,
+        "upsample_seed": 5,
+        "tagger": {"kind": "PERCEPTRON", "epochs": 1, "seed": 3},
+        "relation": {"kind": "LOGISTIC", "epochs": 4, "learning_rate": 0.3, "seed": 4,
+                     "threshold": 0.6},
+    }), encoding="utf-8")
+    run = root / "run"
+    assert main(["pipeline", str(config)]) == 0
+    assert main(["--output-dir", str(root / "ext"), "predict", "--data", str(root / "dev.json"),
+                 "--external-conll", str(run / "dev_predictions.conll"),
+                 "--relation-model", str(run / "relation_model.json")]) == 0
+    (root / "eval").mkdir()
+    assert main(["evaluate", "--gold", str(root / "test.json"),
+                 "--pred-conll", str(run / "predictions.conll"),
+                 "--pred-graphs", str(run / "graphs.json"),
+                 "--strata", "--output", str(root / "eval" / "report.json")]) == 0
+    return root
+
+
+def test_pipeline_with_dev_split_is_pinned(runs):
+    assert sorted(p.name for p in (runs / "run").iterdir()) == sorted(PIPELINE)
+    assert _digests(runs / "run", PIPELINE) == PIPELINE
+
+
+def test_predict_external_conll_is_pinned(runs):
+    assert sorted(p.name for p in (runs / "ext").iterdir()) == sorted(PREDICT_EXTERNAL)
+    assert _digests(runs / "ext", PREDICT_EXTERNAL) == PREDICT_EXTERNAL
+
+
+def test_evaluate_strata_output_is_pinned(runs):
+    assert _digests(runs / "eval", EVALUATE) == EVALUATE

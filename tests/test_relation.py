@@ -106,7 +106,7 @@ def test_featurize_bucketed_distance_and_between_words():
     # four tokens strictly between -> bucket 3-5
     assert "dist=3-5" in feats
     assert "order=ent_first" in feats
-    assert {"btw_w=w1", "btw_w=w2", "btw_w=w3", "btw_w=w4"} <= feats
+    assert {"btw_w=w1", "btw_w=w2", "btw_w=w3", "btw_w=w4"} <= set(feats)
 
 
 def test_featurize_reversed_order():

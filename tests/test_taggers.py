@@ -3,7 +3,6 @@ import pytest
 from helpers import love_school, opinion, sent, span
 from sentigraph import (
     Dataset,
-    ModelError,
     TaggerKind,
     ValidationError,
     decode,
@@ -17,7 +16,6 @@ from sentigraph import (
 from sentigraph.corpus import FileFormat, save_dataset
 from sentigraph.synth import generate_corpus
 from sentigraph.taggers import (
-    external_tagger,
     load_model,
     save_model,
     save_predictions_conll,
@@ -59,11 +57,6 @@ def test_pos_chunk_custom_map_with_explicit_o():
     model = pos_chunk_tagger({"NOUN": "O", "VERB": "B-EXP"})
     s = sent("c", ["bread", "rocks"], pos=["NOUN", "VERB"])
     assert tag(model, s) == ("O", "B-EXP")
-
-
-def test_external_tagger_refuses_tag():
-    with pytest.raises(ModelError):
-        tag(external_tagger(), love_school())
 
 
 def test_output_length_matches_tokens():
