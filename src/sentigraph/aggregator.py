@@ -8,11 +8,10 @@ so that relation-stage recall errors stay visible in graph metrics.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .corpus import Dataset, OpinionTuple, Role, Sentence, Span
+from .corpus import Dataset, OpinionTuple, Role, Sentence, Span, write_json_lines
 from .errors import AggregationError, ValidationError
 from .relation import RelationInstance, RelationModel, classify, generate_instances, gold_instances
 from .span_codec import TagSequence, decode
@@ -149,14 +148,14 @@ def graph_from_sentence(sentence: Sentence) -> SentimentGraph:
 
 def write_triples(path: str, graphs: Iterable[SentimentGraph]) -> None:
     """Flat JSON-lines dump: one row per tuple, for diffing."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for graph in graphs:
-            for t in graph.tuples:
-                (expression,) = t.expressions
-                row = {
-                    "sentence_id": graph.sentence_id,
-                    "holders": sorted([s.start, s.end] for s in t.holders),
-                    "targets": sorted([s.start, s.end] for s in t.targets),
-                    "expression": [expression.start, expression.end],
-                }
-                fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
+    write_json_lines(path, (
+        {
+            "sentence_id": graph.sentence_id,
+            "holders": sorted([s.start, s.end] for s in t.holders),
+            "targets": sorted([s.start, s.end] for s in t.targets),
+            "expression": [e.start, e.end],
+        }
+        for graph in graphs
+        for t in graph.tuples
+        for e in t.expressions  # exactly one: SentimentGraph checks it
+    ))

@@ -23,12 +23,6 @@ from .metrics import Stratum
 from .span_codec import decode  # noqa: F401
 
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # Pipeline configuration
 # ---------------------------------------------------------------------------
@@ -40,7 +34,8 @@ def _check(name: str, ok: bool, problem: str) -> None:
 
 
 # The options of both stages are checked when they are built, so a config
-# file and the ``train`` flags go through the same checks.
+# file and the ``train`` flags go through the same checks. The field
+# defaults here are the only defaults of either.
 @dataclass
 class TaggerConfig:
     kind: str = "PERCEPTRON"
@@ -49,6 +44,7 @@ class TaggerConfig:
     pos_map: Optional[Dict[str, str]] = None
 
     def __post_init__(self):
+        self.kind = self.kind.upper()
         _check("tagger.kind", self.kind in taggers.TaggerKind.__members__,
                f"unknown kind {self.kind!r}")
         _check("tagger.epochs", self.epochs >= 0, "must be >= 0")
@@ -66,6 +62,7 @@ class RelationConfig:
     class_weight: Optional[str] = None
 
     def __post_init__(self):
+        self.kind = self.kind.upper()
         _check("relation.kind", self.kind in relation.RelationKind.__members__,
                f"unknown kind {self.kind!r}")
         _check("relation.epochs", self.epochs >= 1, "must be >= 1")
@@ -92,47 +89,43 @@ class PipelineConfig:
                f"unknown policy {self.overlap_policy!r}")
 
 
-def _cfg_get(obj: Mapping, key: str, kind, where: str, required: bool = False, default=None):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"config field '{where}{key}': missing")
-        return default
-    value = obj[key]
-    if kind is float:
-        value = corpus.finite_number(value, f"config field '{where}{key}'")
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ConfigError(
-            f"config field '{where}{key}': expected {kind.__name__}, got {value!r}"
-        )
-    return value
+def _present(obj: Mapping, types: Mapping[str, type], where: str) -> dict:
+    """The keys of ``obj`` named in ``types``, each type-checked (``object``
+    takes any value and leaves the check to the config dataclass); absent
+    keys are left out, so the config dataclasses supply their defaults."""
+    out = {}
+    for key, kind in types.items():
+        if key not in obj:
+            continue
+        value = obj[key]
+        if kind is float:
+            value = corpus.finite_number(value, f"config field '{where}{key}'")
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise ConfigError(
+                f"config field '{where}{key}': expected {kind.__name__}, got {value!r}"
+            )
+        out[key] = value
+    return out
 
 
 def load_config(path: str) -> PipelineConfig:
     obj = corpus.read_json_object(path)
-    tagger_obj = _cfg_get(obj, "tagger", dict, "", default={})
-    rel_obj = _cfg_get(obj, "relation", dict, "", default={})
+    for key in ("train", "test", "output_dir"):
+        if key not in obj:
+            raise ConfigError(f"config field '{key}': missing")
+    top = _present(obj, {
+        "train": str, "test": str, "output_dir": str, "dev": str, "overlap_policy": str,
+        "upsample": bool, "upsample_seed": int, "tagger": dict, "relation": dict,
+    }, "")
+    tagger_obj = _present(top.pop("tagger", {}), {
+        "kind": str, "epochs": int, "seed": int, "pos_map": object,
+    }, "tagger.")
+    rel_obj = _present(top.pop("relation", {}), {
+        "kind": str, "epochs": int, "learning_rate": float, "threshold": float, "seed": int,
+        "class_weight": object,
+    }, "relation.")
     cfg = PipelineConfig(
-        train=_cfg_get(obj, "train", str, "", required=True),
-        test=_cfg_get(obj, "test", str, "", required=True),
-        output_dir=_cfg_get(obj, "output_dir", str, "", required=True),
-        dev=_cfg_get(obj, "dev", str, ""),
-        overlap_policy=_cfg_get(obj, "overlap_policy", str, "", default="DROP_SENTENCE"),
-        upsample=_cfg_get(obj, "upsample", bool, "", default=False),
-        upsample_seed=_cfg_get(obj, "upsample_seed", int, "", default=0),
-        tagger=TaggerConfig(
-            kind=_cfg_get(tagger_obj, "kind", str, "tagger.", default="PERCEPTRON").upper(),
-            epochs=_cfg_get(tagger_obj, "epochs", int, "tagger.", default=10),
-            seed=_cfg_get(tagger_obj, "seed", int, "tagger.", default=1),
-            pos_map=tagger_obj.get("pos_map"),
-        ),
-        relation=RelationConfig(
-            kind=_cfg_get(rel_obj, "kind", str, "relation.", default="LOGISTIC").upper(),
-            epochs=_cfg_get(rel_obj, "epochs", int, "relation.", default=30),
-            learning_rate=_cfg_get(rel_obj, "learning_rate", float, "relation.", default=0.5),
-            threshold=_cfg_get(rel_obj, "threshold", float, "relation.", default=0.5),
-            seed=_cfg_get(rel_obj, "seed", int, "relation.", default=2),
-            class_weight=rel_obj.get("class_weight"),
-        ),
+        **top, tagger=TaggerConfig(**tagger_obj), relation=RelationConfig(**rel_obj)
     )
     for key, value in (("train", cfg.train), ("test", cfg.test), ("dev", cfg.dev)):
         if value is not None and not os.path.isfile(value):
@@ -268,7 +261,7 @@ def run_pipeline(cfg: PipelineConfig) -> Dict[str, str]:
     paths.update(_write_predictions(cfg.output_dir, test_f, tags, graphs, rows))
 
     reports = _stage("evaluate", _reports, test_f, tags, graphs, True)
-    _write_json(paths["report"], {"reports": [r.to_dict() for r in reports]})
+    corpus.write_json_object(paths["report"], {"reports": [r.to_dict() for r in reports]})
     table = metrics.format_report_table(reports)
     with open(paths["report_txt"], "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
@@ -288,7 +281,9 @@ def run_pipeline(cfg: PipelineConfig) -> Dict[str, str]:
             aggregator.graphs_to_dataset(dev_f, dev_graphs), paths["dev_graphs"]
         )
         dev_reports = _stage("evaluate-dev", _reports, dev_f, dev_tags, dev_graphs, True)
-        _write_json(paths["dev_report"], {"reports": [r.to_dict() for r in dev_reports]})
+        corpus.write_json_object(
+            paths["dev_report"], {"reports": [r.to_dict() for r in dev_reports]}
+        )
     return paths
 
 
@@ -327,7 +322,7 @@ def _cmd_stats(args) -> int:
         print(metrics.format_table(group_table))
     if args.output_dir:
         os.makedirs(args.output_dir, exist_ok=True)
-        _write_json(os.path.join(args.output_dir, "stats.json"), payload)
+        corpus.write_json_object(os.path.join(args.output_dir, "stats.json"), payload)
     return 0
 
 
@@ -342,19 +337,13 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    seed = args.train_seed if args.train_seed is not None else (args.seed or 0)
+    given = {"kind": args.kind, "epochs": args.epochs, "seed": args.train_seed}
     if args.stage == "tagger":
-        cfg = TaggerConfig(kind=args.kind.upper(), epochs=args.epochs, seed=seed)
-        train, save = _train_tagger, taggers.save_model
+        config, train, save = TaggerConfig, _train_tagger, taggers.save_model
     else:
-        cfg = RelationConfig(
-            kind=args.kind.upper(),
-            epochs=args.epochs,
-            learning_rate=args.learning_rate,
-            threshold=args.threshold,
-            seed=seed,
-        )
-        train, save = _train_relation, relation.save_model
+        given.update(learning_rate=args.learning_rate, threshold=args.threshold)
+        config, train, save = RelationConfig, _train_relation, relation.save_model
+    cfg = config(**{key: value for key, value in given.items() if value is not None})
     ds = corpus.load_dataset(args.train, FileFormat.JSON)
     ds = _filter_overlaps(ds, args.overlap_policy, "sentence(s)")
     save(_stage(f"train-{args.stage}", train, cfg, ds), args.out)
@@ -406,7 +395,7 @@ def _cmd_evaluate(args) -> int:
     else:
         print(metrics.format_report_table(reports))
     if args.output:
-        _write_json(args.output, {"reports": [r.to_dict() for r in reports]})
+        corpus.write_json_object(args.output, {"reports": [r.to_dict() for r in reports]})
     return 0
 
 
@@ -427,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Opinion extraction pipeline: span tagging, relation "
         "classification, sentiment-graph aggregation, and evaluation.",
     )
-    parser.add_argument("--seed", type=int, default=None, help="default seed for train steps")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--output-dir", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -452,10 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a tagger or relation model")
     p.add_argument("stage", choices=("tagger", "relation"))
     p.add_argument("--train", required=True, help="JSON training dataset")
+    # Unset flags stay None and take the TaggerConfig / RelationConfig defaults.
     p.add_argument("--kind", default=None, help="model kind (default: perceptron / logistic)")
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=0.5)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--learning-rate", type=float, default=None)
+    p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--train-seed", type=int, default=None, dest="train_seed")
     p.add_argument(
         "--overlap-policy",
@@ -494,11 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "train":
-        if args.kind is None:
-            args.kind = "perceptron" if args.stage == "tagger" else "logistic"
-        if args.epochs is None:
-            args.epochs = 10 if args.stage == "tagger" else 30
     try:
         return args.func(args)
     except InputError as err:

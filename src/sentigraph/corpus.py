@@ -17,7 +17,8 @@ JSON dataset schema (one file per dataset)::
                        "polarity": str|null}, ...]}]}
 
 Span pairs are half-open token-index ranges. Token ``start``/``end`` are
-character offsets (Unicode code points) into the sentence text.
+character offsets (Unicode code points) into the sentence text, and
+``text[start:end]`` must equal the token's own ``text``.
 
 CoNLL format: one token per line, blank line between sentences, a
 ``# sent_id = <id>`` comment before each sentence, and four columns::
@@ -39,7 +40,7 @@ import random
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ParseError, ValidationError
 
@@ -64,10 +65,6 @@ class FileFormat(Enum):
 ROLE_SUFFIX = {Role.HOLDER: "HOLDER", Role.TARGET: "TARG", Role.EXPRESSION: "EXP"}
 SUFFIX_ROLE = {suffix: role for role, suffix in ROLE_SUFFIX.items()}
 BIO_LABELS = ("O", "B-HOLDER", "I-HOLDER", "B-TARG", "I-TARG", "B-EXP", "I-EXP")
-
-# Priority used by OverlapPolicy.PRIORITY_KEEP: higher-priority roles keep
-# their tokens, lower-priority spans are truncated around them.
-ROLE_PRIORITY = (Role.EXPRESSION, Role.TARGET, Role.HOLDER)
 
 
 def bio_label(prefix: str, role: Role) -> str:
@@ -113,9 +110,6 @@ class Span:
     @property
     def length(self) -> int:
         return self.end - self.start
-
-    def overlaps(self, other: "Span") -> bool:
-        return self.start < other.end and other.start < self.end
 
     def sort_key(self) -> Tuple[int, int, str]:
         return (self.start, self.end, self.role.value)
@@ -169,13 +163,19 @@ class Sentence:
         if not self.id:
             raise ValidationError("sentence id must be non-empty")
         prev_end = None
-        for tok in self.tokens:
+        for i, tok in enumerate(self.tokens):
             if prev_end is not None and tok.char_start < prev_end:
                 raise ValidationError(
                     f"sentence '{self.id}': tokens overlap or are out of order "
                     f"at character offset {tok.char_start}"
                 )
             prev_end = tok.char_end
+            covered = self.text[tok.char_start:tok.char_end]
+            if covered != tok.text:
+                raise ValidationError(
+                    f"sentence '{self.id}', token {i}: text[{tok.char_start}:{tok.char_end}] "
+                    f"is {covered!r}, not the token text {tok.text!r}"
+                )
         n = len(self.tokens)
         for opinion in self.opinions:
             for span in opinion.spans():
@@ -714,6 +714,21 @@ def read_json_object(path: str) -> dict:
     return obj
 
 
+def write_json_object(path: str, obj) -> None:
+    """Write ``obj`` as the package's one JSON artifact format: sorted keys,
+    indent 2, non-ASCII characters kept, and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, ensure_ascii=False)
+        fh.write("\n")
+
+
+def write_json_lines(path: str, rows: Iterable[Mapping]) -> None:
+    """Write one compact JSON object per line, keys sorted, non-ASCII kept."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
+
+
 def finite_number(value, what: str) -> float:
     """A JSON number as a finite float; anything else raises ``ValidationError``."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -726,18 +741,8 @@ def finite_number(value, what: str) -> float:
     raise ValidationError(f"{what} must be a finite number, got {value!r}")
 
 
-def _coerce_format(fmt: Union[FileFormat, str]) -> FileFormat:
-    if isinstance(fmt, FileFormat):
-        return fmt
-    try:
-        return FileFormat[str(fmt).upper()]
-    except KeyError:
-        raise ValidationError(f"unknown dataset format {fmt!r} (expected JSON or CONLL)")
-
-
-def load_dataset(path: str, fmt: Union[FileFormat, str] = FileFormat.JSON) -> Dataset:
+def load_dataset(path: str, fmt: FileFormat = FileFormat.JSON) -> Dataset:
     """Load a dataset file; every invariant is validated on the way in."""
-    fmt = _coerce_format(fmt)
     if fmt is FileFormat.JSON:
         return dataset_from_dict(read_json_object(path), source=path)
     blocks = read_conll_blocks(path)
@@ -746,17 +751,14 @@ def load_dataset(path: str, fmt: Union[FileFormat, str] = FileFormat.JSON) -> Da
     return Dataset(name=name, sentences=sentences)
 
 
-def save_dataset(ds: Dataset, path: str, fmt: Union[FileFormat, str] = FileFormat.JSON) -> None:
+def save_dataset(ds: Dataset, path: str, fmt: FileFormat = FileFormat.JSON) -> None:
     """Write a dataset file.
 
     JSON is lossless. CoNLL requires overlap-free sentences: a cross-role
     overlap raises, so filter with ``filter_overlapping`` first.
     """
-    fmt = _coerce_format(fmt)
     if fmt is FileFormat.JSON:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(dataset_to_dict(ds), fh, indent=2, sort_keys=True, ensure_ascii=False)
-            fh.write("\n")
+        write_json_object(path, dataset_to_dict(ds))
         return
     from .span_codec import encode
 

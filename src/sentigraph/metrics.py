@@ -52,17 +52,6 @@ class PRF:
             "fn": self.fn,
         }
 
-    @classmethod
-    def from_dict(cls, obj: Mapping) -> "PRF":
-        return cls(
-            precision=obj["precision"],
-            recall=obj["recall"],
-            f1=obj["f1"],
-            tp=obj["tp"],
-            fp=obj["fp"],
-            fn=obj["fn"],
-        )
-
 
 def token_f1(
     gold: Sequence[Sequence[str]],
@@ -213,27 +202,6 @@ class EvalReport:
             ),
         }
 
-    @classmethod
-    def from_dict(cls, obj: Mapping) -> "EvalReport":
-        def roles(section):
-            if section is None:
-                return None
-            return {Role(key.upper()): PRF.from_dict(val) for key, val in section.items()}
-
-        return cls(
-            dataset=obj["dataset"],
-            stratum=Stratum(obj["stratum"]),
-            sentence_count=obj["sentence_count"],
-            token=roles(obj.get("token")),
-            token_collapsed=roles(obj.get("token_collapsed")),
-            graph=PRF.from_dict(obj["graph"]) if obj.get("graph") is not None else None,
-            relation=(
-                {cls_: PRF.from_dict(val) for cls_, val in obj["relation"].items()}
-                if obj.get("relation") is not None
-                else None
-            ),
-        )
-
 
 def in_stratum(sentence: Sentence, stratum: Stratum) -> bool:
     if stratum is Stratum.ALL:
@@ -249,7 +217,6 @@ def stratified_report(
     pred_tags: Optional[Mapping[str, TagSequence]] = None,
     pred_graphs: Optional[Mapping[str, SentimentGraph]] = None,
     stratum: Stratum = Stratum.ALL,
-    dataset_name: Optional[str] = None,
 ) -> EvalReport:
     """Evaluate predictions on the sentences of one stratum.
 
@@ -288,7 +255,7 @@ def stratified_report(
         graph = graph_f1(gold_graphs, predicted)
         rel = relation_prf(gold_insts, decisions)
     return EvalReport(
-        dataset=dataset_name if dataset_name is not None else gold_ds.name,
+        dataset=gold_ds.name,
         stratum=stratum,
         sentence_count=len(selected),
         token=token,

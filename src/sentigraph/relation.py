@@ -8,15 +8,23 @@ regression trained by stochastic gradient descent.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .corpus import Dataset, Role, Sentence, Span, finite_number, read_json_object
-from .errors import ParseError, ValidationError
+from .corpus import (
+    Dataset,
+    Role,
+    Sentence,
+    Span,
+    finite_number,
+    read_json_object,
+    write_json_lines,
+    write_json_object,
+)
+from .errors import ValidationError
 
 # Sparse features in sorted order, so weight sums do not depend on the
 # string-hash seed; every present feature has implicit weight 1.
@@ -133,16 +141,13 @@ def _distance_bucket(gap: int) -> str:
 
 
 def featurize(
-    sentence: Sentence,
-    inst: RelationInstance,
-    expressions: Optional[Iterable[Span]] = None,
+    sentence: Sentence, inst: RelationInstance, expressions: Iterable[Span]
 ) -> FeatureVector:
     """Sparse features for one instance.
 
-    ``expressions`` should be the full set of candidate expression spans in
-    the sentence (gold spans at training time, decoded spans at inference);
-    it feeds the between-span expression count. When omitted, the spans in
-    the sentence's own opinion annotations are used.
+    ``expressions`` is the full set of candidate expression spans in the
+    sentence (gold spans at training time, decoded spans at inference); it
+    feeds the between-span expression count.
     """
     n = len(sentence.tokens)
     for span in (inst.entity, inst.expression):
@@ -170,8 +175,6 @@ def featurize(
     for i in list(between)[:_MAX_BETWEEN_WORDS]:
         feats.add(f"btw_w={sentence.tokens[i].text.lower()}")
 
-    if expressions is None:
-        expressions = sentence.spans(Role.EXPRESSION)
     n_between = sum(
         1
         for s in set(expressions)
@@ -267,9 +270,9 @@ def classify(
     model: RelationModel,
     sentence: Sentence,
     inst: RelationInstance,
-    expressions: Optional[Iterable[Span]] = None,
+    expressions: Iterable[Span],
 ) -> Tuple[bool, float]:
-    """Decision and score for one instance.
+    """Decision and score for one instance; ``expressions`` as in ``featurize``.
 
     ALWAYS_TRUE returns (True, 1.0). LOGISTIC thresholds the sigmoid score
     with a strict comparison, so a score exactly at the threshold is False.
@@ -287,15 +290,12 @@ def classify(
 
 
 def save_model(model: RelationModel, path: str) -> None:
-    obj = {
+    write_json_object(path, {
         "kind": model.kind.value,
         "threshold": model.threshold,
         "bias": model.bias,
         "weights": dict(model.weights),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+    })
 
 
 def load_model(path: str) -> RelationModel:
@@ -307,54 +307,26 @@ def load_model(path: str) -> RelationModel:
     weights = obj.get("weights", {})
     if not isinstance(weights, dict):
         raise ValidationError(f"{path}: 'weights' must map features to numbers")
-    return RelationModel(
-        kind=kind,
-        weights={k: finite_number(v, f"{path}: weight for {k!r}") for k, v in weights.items()},
-        bias=finite_number(obj.get("bias", 0.0), f"{path}: 'bias'"),
-        threshold=finite_number(obj.get("threshold", 0.5), f"{path}: 'threshold'"),
-    )
+    weights = {k: finite_number(v, f"{path}: weight for {k!r}") for k, v in weights.items()}
+    bias = finite_number(obj.get("bias", 0.0), f"{path}: 'bias'")
+    threshold = finite_number(obj.get("threshold", 0.5), f"{path}: 'threshold'")
+    try:
+        return RelationModel(kind=kind, weights=weights, bias=bias, threshold=threshold)
+    except ValidationError as err:
+        raise ValidationError(f"{path}: {err}") from err
 
 
 def dump_instances(
     path: str, records: Iterable[Tuple[RelationInstance, Optional[float]]]
 ) -> None:
-    """Write instances as JSON lines for debugging or interchange."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst, score in records:
-            row = {
-                "sentence_id": inst.sentence_id,
-                "entity": [inst.entity.start, inst.entity.end, inst.entity.role.value],
-                "expression": [inst.expression.start, inst.expression.end],
-                "label": inst.label,
-                "score": score,
-            }
-            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
-
-
-def load_instances(path: str) -> List[Tuple[RelationInstance, Optional[float]]]:
-    records = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as err:
-                    raise ParseError(f"{path}:{lineno}: {err.msg}") from err
-                try:
-                    ent = row["entity"]
-                    inst = RelationInstance(
-                        sentence_id=row["sentence_id"],
-                        entity=Span(Role(ent[2]), ent[0], ent[1]),
-                        expression=Span(
-                            Role.EXPRESSION, row["expression"][0], row["expression"][1]
-                        ),
-                        label=row.get("label"),
-                    )
-                except (KeyError, IndexError, TypeError, ValueError) as err:
-                    raise ParseError(f"{path}:{lineno}: malformed instance record") from err
-                records.append((inst, row.get("score")))
-    except OSError as err:
-        raise ParseError(f"{path}: cannot read: {err}") from err
-    return records
+    """Write scored instances as JSON lines, for debugging."""
+    write_json_lines(path, (
+        {
+            "sentence_id": inst.sentence_id,
+            "entity": [inst.entity.start, inst.entity.end, inst.entity.role.value],
+            "expression": [inst.expression.start, inst.expression.end],
+            "label": inst.label,
+            "score": score,
+        }
+        for inst, score in records
+    ))

@@ -8,7 +8,6 @@ file with ``load_external_predictions`` instead.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ from .corpus import (
     read_conll_blocks,
     read_json_object,
     write_conll_blocks,
+    write_json_object,
 )
 from .errors import ModelError, ParseError, ValidationError
 from .span_codec import TagSequence, encode, validate_tags
@@ -376,9 +376,7 @@ def save_model(model: TaggerModel, path: str) -> None:
         }
     elif model.kind is TaggerKind.POS_CHUNK:
         obj["map"] = dict(model.pos_map or {})
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+    write_json_object(path, obj)
 
 
 def load_model(path: str) -> TaggerModel:
@@ -391,7 +389,10 @@ def load_model(path: str) -> TaggerModel:
         pos_map = obj.get("map", {})
         if not isinstance(pos_map, dict):
             raise ValidationError(f"{path}: 'map' must be an object")
-        return pos_chunk_tagger(pos_map)
+        try:
+            return pos_chunk_tagger(pos_map)
+        except ValidationError as err:
+            raise ValidationError(f"{path}: {err}") from err
     if kind is TaggerKind.PERCEPTRON:
         raw = obj.get("weights", {})
         if not isinstance(raw, dict):

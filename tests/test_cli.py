@@ -94,6 +94,16 @@ def test_stats_missing_file_exits_2(tmp_path, capsys):
     assert "absent.json" in capsys.readouterr().err
 
 
+def test_stats_token_off_its_offsets_exits_2(tmp_path, capsys):
+    path = tmp_path / "offsets.json"
+    path.write_text(json.dumps({"name": "o", "sentences": [{
+        "id": "a", "text": "x yz",
+        "tokens": [{"text": "x", "start": 0, "end": 1}, {"text": "yzzy", "start": 2, "end": 999}],
+    }]}), encoding="utf-8")
+    assert main(["stats", str(path)]) == 2
+    assert "sentence 'a', token 1" in capsys.readouterr().err
+
+
 def test_stats_writes_json_file(tmp_path, capsys):
     ds = Dataset(name="w", sentences=[sent("a", ["x"])])
     path = tmp_path / "w.json"
@@ -216,8 +226,9 @@ def test_predict_requires_model(synth_paths, capsys):
         '{"kind": "PERCEPTRON", "weights": [1.0]}',
         '{"kind": "PERCEPTRON", "weights": {"w=x\\tB-EXP": true}}',
         '{"kind": "POS_CHUNK", "map": "NOUN"}',
+        '{"kind": "POS_CHUNK", "map": {"NOUN": "B-THING"}}',
     ],
-    ids=["top_level_list", "weights_list", "boolean_weight", "map_string"],
+    ids=["top_level_list", "weights_list", "boolean_weight", "map_string", "map_label_not_bio"],
 )
 def test_predict_bad_tagger_model_exits_2(tmp_path, capsys, synth_paths, content):
     _, test_path = synth_paths
@@ -236,8 +247,10 @@ def test_predict_bad_tagger_model_exits_2(tmp_path, capsys, synth_paths, content
         '{"kind": "LOGISTIC", "bias": [1]}',
         '{"kind": "LOGISTIC", "weights": {"a": true}}',
         '{"kind": "LOGISTIC", "bias": 1' + "0" * 400 + "}",
+        '{"kind": "LOGISTIC", "threshold": 1.5}',
     ],
-    ids=["top_level_list", "threshold_string", "bias_list", "boolean_weight", "bias_too_large"],
+    ids=["top_level_list", "threshold_string", "bias_list", "boolean_weight", "bias_too_large",
+         "threshold_above_one"],
 )
 def test_predict_bad_relation_model_exits_2(tmp_path, capsys, synth_paths, content):
     _, test_path = synth_paths
@@ -258,6 +271,20 @@ def test_train_relation_rejects_threshold_before_loading_data(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "relation.threshold" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_defaults_equal_pipeline_defaults(tmp_path, synth_paths):
+    # A config with only the required keys and `train` with no optional flags
+    # both take the TaggerConfig / RelationConfig defaults, so the models match.
+    train_path, test_path = synth_paths
+    config = tmp_path / "minimal.json"
+    config.write_text(json.dumps({"train": train_path, "test": test_path,
+                                  "output_dir": str(tmp_path / "run")}), encoding="utf-8")
+    assert main(["pipeline", str(config)]) == 0
+    for stage in ("tagger", "relation"):
+        out = tmp_path / f"{stage}.json"
+        assert main(["train", stage, "--train", train_path, "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "run" / f"{stage}_model.json").read_bytes()
 
 
 def test_train_rejects_bad_kind(synth_paths, capsys):

@@ -131,6 +131,21 @@ def test_load_json_span_out_of_range_names_sentence(tmp_path):
     assert "'a'" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "token",
+    [{"text": "schoolhouse", "start": 7, "end": 999}, {"text": "house", "start": 7, "end": 13}],
+    ids=["end_past_text", "text_differs"],
+)
+def test_load_json_token_must_match_its_offsets(tmp_path, token):
+    payload = _two_sentence_payload()
+    payload["sentences"][0]["tokens"][2].update(token)
+    path = tmp_path / "offsets.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        load_dataset(str(path))
+    assert "sentence 'a', token 2" in str(err.value)
+
+
 def test_load_json_malformed_has_locator(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "x",\n  "sentences": [}', encoding="utf-8")

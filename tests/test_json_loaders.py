@@ -1,9 +1,11 @@
-"""Property: every JSON loader either returns or raises ``InputError``.
+"""Property: every file loader either returns or raises ``InputError``.
 
 Arbitrary JSON values are written to a file and handed to the dataset
 loader, both model loaders and the config loader. Object keys and string
 leaves are drawn partly from the names those loaders look for, so the
-values also reach past the top-level checks.
+values also reach past the top-level checks. Arbitrary text goes the same
+way to both CoNLL readers; it is drawn either whole or line by line from
+cells that are partly CoNLL columns, labels and ``# sent_id`` headers.
 """
 
 import contextlib
@@ -14,7 +16,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sentigraph import InputError, load_dataset, relation, save_dataset, taggers
+from helpers import sent
+from sentigraph import (
+    BIO_LABELS,
+    Dataset,
+    FileFormat,
+    InputError,
+    load_dataset,
+    relation,
+    save_dataset,
+    taggers,
+)
 from sentigraph.cli import load_config, main
 from sentigraph.synth import generate_corpus
 
@@ -44,6 +56,18 @@ json_values = st.recursive(
     | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=6), children, max_size=5),
     max_leaves=20,
 )
+
+conll_cells = st.text(max_size=6) | st.sampled_from(BIO_LABELS + ("_", "1", "2", "3", "NOUN"))
+conll_lines = (
+    st.text(max_size=20)
+    | st.sampled_from(("", "# sent_id = a", "# sent_id = b", "# sent_id =", "#"))
+    | st.lists(conll_cells, min_size=1, max_size=5).map("\t".join)
+    | st.lists(conll_cells, min_size=1, max_size=5).map(" ".join)
+)
+conll_texts = st.text() | st.lists(conll_lines, max_size=12).map("\n".join)
+
+# Gold sentences for load_external_predictions: ids a and b, 1 and 2 tokens.
+CONLL_GOLD = Dataset(name="gold", sentences=[sent("a", ["x"]), sent("b", ["y", "z"])])
 
 LOADERS = {
     "dataset": load_dataset,
@@ -91,3 +115,12 @@ def test_predict_exits_2_on_a_bad_relation_model(workdir, value):
                    "--tagger-model", str(workdir / "tagger.json"),
                    "--relation-model", str(path)])
     assert rc == expected
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=conll_texts)
+def test_conll_loaders_return_or_raise_input_error(workdir, text):
+    path = workdir / "input.conll"
+    path.write_text(text, encoding="utf-8")
+    _returns_or_input_error(lambda p: load_dataset(p, FileFormat.CONLL), path)
+    _returns_or_input_error(lambda p: taggers.load_external_predictions(p, CONLL_GOLD), path)

@@ -376,13 +376,6 @@ def test_adding_true_positive_never_decreases_recall():
     assert after.recall >= before.recall
 
 
-def test_report_dict_round_trip():
-    ds = _mixed_fixture()
-    tags, graphs = _gold_predictions(ds)
-    report = stratified_report(ds, tags, graphs, stratum=Stratum.SINGLE_TARGET)
-    assert EvalReport.from_dict(report.to_dict()) == report
-
-
 def test_format_report_table_columns():
     ds = _mixed_fixture()
     tags, graphs = _gold_predictions(ds)

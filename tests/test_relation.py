@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -16,7 +17,7 @@ from sentigraph import (
     generate_instances,
     train_logistic,
 )
-from sentigraph.relation import dump_instances, load_instances, load_model, save_model
+from sentigraph.relation import dump_instances, load_model, save_model
 from sentigraph.synth import generate_corpus
 
 
@@ -91,7 +92,7 @@ def test_instance_rejects_non_expression():
 def test_featurize_adjacent_distance_zero():
     s = _pair_sentence()
     inst = RelationInstance("p", entity=span("t", 0, 1), expression=span("e", 1, 2))
-    feats = featurize(s, inst)
+    feats = featurize(s, inst, expressions=s.spans(Role.EXPRESSION))
     assert "dist=0" in feats
     assert "order=ent_first" in feats
     assert "role=TARGET" in feats
@@ -132,14 +133,14 @@ def test_featurize_counts_other_expressions_between():
     inst = RelationInstance("n", entity=span("h", 0, 1), expression=span("e", 7, 8))
     feats = featurize(s, inst, expressions=ctx)
     assert "n_exp_between=1" in feats
-    # without context, gold opinions are consulted (none here)
-    assert "n_exp_between=0" in featurize(s, inst)
+    assert "n_exp_between=0" in featurize(s, inst, expressions={span("e", 7, 8)})
 
 
 def test_featurize_deterministic():
     s = _pair_sentence()
     inst = RelationInstance("p", entity=span("t", 3, 4), expression=span("e", 1, 2))
-    assert featurize(s, inst) == featurize(s, inst)
+    expressions = s.spans(Role.EXPRESSION)
+    assert featurize(s, inst, expressions) == featurize(s, inst, expressions)
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +239,14 @@ def test_logistic_training_loss_decreases():
 def test_always_true_classify():
     s = _pair_sentence()
     inst = RelationInstance("p", entity=span("t", 0, 1), expression=span("e", 1, 2))
-    assert classify(always_true_model(), s, inst) == (True, 1.0)
+    assert classify(always_true_model(), s, inst, expressions={span("e", 1, 2)}) == (True, 1.0)
 
 
 def test_zero_weight_logistic_is_false_at_threshold():
     model = RelationModel(kind=RelationKind.LOGISTIC)
     s = _pair_sentence()
     inst = RelationInstance("p", entity=span("t", 0, 1), expression=span("e", 1, 2))
-    decision, score = classify(model, s, inst)
+    decision, score = classify(model, s, inst, expressions={span("e", 1, 2)})
     assert score == 0.5
     assert decision is False
 
@@ -286,4 +287,13 @@ def test_instance_dump_round_trip(tmp_path):
     rows = [(inst, 0.25 * k) for k, inst in enumerate(instances)]
     path = tmp_path / "instances.jsonl"
     dump_instances(str(path), rows)
-    assert load_instances(str(path)) == rows
+    assert [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()] == [
+        {
+            "sentence_id": "p",
+            "entity": [inst.entity.start, inst.entity.end, "TARGET"],
+            "expression": [1, 2],
+            "label": inst.label,
+            "score": score,
+        }
+        for inst, score in rows
+    ]
