@@ -65,14 +65,14 @@ def aggregate(
         holders = set()
         targets = set()
         for entity in entities:
-            key = (entity, expression)
-            if key not in decisions:
+            decision = decisions.get((entity, expression))
+            if decision is None:
                 raise AggregationError(
                     f"sentence '{sentence.id}': no decision for entity "
                     f"[{entity.start}, {entity.end}) / expression "
                     f"[{expression.start}, {expression.end})"
                 )
-            if decisions[key]:
+            if decision:
                 (holders if entity.role is Role.HOLDER else targets).add(entity)
         tuples.append(
             OpinionTuple(holders=holders, targets=targets, expressions={expression})
@@ -80,13 +80,17 @@ def aggregate(
     return SentimentGraph(sentence_id=sentence.id, tuples=tuple(tuples))
 
 
-def gold_graph(sentence: Sentence) -> SentimentGraph:
+def gold_graph(
+    sentence: Sentence, instances: Optional[Sequence[RelationInstance]] = None
+) -> SentimentGraph:
     """Project gold opinion annotations onto the one-tuple-per-expression shape.
 
     Tuples that share an expression span merge: the expression keeps the
-    union of their holders and targets.
+    union of their holders and targets. ``instances`` are the sentence's
+    ``gold_instances``, when the caller has built them already.
     """
-    instances = gold_instances(sentence)
+    if instances is None:
+        instances = gold_instances(sentence)
     decisions = {(i.entity, i.expression): bool(i.label) for i in instances}
     # Every entity is in some instance unless there is no expression, and
     # then no tuple needs it.

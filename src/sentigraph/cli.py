@@ -235,6 +235,11 @@ def _reports(
     ]
 
 
+def _report_payload(reports: Sequence[metrics.EvalReport]) -> dict:
+    """The report file format: ``{"reports": [...]}``, one entry per stratum."""
+    return {"reports": [r.to_dict() for r in reports]}
+
+
 def run_pipeline(cfg: PipelineConfig) -> Dict[str, str]:
     """Execute the full pipeline; returns the artifact paths that were written."""
     train_ds = _stage("load-train", corpus.load_dataset, cfg.train, FileFormat.JSON)
@@ -261,7 +266,7 @@ def run_pipeline(cfg: PipelineConfig) -> Dict[str, str]:
     paths.update(_write_predictions(cfg.output_dir, test_f, tags, graphs, rows))
 
     reports = _stage("evaluate", _reports, test_f, tags, graphs, True)
-    corpus.write_json_object(paths["report"], {"reports": [r.to_dict() for r in reports]})
+    corpus.write_json_object(paths["report"], _report_payload(reports))
     table = metrics.format_report_table(reports)
     with open(paths["report_txt"], "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
@@ -281,9 +286,7 @@ def run_pipeline(cfg: PipelineConfig) -> Dict[str, str]:
             aggregator.graphs_to_dataset(dev_f, dev_graphs), paths["dev_graphs"]
         )
         dev_reports = _stage("evaluate-dev", _reports, dev_f, dev_tags, dev_graphs, True)
-        corpus.write_json_object(
-            paths["dev_report"], {"reports": [r.to_dict() for r in dev_reports]}
-        )
+        corpus.write_json_object(paths["dev_report"], _report_payload(dev_reports))
     return paths
 
 
@@ -339,6 +342,10 @@ def _cmd_convert(args) -> int:
 def _cmd_train(args) -> int:
     given = {"kind": args.kind, "epochs": args.epochs, "seed": args.train_seed}
     if args.stage == "tagger":
+        for flag, value in (("--learning-rate", args.learning_rate),
+                            ("--threshold", args.threshold)):
+            if value is not None:
+                raise ConfigError(f"{flag} applies only to 'train relation', not 'train tagger'")
         config, train, save = TaggerConfig, _train_tagger, taggers.save_model
     else:
         given.update(learning_rate=args.learning_rate, threshold=args.threshold)
@@ -390,12 +397,13 @@ def _cmd_evaluate(args) -> int:
     if tags is None and graphs is None:
         raise ConfigError("evaluate needs --pred-conll and/or --pred-graphs")
     reports = _stage("evaluate", _reports, ds, tags, graphs, args.strata)
+    payload = _report_payload(reports)
     if args.format == "json":
-        print(json.dumps({"reports": [r.to_dict() for r in reports]}, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(metrics.format_report_table(reports))
     if args.output:
-        corpus.write_json_object(args.output, {"reports": [r.to_dict() for r in reports]})
+        corpus.write_json_object(args.output, payload)
     return 0
 
 

@@ -40,6 +40,7 @@ import random
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from json.encoder import encode_basestring
 from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ParseError, ValidationError
@@ -107,12 +108,17 @@ class Span:
                 f"span: invalid token range [{self.start}, {self.end})"
             )
 
+    # Spans of different roles may share a hash; equal spans hash equal, and
+    # the hash does not depend on the string-hash seed.
+    def __hash__(self) -> int:
+        return hash((self.start, self.end))
+
     @property
     def length(self) -> int:
         return self.end - self.start
 
     def sort_key(self) -> Tuple[int, int, str]:
-        return (self.start, self.end, self.role.value)
+        return (self.start, self.end, self.role._value_)
 
 
 @dataclass(frozen=True)
@@ -331,13 +337,10 @@ def merge_stats(stats: Sequence[DistributionStats]) -> DistributionStats:
 
 
 def _has_cross_role_overlap(sentence: Sentence) -> bool:
-    indices = {role: set() for role in Role}
+    role_at = {}  # token index -> role of the first span seen there
     for span in sentence.spans():
-        indices[span.role] |= set(range(span.start, span.end))
-    roles = list(Role)
-    for i in range(len(roles)):
-        for j in range(i + 1, len(roles)):
-            if indices[roles[i]] & indices[roles[j]]:
+        for i in range(span.start, span.end):
+            if role_at.setdefault(i, span.role) is not span.role:
                 return True
     return False
 
@@ -485,7 +488,7 @@ def dataset_to_dict(ds: Dataset) -> dict:
     }
 
 
-def _require(record: Mapping, key: str, where: str):
+def _require(record: dict, key: str, where: str):
     if key not in record:
         raise ParseError(f"{where}: missing key '{key}'")
     return record[key]
@@ -496,18 +499,83 @@ def _parse_span_list(pairs, role: Role, where: str) -> List[Span]:
         raise ParseError(f"{where}: expected a list of [start, end] pairs")
     spans = []
     for pair in pairs:
-        if (
-            not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
+        if not (
+            isinstance(pair, (list, tuple))
+            and len(pair) == 2
+            and type(pair[0]) is int
+            and type(pair[1]) is int
         ):
             raise ParseError(f"{where}: malformed span pair {pair!r}")
         spans.append(Span(role, pair[0], pair[1]))
     return spans
 
 
-def dataset_from_dict(obj: Mapping, source: str = "<memory>") -> Dataset:
-    if not isinstance(obj, Mapping):
+def _parse_tokens(records: list, where: str) -> List[Token]:
+    tokens = []
+    for j, tok in enumerate(records):
+        if not isinstance(tok, dict):
+            raise ParseError(f"{where}, token {j}: expected an object")
+        try:
+            t_text, t_start, t_end = tok["text"], tok["start"], tok["end"]
+        except KeyError:
+            missing = next(key for key in ("text", "start", "end") if key not in tok)
+            raise ParseError(f"{where}, token {j}: missing key '{missing}'") from None
+        t_pos = tok.get("pos")
+        if not isinstance(t_text, str):
+            raise ParseError(f"{where}, token {j}: 'text' must be a string")
+        if type(t_start) is not int or type(t_end) is not int:
+            raise ParseError(f"{where}, token {j}: 'start'/'end' must be integers")
+        if t_pos is not None and not isinstance(t_pos, str):
+            raise ParseError(f"{where}, token {j}: 'pos' must be a string or null")
+        tokens.append(Token(t_text, t_start, t_end, t_pos))
+    return tokens
+
+
+def _parse_opinion(op, sent_id: str, where: str) -> OpinionTuple:
+    if not isinstance(op, dict):
+        raise ParseError(f"{where}: expected an object")
+    polarity = op.get("polarity")
+    if polarity is not None and not isinstance(polarity, str):
+        raise ParseError(f"{where}: 'polarity' must be a string or null")
+    try:
+        return OpinionTuple(
+            holders=_parse_span_list(op.get("holders", []), Role.HOLDER, where),
+            targets=_parse_span_list(op.get("targets", []), Role.TARGET, where),
+            expressions=_parse_span_list(
+                _require(op, "expressions", where), Role.EXPRESSION, where
+            ),
+            polarity=polarity,
+        )
+    except ValidationError as err:
+        raise ValidationError(f"sentence '{sent_id}': {err}") from err
+
+
+def _parse_sentence(record, where: str) -> Sentence:
+    if not isinstance(record, dict):
+        raise ParseError(f"{where}: expected an object")
+    sent_id = _require(record, "id", where)
+    if isinstance(sent_id, str) and sent_id:
+        where = f"{where} (id='{sent_id}')"
+    text = _require(record, "text", where)
+    token_records = _require(record, "tokens", where)
+    opinion_records = record.get("opinions", [])
+    if not isinstance(sent_id, str) or not isinstance(text, str):
+        raise ParseError(f"{where}: 'id' and 'text' must be strings")
+    if not isinstance(token_records, list) or not isinstance(opinion_records, list):
+        raise ParseError(f"{where}: 'tokens' and 'opinions' must be lists")
+    tokens = _parse_tokens(token_records, where)
+    opinions = [
+        _parse_opinion(op, sent_id, f"{where}, opinion {j}")
+        for j, op in enumerate(opinion_records)
+    ]
+    return Sentence(id=sent_id, text=text, tokens=tokens, opinions=opinions)
+
+
+def dataset_from_dict(obj: dict, source: str = "<memory>") -> Dataset:
+    """The dataset of a parsed JSON file. Malformed records raise
+    ``ParseError`` and violated invariants ``ValidationError``; both name
+    ``source``."""
+    if not isinstance(obj, dict):
         raise ParseError(f"{source}: top-level value must be an object")
     name = _require(obj, "name", source)
     records = _require(obj, "sentences", source)
@@ -515,60 +583,14 @@ def dataset_from_dict(obj: Mapping, source: str = "<memory>") -> Dataset:
         raise ParseError(f"{source}: 'name' must be a string")
     if not isinstance(records, list):
         raise ParseError(f"{source}: 'sentences' must be a list")
-    sentences = []
-    for i, record in enumerate(records):
-        where = f"{source}: sentence record {i}"
-        if not isinstance(record, Mapping):
-            raise ParseError(f"{where}: expected an object")
-        sent_id = _require(record, "id", where)
-        if isinstance(sent_id, str) and sent_id:
-            where = f"{source}: sentence record {i} (id='{sent_id}')"
-        text = _require(record, "text", where)
-        token_records = _require(record, "tokens", where)
-        opinion_records = record.get("opinions", [])
-        if not isinstance(sent_id, str) or not isinstance(text, str):
-            raise ParseError(f"{where}: 'id' and 'text' must be strings")
-        if not isinstance(token_records, list) or not isinstance(opinion_records, list):
-            raise ParseError(f"{where}: 'tokens' and 'opinions' must be lists")
-        tokens = []
-        for j, tok in enumerate(token_records):
-            tok_where = f"{where}, token {j}"
-            if not isinstance(tok, Mapping):
-                raise ParseError(f"{tok_where}: expected an object")
-            t_text = _require(tok, "text", tok_where)
-            t_start = _require(tok, "start", tok_where)
-            t_end = _require(tok, "end", tok_where)
-            t_pos = tok.get("pos")
-            if not isinstance(t_text, str):
-                raise ParseError(f"{tok_where}: 'text' must be a string")
-            if not all(isinstance(v, int) and not isinstance(v, bool) for v in (t_start, t_end)):
-                raise ParseError(f"{tok_where}: 'start'/'end' must be integers")
-            if t_pos is not None and not isinstance(t_pos, str):
-                raise ParseError(f"{tok_where}: 'pos' must be a string or null")
-            tokens.append(Token(text=t_text, char_start=t_start, char_end=t_end, pos=t_pos))
-        opinions = []
-        for j, op in enumerate(opinion_records):
-            op_where = f"{where}, opinion {j}"
-            if not isinstance(op, Mapping):
-                raise ParseError(f"{op_where}: expected an object")
-            polarity = op.get("polarity")
-            if polarity is not None and not isinstance(polarity, str):
-                raise ParseError(f"{op_where}: 'polarity' must be a string or null")
-            try:
-                opinions.append(
-                    OpinionTuple(
-                        holders=_parse_span_list(op.get("holders", []), Role.HOLDER, op_where),
-                        targets=_parse_span_list(op.get("targets", []), Role.TARGET, op_where),
-                        expressions=_parse_span_list(
-                            _require(op, "expressions", op_where), Role.EXPRESSION, op_where
-                        ),
-                        polarity=polarity,
-                    )
-                )
-            except ValidationError as err:
-                raise ValidationError(f"sentence '{sent_id}': {err}") from err
-        sentences.append(Sentence(id=sent_id, text=text, tokens=tokens, opinions=opinions))
-    return Dataset(name=name, sentences=tuple(sentences))
+    try:
+        sentences = [
+            _parse_sentence(record, f"{source}: sentence record {i}")
+            for i, record in enumerate(records)
+        ]
+        return Dataset(name=name, sentences=tuple(sentences))
+    except ValidationError as err:
+        raise ValidationError(f"{source}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -714,19 +736,112 @@ def read_json_object(path: str) -> dict:
     return obj
 
 
+# Pieces the JSON writer buffers before it writes them out.
+_WRITE_CHUNK = 1 << 12
+# One compact encoder for every JSON-lines row.
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def write_json_object(path: str, obj) -> None:
     """Write ``obj`` as the package's one JSON artifact format: sorted keys,
-    indent 2, non-ASCII characters kept, and a final newline."""
+    indent 2, non-ASCII characters kept, and a final newline.
+
+    For any JSON value whose object keys are strings, the bytes are those of
+    ``json.dump(obj, fh, indent=2, sort_keys=True, ensure_ascii=False)``
+    followed by a newline. ``json.dump`` encodes indented output in pure
+    Python, one generator step per value; this encoder does less per value
+    and writes in chunks of at most ``_WRITE_CHUNK`` pieces, so the document
+    is never held whole in memory.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+        parts: List[str] = []
+        _encode_json(obj, "\n", parts, fh)
+        parts.append("\n")
+        fh.write("".join(parts))
+
+
+def _encode_json(value, newline: str, parts: List[str], fh) -> None:
+    """Append the indented JSON text of ``value`` to ``parts``, flushing full
+    chunks to ``fh``; ``newline`` starts the line that holds ``value``."""
+    if isinstance(value, str):
+        parts.append(encode_basestring(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            leaf = _LEAF_TEXT.get(type(item))
+            if leaf is not None:
+                parts.append(sep + leaf(item))
+            else:
+                parts.append(sep)
+                _encode_json(item, inner, parts, fh)
+            sep = "," + inner
+            if len(parts) >= _WRITE_CHUNK:
+                fh.write("".join(parts))
+                parts.clear()
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            leaf = _LEAF_TEXT.get(type(item))
+            if leaf is not None:
+                parts.append(sep + encode_basestring(key) + ": " + leaf(item))
+            else:
+                parts.append(sep + encode_basestring(key) + ": ")
+                _encode_json(item, inner, parts, fh)
+            sep = "," + inner
+            if len(parts) >= _WRITE_CHUNK:
+                fh.write("".join(parts))
+                parts.clear()
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# The JSON text of a scalar, by exact type; other types go through _encode_json.
+_LEAF_TEXT = {
+    str: encode_basestring,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
 
 
 def write_json_lines(path: str, rows: Iterable[Mapping]) -> None:
     """Write one compact JSON object per line, keys sorted, non-ASCII kept."""
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
+            fh.write(_LINE_ENCODER.encode(row) + "\n")
 
 
 def finite_number(value, what: str) -> float:

@@ -16,7 +16,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from .aggregator import SentimentGraph, gold_graph
 from .corpus import BIO_LABELS, Dataset, Role, Sentence, label_role
 from .errors import ValidationError
-from .relation import RelationInstance, gold_instances
+from .relation import RelationInstance, gold_instances, linked_pairs
 from .span_codec import TagSequence, encode
 
 
@@ -53,6 +53,15 @@ class PRF:
         }
 
 
+_ROLES = tuple(Role)
+# Each BIO label's role as an index into _ROLES, -1 for O.
+_LABEL_ROLE = {
+    label: -1 if label_role(label) is None else _ROLES.index(label_role(label))
+    for label in BIO_LABELS
+}
+_UNKNOWN = -2
+
+
 def token_f1(
     gold: Sequence[Sequence[str]],
     pred: Sequence[Sequence[str]],
@@ -67,33 +76,26 @@ def token_f1(
         raise ValidationError(
             f"gold has {len(gold)} sequences but pred has {len(pred)}"
         )
-    counts = {role: [0, 0, 0] for role in Role}  # tp, fp, fn
+    counts = [[0, 0, 0] for _ in _ROLES]  # tp, fp, fn per role
     for k, (g_seq, p_seq) in enumerate(zip(gold, pred)):
         if len(g_seq) != len(p_seq):
             raise ValidationError(
                 f"sequence {k}: gold length {len(g_seq)} != pred length {len(p_seq)}"
             )
         for g_label, p_label in zip(g_seq, p_seq):
-            for where, label in (("gold", g_label), ("pred", p_label)):
-                if label not in BIO_LABELS:
-                    raise ValidationError(
-                        f"sequence {k}: unknown {where} label {label!r}"
-                    )
-            g_role = label_role(g_label)
-            p_role = label_role(p_label)
-            matched = (
-                g_role is not None
-                and g_role is p_role
-                and (collapse_bio or g_label == p_label)
-            )
-            if matched:
+            g_role = _LABEL_ROLE.get(g_label, _UNKNOWN)
+            p_role = _LABEL_ROLE.get(p_label, _UNKNOWN)
+            if g_role is _UNKNOWN or p_role is _UNKNOWN:
+                where, label = ("gold", g_label) if g_role is _UNKNOWN else ("pred", p_label)
+                raise ValidationError(f"sequence {k}: unknown {where} label {label!r}")
+            if g_role == p_role >= 0 and (collapse_bio or g_label == p_label):
                 counts[g_role][0] += 1
             else:
-                if p_role is not None:
+                if p_role >= 0:
                     counts[p_role][1] += 1
-                if g_role is not None:
+                if g_role >= 0:
                     counts[g_role][2] += 1
-    return {role: PRF.from_counts(*counts[role]) for role in Role}
+    return {role: PRF.from_counts(*counts[r]) for r, role in enumerate(_ROLES)}
 
 
 def _graph_keys(graph: SentimentGraph) -> set:
@@ -247,11 +249,12 @@ def stratified_report(
             if sentence.id not in pred_graphs:
                 raise ValidationError(f"no predicted graph for sentence '{sentence.id}'")
             predicted_graph = pred_graphs[sentence.id]
-            gold_graphs.append(gold_graph(sentence))
+            instances = gold_instances(sentence)
+            gold_graphs.append(gold_graph(sentence, instances))
             predicted.append(predicted_graph)
-            for inst in gold_instances(sentence):
-                gold_insts.append(inst)
-                decisions.append(_graph_connects(predicted_graph, inst))
+            connected = linked_pairs(predicted_graph.tuples)
+            gold_insts.extend(instances)
+            decisions.extend((i.entity, i.expression) in connected for i in instances)
         graph = graph_f1(gold_graphs, predicted)
         rel = relation_prf(gold_insts, decisions)
     return EvalReport(
@@ -263,15 +266,6 @@ def stratified_report(
         graph=graph,
         relation=rel,
     )
-
-
-def _graph_connects(graph: SentimentGraph, inst: RelationInstance) -> bool:
-    for t in graph.tuples:
-        if inst.expression in t.expressions and (
-            inst.entity in t.holders or inst.entity in t.targets
-        ):
-            return True
-    return False
 
 
 def macro_average(reports: Sequence[EvalReport]) -> EvalReport:

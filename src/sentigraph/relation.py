@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import repeat
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .corpus import (
     Dataset,
@@ -105,21 +106,29 @@ def generate_instances(
                 f"sentence '{sentence.id}': span [{span.start}, {span.end}) exceeds "
                 f"token count {n}"
             )
+    linked = None if gold is None else linked_pairs(gold)
     instances = []
     for entity in entities:
         for expression in expressions:
-            label = None
-            if gold is not None:
-                label = any(
-                    (entity in t.holders or entity in t.targets) and expression in t.expressions
-                    for t in gold
-                )
+            label = None if linked is None else (entity, expression) in linked
             instances.append(
                 RelationInstance(
                     sentence_id=sentence.id, entity=entity, expression=expression, label=label
                 )
             )
     return instances
+
+
+def linked_pairs(tuples: Iterable) -> Set[Tuple[Span, Span]]:
+    """The (entity, expression) pairs that some opinion tuple links: the
+    entity is among its holders or targets and the expression among its
+    expressions."""
+    return {
+        (entity, expression)
+        for t in tuples
+        for expression in t.expressions
+        for entity in (*t.holders, *t.targets)
+    }
 
 
 def gold_instances(sentence: Sentence) -> List[RelationInstance]:
@@ -159,26 +168,27 @@ def featurize(
     ent, exp = inst.entity, inst.expression
     first, second = (ent, exp) if ent.sort_key() <= exp.sort_key() else (exp, ent)
     gap = max(second.start - first.end, 0)
+    tokens = sentence.tokens
 
     feats = {
         f"dist={_distance_bucket(gap)}",
         f"order={'ent_first' if ent.start < exp.start else 'exp_first'}",
-        f"role={ent.role.value}",
-        f"ent_len={ent.length}",
-        f"exp_len={exp.length}",
+        f"role={ent.role._value_}",
+        f"ent_len={ent.end - ent.start}",
+        f"exp_len={exp.end - exp.start}",
     }
     for i in range(ent.start, ent.end):
-        feats.add(f"ent_w={sentence.tokens[i].text.lower()}")
+        feats.add(f"ent_w={tokens[i].text.lower()}")
     for i in range(exp.start, exp.end):
-        feats.add(f"exp_w={sentence.tokens[i].text.lower()}")
+        feats.add(f"exp_w={tokens[i].text.lower()}")
     between = range(first.end, max(second.start, first.end))
-    for i in list(between)[:_MAX_BETWEEN_WORDS]:
-        feats.add(f"btw_w={sentence.tokens[i].text.lower()}")
+    for i in between[:_MAX_BETWEEN_WORDS]:
+        feats.add(f"btw_w={tokens[i].text.lower()}")
 
     n_between = sum(
         1
         for s in set(expressions)
-        if s != exp and s.start >= first.end and s.end <= second.start
+        if s.start >= first.end and s.end <= second.start and s != exp
     )
     feats.add(f"n_exp_between={n_between}")
     return tuple(sorted(feats))
@@ -280,7 +290,7 @@ def classify(
     if model.kind is RelationKind.ALWAYS_TRUE:
         return True, 1.0
     feats = featurize(sentence, inst, expressions=expressions)
-    score = _sigmoid(model.bias + sum(model.weights.get(f, 0.0) for f in feats))
+    score = _sigmoid(model.bias + sum(map(model.weights.get, feats, repeat(0.0))))
     return score > model.threshold, score
 
 

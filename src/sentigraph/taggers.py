@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence
+from operator import add
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .corpus import (
     BIO_LABELS,
@@ -60,6 +61,14 @@ class TaggerModel:
     weights: Optional[Mapping[str, Mapping[str, float]]] = None
     # POS_CHUNK: POS tag -> BIO label
     pos_map: Optional[Mapping[str, str]] = None
+    # PERCEPTRON: ``weights`` compiled for tag(), built from them here
+    compiled: Optional["_CompiledWeights"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        if self.kind is TaggerKind.PERCEPTRON and self.weights is not None:
+            object.__setattr__(self, "compiled", _CompiledWeights(self.weights))
 
 
 def most_common_tagger() -> TaggerModel:
@@ -94,9 +103,19 @@ def _word_shape(word: str) -> str:
     return "".join(shape)
 
 
-def _static_features(tokens: Sequence[Token], i: int) -> List[str]:
-    """The feature templates of position ``i`` that do not depend on the
-    previous label: 9 word templates, then up to 3 POS templates."""
+# The feature templates, in the order token_features lists them: nine that
+# read the words around the token, two that read the previous label, then up
+# to three that read POS tags. A feature is the string "<template>=<value>".
+# Training, token_features and a model's compiled weights name them from here.
+WORD_TEMPLATES = ("w", "lw", "suf3", "pre2", "shape", "w-1", "w+1", "w-2", "w+2")
+PREV_TEMPLATES = ("t-1", "t-1w")
+POS_TEMPLATES = ("p0", "p-1", "p+1")
+# The first five word templates read only the token's own text.
+_N_TEXT_TEMPLATES = 5
+
+
+def _word_values(tokens: Sequence[Token], i: int) -> Tuple[str, ...]:
+    """The values of WORD_TEMPLATES at position ``i``."""
 
     def word(j: int) -> str:
         if j < 0:
@@ -105,45 +124,41 @@ def _static_features(tokens: Sequence[Token], i: int) -> List[str]:
             return _EOS
         return tokens[j].text.lower()
 
-    tok = tokens[i]
-    lower = tok.text.lower()
-    feats = [
-        f"w={tok.text}",
-        f"lw={lower}",
-        f"suf3={lower[-3:]}",
-        f"pre2={lower[:2]}",
-        f"shape={_word_shape(tok.text)}",
-        f"w-1={word(i - 1)}",
-        f"w+1={word(i + 1)}",
-        f"w-2={word(i - 2)}",
-        f"w+2={word(i + 2)}",
-    ]
-    if tok.pos is not None:
-        feats.append(f"p0={tok.pos}")
-    if i > 0 and tokens[i - 1].pos is not None:
-        feats.append(f"p-1={tokens[i - 1].pos}")
-    if i + 1 < len(tokens) and tokens[i + 1].pos is not None:
-        feats.append(f"p+1={tokens[i + 1].pos}")
+    text = tokens[i].text
+    lower = text.lower()
+    return (
+        text, lower, lower[-3:], lower[:2], _word_shape(text),
+        word(i - 1), word(i + 1), word(i - 2), word(i + 2),
+    )
+
+
+def _pos_values(tokens: Sequence[Token], i: int) -> Tuple[Optional[str], ...]:
+    """The values of POS_TEMPLATES at position ``i``; None where a template is absent."""
+    return (
+        tokens[i].pos,
+        tokens[i - 1].pos if i > 0 else None,
+        tokens[i + 1].pos if i + 1 < len(tokens) else None,
+    )
+
+
+def _static_features(tokens: Sequence[Token], i: int) -> List[str]:
+    """The feature templates of position ``i`` that do not depend on the
+    previous label: 9 word templates, then up to 3 POS templates."""
+    feats = [f"{t}={v}" for t, v in zip(WORD_TEMPLATES, _word_values(tokens, i))]
+    feats += [f"{t}={v}" for t, v in zip(POS_TEMPLATES, _pos_values(tokens, i)) if v is not None]
     return feats
-
-
-# token_features puts the two t-1 templates after the 9 word templates.
-_N_WORD_TEMPLATES = 9
 
 
 def _prev_features(prev_label: str, lower: str) -> List[str]:
     """The two templates that depend on the previous label: ``t-1`` and ``t-1w``."""
-    return [f"t-1={prev_label}", f"t-1w={prev_label}|{lower}"]
+    return [f"{PREV_TEMPLATES[0]}={prev_label}", f"{PREV_TEMPLATES[1]}={prev_label}|{lower}"]
 
 
 def token_features(tokens: Sequence[Token], i: int, prev_label: str) -> List[str]:
     """Feature strings for one token position (all implicit weight 1)."""
     static = _static_features(tokens, i)
-    return (
-        static[:_N_WORD_TEMPLATES]
-        + _prev_features(prev_label, tokens[i].text.lower())
-        + static[_N_WORD_TEMPLATES:]
-    )
+    n_word = len(WORD_TEMPLATES)
+    return static[:n_word] + _prev_features(prev_label, tokens[i].text.lower()) + static[n_word:]
 
 
 def _legal(label: str, prev: str) -> bool:
@@ -153,28 +168,11 @@ def _legal(label: str, prev: str) -> bool:
     return prev == "B" + label[1:] or prev == label
 
 
-def _predict(weights: Mapping[str, Mapping[str, float]], feats: Sequence[str], prev: str) -> str:
-    scores: Dict[str, float] = {}
-    for feat in feats:
-        row = weights.get(feat)
-        if row:
-            for label, w in row.items():
-                scores[label] = scores.get(label, 0.0) + w
-    best = None
-    best_score = -math.inf
-    for label in TIE_ORDER:
-        if not _legal(label, prev):
-            continue
-        score = scores.get(label, 0.0)
-        if score > best_score:
-            best, best_score = label, score
-    return best
-
-
 _LABEL_INDEX = {label: k for k, label in enumerate(TIE_ORDER)}
 # Previous-label contexts: the 7 labels, then the sentence start.
 _PREV_LABELS = TIE_ORDER + (_BOS,)
 _BOS_INDEX = len(TIE_ORDER)
+_ZERO_SCORES = (0.0,) * len(TIE_ORDER)
 # Indices of the labels that may follow each previous-label context.
 _LEGAL_AFTER = tuple(
     tuple(k for k, label in enumerate(TIE_ORDER) if _legal(label, prev)) for prev in _PREV_LABELS
@@ -284,21 +282,101 @@ def train_perceptron(train: Dataset, epochs: int, seed: int) -> TaggerModel:
     return TaggerModel(kind=TaggerKind.PERCEPTRON, weights=averaged)
 
 
+# Distinct token texts whose head sums a compiled model keeps.
+_HEAD_CACHE_SIZE = 1 << 16
+
+
+class _CompiledWeights:
+    """A perceptron's averaged weights as 7-slot rows in ``TIE_ORDER``,
+    looked up by template and value, so that tag() builds no feature strings.
+
+    A feature that no token position can produce (an unknown template, or a
+    ``t-1`` context outside ``_PREV_LABELS``) never matches and is left out.
+    A label missing from a feature's weights is 0.0 in its row; adding it
+    leaves a score unchanged, so the sums equal those over the weights dicts
+    in token_features order. ``heads`` caches, per token text, the sum of the
+    rows of the templates that read only that text.
+    """
+
+    def __init__(self, weights: Mapping[str, Mapping[str, float]]):
+        self.word: List[Dict[str, tuple]] = [{} for _ in WORD_TEMPLATES]
+        self.pos: List[Dict[str, tuple]] = [{} for _ in POS_TEMPLATES]
+        self.prev: List[tuple] = [() for _ in _PREV_LABELS]
+        self.prev_word: List[Dict[str, tuple]] = [{} for _ in _PREV_LABELS]
+        self.heads: Dict[str, tuple] = {}
+        tables = dict(zip(WORD_TEMPLATES + POS_TEMPLATES, self.word + self.pos))
+        contexts = {label: p for p, label in enumerate(_PREV_LABELS)}
+        for feat, labels in weights.items():
+            template, sep, value = feat.partition("=")
+            if not sep:
+                continue
+            row = tuple(labels.get(label, 0.0) for label in TIE_ORDER)
+            if template in tables:
+                tables[template][value] = row
+            elif template == PREV_TEMPLATES[0] and value in contexts:
+                self.prev[contexts[value]] = row
+            elif template == PREV_TEMPLATES[1]:
+                prev_label, sep, lower = value.partition("|")
+                if sep and prev_label in contexts:
+                    self.prev_word[contexts[prev_label]][lower] = row
+
+    def head(self, text: str, lower: str) -> tuple:
+        """Summed rows of the five templates that read only ``text``; () if none."""
+        head = self.heads.get(text)
+        if head is None:
+            values = (text, lower, lower[-3:], lower[:2], _word_shape(text))
+            head = _sum_rows([table.get(value) for table, value in zip(self.word, values)])
+            if len(self.heads) < _HEAD_CACHE_SIZE:
+                self.heads[text] = head
+        return head
+
+
+def _sum_rows(rows: Sequence[Optional[tuple]]) -> tuple:
+    """Slot-wise sum of the rows that are present, added left to right."""
+    total = ()
+    for row in rows:
+        if row:
+            total = tuple(map(add, total, row)) if total else row
+    return total
+
+
 def tag(model: TaggerModel, sentence: Sentence) -> TagSequence:
     """One BIO label per token; pure function of (model, sentence)."""
-    n = len(sentence.tokens)
+    tokens = sentence.tokens
     if model.kind is TaggerKind.MOST_COMMON:
-        return ("O",) * n
+        return ("O",) * len(tokens)
     if model.kind is TaggerKind.POS_CHUNK:
         return _tag_pos_chunk(model, sentence)
-    if model.weights is None:
+    index = model.compiled
+    if index is None:
         raise ModelError("perceptron model has no weights; train or load it first")
+    lowers = [tok.text.lower() for tok in tokens]
+    words = [_BOS, _BOS] + lowers + [_EOS, _EOS]  # word i at i + 2
+    poses = [None] + [tok.pos for tok in tokens] + [None]  # POS i at i + 1
+    w_m1, w_p1, w_m2, w_p2 = (table.get for table in index.word[_N_TEXT_TEMPLATES:])
+    p_0, p_m1, p_p1 = (table.get for table in index.pos)
     labels = []
-    prev = _BOS
-    for i in range(n):
-        guess = _predict(model.weights, token_features(sentence.tokens, i, prev), prev)
-        labels.append(guess)
-        prev = guess
+    prev = _BOS_INDEX
+    for i, tok in enumerate(tokens):
+        lower = lowers[i]
+        scores = _ZERO_SCORES
+        # token_features order; get(None) finds no row for an absent POS
+        for row in (
+            index.head(tok.text, lower),
+            w_m1(words[i + 1]), w_p1(words[i + 3]), w_m2(words[i]), w_p2(words[i + 4]),
+            index.prev[prev], index.prev_word[prev].get(lower),
+            p_0(poses[i + 1]), p_m1(poses[i]), p_p1(poses[i + 2]),
+        ):
+            if row:
+                scores = tuple(map(add, scores, row))
+        best, best_score = -1, -math.inf
+        for k in _LEGAL_AFTER[prev]:
+            if scores[k] > best_score:
+                best, best_score = k, scores[k]
+        if best < 0:
+            raise ModelError(f"sentence '{sentence.id}', token {i}: no label has a finite score")
+        labels.append(TIE_ORDER[best])
+        prev = best
     return tuple(labels)
 
 

@@ -104,6 +104,20 @@ def test_stats_token_off_its_offsets_exits_2(tmp_path, capsys):
     assert "sentence 'a', token 1" in capsys.readouterr().err
 
 
+def test_stats_names_the_file_that_fails_validation(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    save_dataset(Dataset(name="g", sentences=[sent("s", ["x"])]), str(good))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"name": "b", "sentences": [{
+        "id": "syn0000", "text": "the cat",
+        "tokens": [{"text": "a", "start": 0, "end": 3}],
+    }]}), encoding="utf-8")
+    assert main(["stats", str(good), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: sentence 'syn0000', token 0" in err
+    assert str(good) not in err
+
+
 def test_stats_writes_json_file(tmp_path, capsys):
     ds = Dataset(name="w", sentences=[sent("a", ["x"])])
     path = tmp_path / "w.json"
@@ -270,6 +284,19 @@ def test_train_relation_rejects_threshold_before_loading_data(tmp_path, capsys):
     assert main(["train", "relation", "--train", str(broken), "--threshold", "1.5",
                  "--out", str(out)]) == 2
     assert "relation.threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--threshold", "1.5"), ("--learning-rate", "-3")])
+def test_train_tagger_rejects_relation_only_flags(tmp_path, capsys, flag, value):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{", encoding="utf-8")
+    out = tmp_path / "t.json"
+    assert main(["train", "tagger", "--train", str(broken), "--epochs", "1", flag, value,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert str(broken) not in err
     assert not out.exists()
 
 

@@ -1,8 +1,11 @@
+import math
+
 import pytest
 
 from helpers import love_school, opinion, sent, span
 from sentigraph import (
     Dataset,
+    ModelError,
     TaggerKind,
     ValidationError,
     decode,
@@ -16,6 +19,8 @@ from sentigraph import (
 from sentigraph.corpus import FileFormat, save_dataset
 from sentigraph.synth import generate_corpus
 from sentigraph.taggers import (
+    TIE_ORDER,
+    TaggerModel,
     load_model,
     save_model,
     save_predictions_conll,
@@ -134,6 +139,89 @@ def test_token_features_fixed_templates():
     assert shape == ["shape=x"]
     cap = token_features(s.tokens, 0, "<s>")
     assert "shape=Xx" in cap
+
+
+def _reference_tag(weights, sentence):
+    """Greedy decoding straight from token_features and {feature: {label: w}}."""
+    labels, prev = [], "<s>"
+    for i in range(len(sentence.tokens)):
+        scores = {}
+        for feat in token_features(sentence.tokens, i, prev):
+            for label, w in weights.get(feat, {}).items():
+                scores[label] = scores.get(label, 0.0) + w
+        best, best_score = None, -math.inf
+        for label in TIE_ORDER:
+            if label.startswith("I-") and prev not in ("B" + label[1:], label):
+                continue
+            if scores.get(label, 0.0) > best_score:
+                best, best_score = label, scores.get(label, 0.0)
+        labels.append(best)
+        prev = best
+    return tuple(labels)
+
+
+def _unusual_sentences():
+    return [
+        sent("unseen", ["Zyzzyva", "qwerty", "Xylophones", "42", "e-mail"]),
+        sent("no-pos", ["The", "staff", "hates", "rain"]),
+        sent("mixed-pos", ["Bob", "hates", "rain"], pos=["PROPN", None, "NOUN"]),
+        sent("single", ["Great"]),
+        sent("single-pos", ["Great"], pos=["ADJ"]),
+        sent("odd", ["a=b", "x|y", "<s>", "</s>", "ÉTÉ"], pos=["X", "=", "|", None, "NOUN"]),
+    ]
+
+
+def test_tag_equals_reference_decoder(tmp_path):
+    train = generate_corpus(120, seed=31)
+    model = train_perceptron(train, epochs=4, seed=2)
+    path = tmp_path / "tagger.json"
+    save_model(model, str(path))
+    loaded = load_model(str(path))
+    test = list(generate_corpus(40, seed=32).sentences) + _unusual_sentences()
+    for sentence in test:
+        expected = _reference_tag(model.weights, sentence)
+        assert tag(model, sentence) == expected
+        assert tag(loaded, sentence) == expected
+
+
+def test_tag_hand_made_weights_equal_reference_decoder():
+    # Every template, values holding '=' and '|', labels outside a row, a
+    # t-1 context no decode produces, and near-ties that depend on the order
+    # of the float sums.
+    weights = {
+        "w=q": {"B-TARG": 2.0},
+        "w=a=b": {"B-EXP": 0.1, "O": 0.2},
+        "lw=a=b": {"B-EXP": 0.2},
+        "suf3=a=b": {"B-EXP": 0.3},
+        "pre2=a=": {"O": 0.3},
+        "shape=x=x": {"B-TARG": 0.6000000000000001},
+        "w-1=<s>": {"B-HOLDER": 0.6000000000000001},
+        "w+1=x|y": {"B-TARG": 1e-17},
+        "w-2=a=b": {"I-TARG": 5.0, "B-TARG": -0.5},
+        "w+2=</s>": {"O": 0.7},
+        "t-1=B-TARG": {"I-TARG": 0.4},
+        "t-1=NOPE": {"O": 100.0},
+        "t-1w=B-TARG|x|y": {"I-TARG": 1.1},
+        "t-1w=O": {"O": 100.0},
+        "p0=NOUN": {"B-TARG": 0.25, "B-EXP": 0.35},
+        "p-1==": {"O": 0.05},
+        "p+1=|": {"B-EXP": 0.45},
+        "no-template": {"O": 100.0},
+    }
+    model = TaggerModel(kind=TaggerKind.PERCEPTRON, weights=weights)
+    # B-EXP's three weights sum to 0.6000000000000001 only when added in
+    # template order, which ties B-TARG, and the tie goes to B-EXP.
+    chain = sent("chain", ["q", "x|y", "a=b", "z", "z"])
+    expected = ("B-TARG", "I-TARG", "B-EXP", "O", "O")
+    assert tag(model, chain) == _reference_tag(weights, chain) == expected
+    pos_marks = sent("marks", ["a=b", "x|y", "z"], pos=["=", "|", "NOUN"])
+    for sentence in _unusual_sentences() + [pos_marks]:
+        assert tag(model, sentence) == _reference_tag(weights, sentence)
+
+
+def test_tag_without_weights_is_a_model_error():
+    with pytest.raises(ModelError):
+        tag(TaggerModel(kind=TaggerKind.PERCEPTRON), love_school())
 
 
 # ---------------------------------------------------------------------------
