@@ -156,6 +156,11 @@ class OpinionTuple:
         return self.holders | self.targets | self.expressions
 
 
+# The OpinionTuple field that holds the spans of each role.
+_ROLE_FIELD = {Role.HOLDER: "holders", Role.TARGET: "targets", Role.EXPRESSION: "expressions"}
+_ROLE_FIELDS = tuple(_ROLE_FIELD.values())
+
+
 @dataclass(frozen=True)
 class Sentence:
     id: str
@@ -193,11 +198,11 @@ class Sentence:
 
     def spans(self, role: Optional[Role] = None) -> set:
         """Distinct spans across all opinions, optionally filtered by role."""
+        fields = _ROLE_FIELDS if role is None else (_ROLE_FIELD[role],)
         out = set()
         for opinion in self.opinions:
-            out |= opinion.spans()
-        if role is not None:
-            out = {s for s in out if s.role is role}
+            for name in fields:
+                out |= getattr(opinion, name)
         return out
 
     def distinct_role_count(self) -> int:
@@ -763,23 +768,15 @@ def write_json_object(path: str, obj) -> None:
 def _encode_json(value, newline: str, parts: List[str], fh) -> None:
     """Append the indented JSON text of ``value`` to ``parts``, flushing full
     chunks to ``fh``; ``newline`` starts the line that holds ``value``."""
-    if isinstance(value, str):
-        parts.append(encode_basestring(value))
-    elif value is None:
-        parts.append("null")
-    elif value is True:
-        parts.append("true")
-    elif value is False:
-        parts.append("false")
-    elif isinstance(value, int):
-        parts.append(int.__repr__(value))
-    elif isinstance(value, float):
-        parts.append(_float_text(value))
+    leaf = _LEAF_TEXT.get(type(value))
+    if leaf is not None:
+        parts.append(leaf(value))
     elif isinstance(value, (list, tuple)):
         if not value:
             parts.append("[]")
             return
         inner = newline + "  "
+        comma = "," + inner
         sep = "[" + inner
         for item in value:
             leaf = _LEAF_TEXT.get(type(item))
@@ -788,7 +785,7 @@ def _encode_json(value, newline: str, parts: List[str], fh) -> None:
             else:
                 parts.append(sep)
                 _encode_json(item, inner, parts, fh)
-            sep = "," + inner
+            sep = comma
             if len(parts) >= _WRITE_CHUNK:
                 fh.write("".join(parts))
                 parts.clear()
@@ -798,21 +795,28 @@ def _encode_json(value, newline: str, parts: List[str], fh) -> None:
             parts.append("{}")
             return
         inner = newline + "  "
+        comma = "," + inner
         sep = "{" + inner
         for key, item in sorted(value.items()):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             leaf = _LEAF_TEXT.get(type(item))
             if leaf is not None:
-                parts.append(sep + encode_basestring(key) + ": " + leaf(item))
+                parts.append(f"{sep}{encode_basestring(key)}: {leaf(item)}")
             else:
-                parts.append(sep + encode_basestring(key) + ": ")
+                parts.append(f"{sep}{encode_basestring(key)}: ")
                 _encode_json(item, inner, parts, fh)
-            sep = "," + inner
+            sep = comma
             if len(parts) >= _WRITE_CHUNK:
                 fh.write("".join(parts))
                 parts.clear()
         parts.append(newline + "}")
+    elif isinstance(value, str):
+        parts.append(encode_basestring(value))
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(_float_text(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

@@ -152,19 +152,15 @@ def relation_prf(
         raise ValidationError(
             f"{len(gold)} gold instances but {len(pred)} predictions"
         )
-    counts = {"positive": [0, 0, 0], "negative": [0, 0, 0]}
+    n = {(True, True): 0, (True, False): 0, (False, True): 0, (False, False): 0}
     for i, (inst, decision) in enumerate(zip(gold, pred)):
         if inst.label is None:
             raise ValidationError(f"instance {i}: gold label missing")
-        for cls, truth in (("positive", inst.label), ("negative", not inst.label)):
-            guessed = decision if cls == "positive" else not decision
-            if truth and guessed:
-                counts[cls][0] += 1
-            elif guessed:
-                counts[cls][1] += 1
-            elif truth:
-                counts[cls][2] += 1
-    return {cls: PRF.from_counts(*c) for cls, c in counts.items()}
+        n[bool(inst.label), bool(decision)] += 1  # (truth, guess)
+    return {
+        "positive": PRF.from_counts(n[True, True], n[False, True], n[True, False]),
+        "negative": PRF.from_counts(n[False, False], n[True, False], n[False, True]),
+    }
 
 
 @dataclass(frozen=True)

@@ -133,11 +133,10 @@ def linked_pairs(tuples: Iterable) -> Set[Tuple[Span, Span]]:
 
 def gold_instances(sentence: Sentence) -> List[RelationInstance]:
     """Labeled instances for every gold holder|target x expression pair."""
-    spans = sentence.spans()
     return generate_instances(
         sentence,
-        {s for s in spans if s.role is not Role.EXPRESSION},
-        {s for s in spans if s.role is Role.EXPRESSION},
+        sentence.spans(Role.HOLDER) | sentence.spans(Role.TARGET),
+        sentence.spans(Role.EXPRESSION),
         gold=sentence.opinions,
     )
 

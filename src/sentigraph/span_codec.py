@@ -37,14 +37,14 @@ def union_same_role(spans: Iterable[Span]) -> Set[Span]:
     merged: Set[Span] = set()
     for role, group in by_role.items():
         group.sort(key=Span.sort_key)
-        cur_start, cur_end = group[0].start, group[0].end
+        cur = group[0]
         for span in group[1:]:
-            if span.start <= cur_end:
-                cur_end = max(cur_end, span.end)
-            else:
-                merged.add(Span(role, cur_start, cur_end))
-                cur_start, cur_end = span.start, span.end
-        merged.add(Span(role, cur_start, cur_end))
+            if span.start > cur.end:
+                merged.add(cur)
+                cur = span
+            elif span.end > cur.end:
+                cur = Span(role, cur.start, span.end)
+        merged.add(cur)
     return merged
 
 
@@ -67,8 +67,9 @@ def encode(sentence: Sentence) -> TagSequence:
     labels = ["O"] * len(sentence.tokens)
     for span in merged:
         labels[span.start] = bio_label("B", span.role)
+        inside = bio_label("I", span.role)
         for i in range(span.start + 1, span.end):
-            labels[i] = bio_label("I", span.role)
+            labels[i] = inside
     return tuple(labels)
 
 
