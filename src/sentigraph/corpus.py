@@ -30,6 +30,11 @@ POS is ``_`` when absent. The BIO label alphabet is fixed:
 projection: how spans group into opinion tuples is not representable, so
 a CoNLL round trip preserves span sets but flattens each sentence's
 opinions into a single tuple.
+
+Every JSON artifact (datasets, models, reports) goes through
+``write_json_object``. It streams the document to the file in bounded
+chunks and writes exactly the bytes of ``json.dump(obj, fh, indent=2,
+sort_keys=True, ensure_ascii=False)`` followed by a newline.
 """
 
 from __future__ import annotations
@@ -108,14 +113,12 @@ class Span:
                 f"span: invalid token range [{self.start}, {self.end})"
             )
 
-    # Spans of different roles may share a hash; equal spans hash equal, and
-    # the hash does not depend on the string-hash seed.
+    # Spans are hashed and sorted often, and the role's Enum.__hash__ and
+    # Enum.value run in Python, so the hash leaves the role out (equal spans
+    # still hash equal, whatever the string-hash seed) and sort_key reads
+    # the member's stored value.
     def __hash__(self) -> int:
         return hash((self.start, self.end))
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
 
     def sort_key(self) -> Tuple[int, int, str]:
         return (self.start, self.end, self.role._value_)
@@ -765,6 +768,26 @@ def write_json_object(path: str, obj) -> None:
         fh.write("".join(parts))
 
 
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# The JSON text of a scalar, by exact type; other types go through _encode_json.
+_LEAF_TEXT = {
+    str: encode_basestring,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
 def _encode_json(value, newline: str, parts: List[str], fh) -> None:
     """Append the indented JSON text of ``value`` to ``parts``, flushing full
     chunks to ``fh``; ``newline`` starts the line that holds ``value``."""
@@ -819,26 +842,6 @@ def _encode_json(value, newline: str, parts: List[str], fh) -> None:
         parts.append(_float_text(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _float_text(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-# The JSON text of a scalar, by exact type; other types go through _encode_json.
-_LEAF_TEXT = {
-    str: encode_basestring,
-    int: int.__repr__,
-    float: _float_text,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
-}
 
 
 def write_json_lines(path: str, rows: Iterable[Mapping]) -> None:

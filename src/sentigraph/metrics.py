@@ -59,7 +59,6 @@ _LABEL_ROLE = {
     label: -1 if label_role(label) is None else _ROLES.index(label_role(label))
     for label in BIO_LABELS
 }
-_UNKNOWN = -2
 
 
 def token_f1(
@@ -83,10 +82,10 @@ def token_f1(
                 f"sequence {k}: gold length {len(g_seq)} != pred length {len(p_seq)}"
             )
         for g_label, p_label in zip(g_seq, p_seq):
-            g_role = _LABEL_ROLE.get(g_label, _UNKNOWN)
-            p_role = _LABEL_ROLE.get(p_label, _UNKNOWN)
-            if g_role is _UNKNOWN or p_role is _UNKNOWN:
-                where, label = ("gold", g_label) if g_role is _UNKNOWN else ("pred", p_label)
+            g_role = _LABEL_ROLE.get(g_label)
+            p_role = _LABEL_ROLE.get(p_label)
+            if g_role is None or p_role is None:
+                where, label = ("gold", g_label) if g_role is None else ("pred", p_label)
                 raise ValidationError(f"sequence {k}: unknown {where} label {label!r}")
             if g_role == p_role >= 0 and (collapse_bio or g_label == p_label):
                 counts[g_role][0] += 1

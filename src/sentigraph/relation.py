@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import repeat
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .corpus import (

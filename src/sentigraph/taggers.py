@@ -114,6 +114,12 @@ POS_TEMPLATES = ("p0", "p-1", "p+1")
 _N_TEXT_TEMPLATES = 5
 
 
+def _text_values(text: str) -> Tuple[str, ...]:
+    """The values of the first five WORD_TEMPLATES for a token's text."""
+    lower = text.lower()
+    return (text, lower, lower[-3:], lower[:2], _word_shape(text))
+
+
 def _word_values(tokens: Sequence[Token], i: int) -> Tuple[str, ...]:
     """The values of WORD_TEMPLATES at position ``i``."""
 
@@ -124,12 +130,7 @@ def _word_values(tokens: Sequence[Token], i: int) -> Tuple[str, ...]:
             return _EOS
         return tokens[j].text.lower()
 
-    text = tokens[i].text
-    lower = text.lower()
-    return (
-        text, lower, lower[-3:], lower[:2], _word_shape(text),
-        word(i - 1), word(i + 1), word(i - 2), word(i + 2),
-    )
+    return _text_values(tokens[i].text) + (word(i - 1), word(i + 1), word(i - 2), word(i + 2))
 
 
 def _pos_values(tokens: Sequence[Token], i: int) -> Tuple[Optional[str], ...]:
@@ -295,7 +296,7 @@ class _CompiledWeights:
     A label missing from a feature's weights is 0.0 in its row; adding it
     leaves a score unchanged, so the sums equal those over the weights dicts
     in token_features order. ``heads`` caches, per token text, the sum of the
-    rows of the templates that read only that text.
+    rows of the five templates that read only that text.
     """
 
     def __init__(self, weights: Mapping[str, Mapping[str, float]]):
@@ -320,24 +321,18 @@ class _CompiledWeights:
                 if sep and prev_label in contexts:
                     self.prev_word[contexts[prev_label]][lower] = row
 
-    def head(self, text: str, lower: str) -> tuple:
-        """Summed rows of the five templates that read only ``text``; () if none."""
+    def head(self, text: str) -> tuple:
+        """The scores of the five templates that read only ``text``, summed from 0.0."""
         head = self.heads.get(text)
         if head is None:
-            values = (text, lower, lower[-3:], lower[:2], _word_shape(text))
-            head = _sum_rows([table.get(value) for table, value in zip(self.word, values)])
+            head = _ZERO_SCORES
+            for table, value in zip(self.word, _text_values(text)):
+                row = table.get(value)
+                if row:
+                    head = tuple(map(add, head, row))
             if len(self.heads) < _HEAD_CACHE_SIZE:
                 self.heads[text] = head
         return head
-
-
-def _sum_rows(rows: Sequence[Optional[tuple]]) -> tuple:
-    """Slot-wise sum of the rows that are present, added left to right."""
-    total = ()
-    for row in rows:
-        if row:
-            total = tuple(map(add, total, row)) if total else row
-    return total
 
 
 def tag(model: TaggerModel, sentence: Sentence) -> TagSequence:
@@ -358,13 +353,12 @@ def tag(model: TaggerModel, sentence: Sentence) -> TagSequence:
     labels = []
     prev = _BOS_INDEX
     for i, tok in enumerate(tokens):
-        lower = lowers[i]
-        scores = _ZERO_SCORES
-        # token_features order; get(None) finds no row for an absent POS
+        scores = index.head(tok.text)
+        # The other templates in token_features order; get(None) finds no
+        # row for an absent POS.
         for row in (
-            index.head(tok.text, lower),
             w_m1(words[i + 1]), w_p1(words[i + 3]), w_m2(words[i]), w_p2(words[i + 4]),
-            index.prev[prev], index.prev_word[prev].get(lower),
+            index.prev[prev], index.prev_word[prev].get(lowers[i]),
             p_0(poses[i + 1]), p_m1(poses[i]), p_p1(poses[i + 2]),
         ):
             if row:
@@ -374,7 +368,7 @@ def tag(model: TaggerModel, sentence: Sentence) -> TagSequence:
             if scores[k] > best_score:
                 best, best_score = k, scores[k]
         if best < 0:
-            raise ModelError(f"sentence '{sentence.id}', token {i}: no label has a finite score")
+            raise ModelError(f"sentence '{sentence.id}', token {i}: no label scores above -inf")
         labels.append(TIE_ORDER[best])
         prev = best
     return tuple(labels)

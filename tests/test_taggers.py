@@ -224,6 +224,14 @@ def test_tag_without_weights_is_a_model_error():
         tag(TaggerModel(kind=TaggerKind.PERCEPTRON), love_school())
 
 
+def test_tag_with_no_finite_score_is_a_model_error():
+    # Finite weights whose sums overflow to -inf leave no label to choose.
+    row = {label: -1e308 for label in TIE_ORDER}
+    model = TaggerModel(kind=TaggerKind.PERCEPTRON, weights={"w=Great": row, "lw=great": row})
+    with pytest.raises(ModelError, match="token 0"):
+        tag(model, sent("s", ["Great"]))
+
+
 # ---------------------------------------------------------------------------
 # External predictions
 # ---------------------------------------------------------------------------
