@@ -9,6 +9,7 @@ P = R = F1 = 0, never NaN, so macro averages stay total.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence
@@ -151,11 +152,10 @@ def relation_prf(
         raise ValidationError(
             f"{len(gold)} gold instances but {len(pred)} predictions"
         )
-    n = {(True, True): 0, (True, False): 0, (False, True): 0, (False, False): 0}
-    for i, (inst, decision) in enumerate(zip(gold, pred)):
-        if inst.label is None:
-            raise ValidationError(f"instance {i}: gold label missing")
-        n[bool(inst.label), bool(decision)] += 1  # (truth, guess)
+    labels = [inst.label for inst in gold]
+    if None in labels:
+        raise ValidationError(f"instance {labels.index(None)}: gold label missing")
+    n = Counter(zip(map(bool, labels), map(bool, pred)))  # (truth, guess) -> count
     return {
         "positive": PRF.from_counts(n[True, True], n[False, True], n[True, False]),
         "negative": PRF.from_counts(n[False, False], n[True, False], n[False, True]),
