@@ -219,6 +219,20 @@ def test_tag_hand_made_weights_equal_reference_decoder():
         assert tag(model, sentence) == _reference_tag(weights, sentence)
 
 
+def test_tag_adds_previous_label_rows_before_pos_rows():
+    # B-EXP's weights sum to 0.6 in token_features order (t-1, t-1w, p0)
+    # and to 0.6000000000000001 with p0 first, which would tie B-HOLDER.
+    weights = {
+        "w=n": {"B-HOLDER": 0.6000000000000001},
+        "t-1=O": {"B-EXP": 0.3},
+        "t-1w=O|n": {"B-EXP": 0.2},
+        "p0=ADV": {"B-EXP": 0.1},
+    }
+    model = TaggerModel(kind=TaggerKind.PERCEPTRON, weights=weights)
+    sentence = sent("order", ["m", "n"], pos=[None, "ADV"])
+    assert tag(model, sentence) == _reference_tag(weights, sentence) == ("O", "B-HOLDER")
+
+
 def test_tag_without_weights_is_a_model_error():
     with pytest.raises(ModelError):
         tag(TaggerModel(kind=TaggerKind.PERCEPTRON), love_school())
