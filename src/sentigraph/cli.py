@@ -9,7 +9,6 @@ aggregate, evaluate, all driven by a JSON config). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import sys
@@ -489,19 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# A command builds many long-lived objects and almost no reference cycles,
-# so at the default threshold (700) the collector rescans the same objects
-# again and again: about a tenth of ``predict`` + ``evaluate`` time on 2,000
-# sentences. While a command runs, the youngest generation is collected only
-# after this many more allocations than deallocations.
-_GC_THRESHOLD = 100_000
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    thresholds = gc.get_threshold()
-    gc.set_threshold(_GC_THRESHOLD, *thresholds[1:])
     try:
         return args.func(args)
     except InputError as err:
@@ -513,8 +502,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as err:
         print(f"I/O error: {err}", file=sys.stderr)
         return 1
-    finally:
-        gc.set_threshold(*thresholds)
 
 
 if __name__ == "__main__":

@@ -754,12 +754,14 @@ def write_json_object(path: str, obj) -> None:
     """Write ``obj`` as the package's one JSON artifact format: sorted keys,
     indent 2, non-ASCII characters kept, and a final newline.
 
-    For any JSON value whose object keys are strings, the bytes are those of
+    For any JSON value built from dicts with string keys, lists, tuples and
+    scalars of exact type ``str``, ``int``, ``float``, ``bool`` or ``None``,
+    the bytes are those of
     ``json.dump(obj, fh, indent=2, sort_keys=True, ensure_ascii=False)``
-    followed by a newline. ``json.dump`` encodes indented output in pure
-    Python, one generator step per value; this encoder does less per value
-    and writes in chunks of at most ``_WRITE_CHUNK`` pieces, so the document
-    is never held whole in memory.
+    followed by a newline; anything else raises ``TypeError``. ``json.dump``
+    encodes indented output in pure Python, one generator step per value;
+    this encoder does less per value and writes in chunks of at most
+    ``_WRITE_CHUNK`` pieces, so the document is never held whole in memory.
     """
     with open(path, "w", encoding="utf-8") as fh:
         parts: List[str] = []
@@ -778,7 +780,7 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-# The JSON text of a scalar, by exact type; other types go through _encode_json.
+# The JSON text of a scalar, by exact type.
 _LEAF_TEXT = {
     str: encode_basestring,
     int: int.__repr__,
@@ -794,54 +796,39 @@ def _encode_json(value, newline: str, parts: List[str], fh) -> None:
     leaf = _LEAF_TEXT.get(type(value))
     if leaf is not None:
         parts.append(leaf(value))
+        return
+    # An object's items are its (key, value) pairs in key order, and each
+    # value follows its key.
+    is_object = isinstance(value, dict)
+    if is_object:
+        brackets, items = "{}", sorted(value.items())
     elif isinstance(value, (list, tuple)):
-        if not value:
-            parts.append("[]")
-            return
-        inner = newline + "  "
-        comma = "," + inner
-        sep = "[" + inner
-        for item in value:
-            leaf = _LEAF_TEXT.get(type(item))
-            if leaf is not None:
-                parts.append(sep + leaf(item))
-            else:
-                parts.append(sep)
-                _encode_json(item, inner, parts, fh)
-            sep = comma
-            if len(parts) >= _WRITE_CHUNK:
-                fh.write("".join(parts))
-                parts.clear()
-        parts.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        inner = newline + "  "
-        comma = "," + inner
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            leaf = _LEAF_TEXT.get(type(item))
-            if leaf is not None:
-                parts.append(f"{sep}{encode_basestring(key)}: {leaf(item)}")
-            else:
-                parts.append(f"{sep}{encode_basestring(key)}: ")
-                _encode_json(item, inner, parts, fh)
-            sep = comma
-            if len(parts) >= _WRITE_CHUNK:
-                fh.write("".join(parts))
-                parts.clear()
-        parts.append(newline + "}")
-    elif isinstance(value, str):
-        parts.append(encode_basestring(value))
-    elif isinstance(value, int):
-        parts.append(int.__repr__(value))
-    elif isinstance(value, float):
-        parts.append(_float_text(value))
+        brackets, items = "[]", value
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        parts.append(brackets)
+        return
+    inner = newline + "  "
+    comma = "," + inner
+    sep = brackets[0] + inner
+    for item in items:
+        if is_object:
+            key, item = item
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            sep = f"{sep}{encode_basestring(key)}: "
+        leaf = _LEAF_TEXT.get(type(item))
+        if leaf is not None:
+            parts.append(sep + leaf(item))
+        else:
+            parts.append(sep)
+            _encode_json(item, inner, parts, fh)
+        sep = comma
+        if len(parts) >= _WRITE_CHUNK:
+            fh.write("".join(parts))
+            parts.clear()
+    parts.append(newline + brackets[1])
 
 
 def write_json_lines(path: str, rows: Iterable[Mapping]) -> None:

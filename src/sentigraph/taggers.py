@@ -110,8 +110,6 @@ def _word_shape(word: str) -> str:
 WORD_TEMPLATES = ("w", "lw", "suf3", "pre2", "shape", "w-1", "w+1", "w-2", "w+2")
 PREV_TEMPLATES = ("t-1", "t-1w")
 POS_TEMPLATES = ("p0", "p-1", "p+1")
-# The first five word templates read only the token's own text.
-_N_TEXT_TEMPLATES = 5
 
 
 def _text_values(text: str) -> Tuple[str, ...]:
@@ -283,10 +281,6 @@ def train_perceptron(train: Dataset, epochs: int, seed: int) -> TaggerModel:
     return TaggerModel(kind=TaggerKind.PERCEPTRON, weights=averaged)
 
 
-# Distinct token texts whose head sums a compiled model keeps.
-_HEAD_CACHE_SIZE = 1 << 16
-
-
 class _CompiledWeights:
     """A perceptron's averaged weights as 7-slot rows in ``TIE_ORDER``,
     looked up by template and value, so that tag() builds no feature strings.
@@ -295,8 +289,7 @@ class _CompiledWeights:
     ``t-1`` context outside ``_PREV_LABELS``) never matches and is left out.
     A label missing from a feature's weights is 0.0 in its row; adding it
     leaves a score unchanged, so the sums equal those over the weights dicts
-    in token_features order. ``heads`` caches, per token text, the sum of the
-    rows of the five templates that read only that text.
+    in token_features order.
     """
 
     def __init__(self, weights: Mapping[str, Mapping[str, float]]):
@@ -304,7 +297,6 @@ class _CompiledWeights:
         self.pos: List[Dict[str, tuple]] = [{} for _ in POS_TEMPLATES]
         self.prev: List[tuple] = [() for _ in _PREV_LABELS]
         self.prev_word: List[Dict[str, tuple]] = [{} for _ in _PREV_LABELS]
-        self.heads: Dict[str, tuple] = {}
         tables = dict(zip(WORD_TEMPLATES + POS_TEMPLATES, self.word + self.pos))
         contexts = {label: p for p, label in enumerate(_PREV_LABELS)}
         for feat, labels in weights.items():
@@ -321,19 +313,6 @@ class _CompiledWeights:
                 if sep and prev_label in contexts:
                     self.prev_word[contexts[prev_label]][lower] = row
 
-    def head(self, text: str) -> tuple:
-        """The scores of the five templates that read only ``text``, summed from 0.0."""
-        head = self.heads.get(text)
-        if head is None:
-            head = _ZERO_SCORES
-            for table, value in zip(self.word, _text_values(text)):
-                row = table.get(value)
-                if row:
-                    head = tuple(map(add, head, row))
-            if len(self.heads) < _HEAD_CACHE_SIZE:
-                self.heads[text] = head
-        return head
-
 
 def tag(model: TaggerModel, sentence: Sentence) -> TagSequence:
     """One BIO label per token; pure function of (model, sentence)."""
@@ -348,21 +327,28 @@ def tag(model: TaggerModel, sentence: Sentence) -> TagSequence:
     lowers = [tok.text.lower() for tok in tokens]
     words = [_BOS, _BOS] + lowers + [_EOS, _EOS]  # word i at i + 2
     poses = [None] + [tok.pos for tok in tokens] + [None]  # POS i at i + 1
-    w_m1, w_p1, w_m2, w_p2 = (table.get for table in index.word[_N_TEXT_TEMPLATES:])
+    w_0, w_lw, w_suf3, w_pre2, w_shape, w_m1, w_p1, w_m2, w_p2 = (
+        table.get for table in index.word
+    )
     p_0, p_m1, p_p1 = (table.get for table in index.pos)
     labels = []
     prev = _BOS_INDEX
     for i, tok in enumerate(tokens):
-        scores = index.head(tok.text)
-        # The other templates in token_features order; get(None) finds no
-        # row for an absent POS.
+        text, lower, suf3, pre2, shape = _text_values(tok.text)
+        scores = _ZERO_SCORES
+        # The templates in token_features order; get(None) finds no row for
+        # an absent POS. Each row wraps the sum so far in one more lazy map,
+        # and tuple() then adds every label's weights left to right in this
+        # order, without a tuple per row.
         for row in (
+            w_0(text), w_lw(lower), w_suf3(suf3), w_pre2(pre2), w_shape(shape),
             w_m1(words[i + 1]), w_p1(words[i + 3]), w_m2(words[i]), w_p2(words[i + 4]),
             index.prev[prev], index.prev_word[prev].get(lowers[i]),
             p_0(poses[i + 1]), p_m1(poses[i]), p_p1(poses[i + 2]),
         ):
             if row:
-                scores = tuple(map(add, scores, row))
+                scores = map(add, scores, row)
+        scores = tuple(scores)
         best, best_score = -1, -math.inf
         for k in _LEGAL_AFTER[prev]:
             if scores[k] > best_score:

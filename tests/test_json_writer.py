@@ -62,6 +62,13 @@ def test_writer_rejects_what_json_cannot_encode(tmp_path):
     with pytest.raises(TypeError):
         write_json_object(str(tmp_path / "b.json"), {1: "int keys are not written"})
 
+    class Text(str):
+        pass
+
+    # Scalars are written by exact type only; json.dump would accept a subclass.
+    with pytest.raises(TypeError):
+        write_json_object(str(tmp_path / "c.json"), {"a": [Text("subclass")]})
+
 
 def test_writer_streams_a_large_document_in_chunks(tmp_path, monkeypatch):
     value = {"rows": [{"id": f"s{i}", "span": [i, i + 1], "score": i / 7} for i in range(20000)]}
