@@ -12,7 +12,6 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .corpus import (
@@ -253,7 +252,6 @@ def train_logistic(
         ))
 
     w = [0.0] * len(ids)
-    weight = w.__getitem__
     b = 0.0
     rng = random.Random(seed)
     order = list(range(len(examples)))
@@ -261,8 +259,12 @@ def train_logistic(
         rng.shuffle(order)
         for idx in order:
             feat_ids, y, cw = examples[idx]
-            z = b + sum(map(weight, feat_ids))
-            grad = (_sigmoid(z) - y) * cw
+            # A plain loop, not sum(): from Python 3.12 on sum() compensates
+            # float rounding, and the weights must not depend on the version.
+            z = 0.0
+            for i in feat_ids:
+                z += w[i]
+            grad = (_sigmoid(b + z) - y) * cw
             if grad:
                 step = learning_rate * grad
                 for i in feat_ids:
@@ -288,8 +290,11 @@ def classify(
     """
     if model.kind is RelationKind.ALWAYS_TRUE:
         return True, 1.0
-    feats = featurize(sentence, inst, expressions=expressions)
-    score = _sigmoid(model.bias + sum(map(model.weights.get, feats, repeat(0.0))))
+    weights = model.weights
+    z = 0.0  # added left to right, as in train_logistic
+    for feat in featurize(sentence, inst, expressions=expressions):
+        z += weights.get(feat, 0.0)
+    score = _sigmoid(model.bias + z)
     return score > model.threshold, score
 
 

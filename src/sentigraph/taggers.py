@@ -201,6 +201,11 @@ def train_perceptron(train: Dataset, epochs: int, seed: int) -> TaggerModel:
     Every update adds or subtracts 1.0, so weights, scores and totals are
     integers held exactly in floats, and the result does not depend on the
     order of any sum.
+
+    Training stops after the first pass that makes no mistake. The weights
+    no longer change after such a pass, so each remaining pass would only
+    advance the step count; it is advanced by their tokens instead, and the
+    returned model equals the one that all ``epochs`` passes give.
     """
     if not isinstance(epochs, int) or epochs < 0:
         raise ValidationError(f"epochs must be a non-negative integer, got {epochs!r}")
@@ -233,7 +238,8 @@ def train_perceptron(train: Dataset, epochs: int, seed: int) -> TaggerModel:
     step = 0
     rng = random.Random(seed)
     order = list(range(len(data)))
-    for _ in range(epochs):
+    for passes in range(1, epochs + 1):
+        mistakes = 0
         rng.shuffle(order)
         for idx in order:
             steps, gold = data[idx]
@@ -247,6 +253,7 @@ def train_perceptron(train: Dataset, epochs: int, seed: int) -> TaggerModel:
                     scores = list(map(sum, zip(*ws, prev_rows[prev][0], word_row[0])))
                 guess = max(_LEGAL_AFTER[prev], key=scores.__getitem__)
                 if guess != truth:
+                    mistakes += 1
                     if word_row is None:
                         word_row = prev_word_rows[prev][lower] = _new_row()
                     active = static + (prev_rows[prev], word_row)
@@ -260,6 +267,11 @@ def train_perceptron(train: Dataset, epochs: int, seed: int) -> TaggerModel:
                         stamps[guess] = step
                         w[guess] = cur - 1.0
                 prev = guess
+        if not mistakes:
+            # The weights are at a fixed point: every later pass would tag
+            # every sentence the same way and change nothing but ``step``.
+            step += (epochs - passes) * sum(len(steps) for steps, _ in data)
+            break
 
     if not step:
         return TaggerModel(kind=TaggerKind.PERCEPTRON, weights={})

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from sentigraph import Dataset, OpinionTuple, Role, Sentence, Span, Token
+from sentigraph import Dataset, OpinionTuple, Role, Sentence, Span, Token, encode
+from sentigraph.taggers import TIE_ORDER, token_features
 
 ROLES = (Role.HOLDER, Role.TARGET, Role.EXPRESSION)
 
@@ -102,3 +103,65 @@ def random_dataset(rng: random.Random, n_sentences: int, name: str = "rand") -> 
             random_overlap_free_sentence(rng, f"r{k}") for k in range(n_sentences)
         ),
     )
+
+
+def reference_perceptron(
+    train: Dataset, epochs: int, seed: int
+) -> Tuple[Dict[str, Dict[str, float]], List[int]]:
+    """The averaged perceptron written out plainly: every one of ``epochs``
+    passes runs, features are rebuilt at every step and weights are
+    ``{feature: {label: weight}}`` dicts. Returns the averaged weights and
+    the number of mistakes made in each pass."""
+    data = [(s.tokens, encode(s)) for s in train.sentences]
+    weights: Dict[str, Dict[str, float]] = {}
+    totals: Dict[str, Dict[str, float]] = {}
+    stamps: Dict[str, Dict[str, int]] = {}
+    step = 0
+
+    def bump(feat: str, label: str, delta: float) -> None:
+        row = weights.setdefault(feat, {})
+        cur = row.get(label, 0.0)
+        trow = totals.setdefault(feat, {})
+        srow = stamps.setdefault(feat, {})
+        trow[label] = trow.get(label, 0.0) + (step - srow.get(label, 0)) * cur
+        srow[label] = step
+        row[label] = cur + delta
+
+    def legal(label: str, prev: str) -> bool:
+        return not label.startswith("I-") or prev in ("B" + label[1:], label)
+
+    mistakes = []
+    rng = random.Random(seed)
+    order = list(range(len(data)))
+    for _ in range(epochs):
+        mistakes.append(0)
+        rng.shuffle(order)
+        for idx in order:
+            tokens, gold = data[idx]
+            prev = "<s>"
+            for i in range(len(tokens)):
+                step += 1
+                feats = token_features(tokens, i, prev)
+                best, guess = None, None
+                for label in TIE_ORDER:
+                    if legal(label, prev):
+                        score = sum(weights.get(f, {}).get(label, 0.0) for f in feats)
+                        if best is None or score > best:
+                            best, guess = score, label
+                if guess != gold[i]:
+                    mistakes[-1] += 1
+                    for feat in feats:
+                        bump(feat, gold[i], 1.0)
+                        bump(feat, guess, -1.0)
+                prev = guess
+
+    averaged: Dict[str, Dict[str, float]] = {}
+    for feat, row in weights.items():
+        out = {}
+        for label, w in row.items():
+            avg = (totals[feat][label] + (step - stamps[feat][label]) * w) / step
+            if avg:
+                out[label] = avg
+        if out:
+            averaged[feat] = out
+    return averaged, mistakes

@@ -17,7 +17,7 @@ from sentigraph import (
     generate_instances,
     train_logistic,
 )
-from sentigraph.relation import dump_instances, load_model, save_model
+from sentigraph.relation import _sigmoid, dump_instances, load_model, save_model
 from sentigraph.synth import generate_corpus
 
 
@@ -249,6 +249,21 @@ def test_zero_weight_logistic_is_false_at_threshold():
     decision, score = classify(model, s, inst, expressions={span("e", 1, 2)})
     assert score == 0.5
     assert decision is False
+
+
+def test_classify_adds_weights_left_to_right():
+    # Left to right, 1e16 + 1.0 rounds back to 1e16 and the sum is exactly
+    # 0.0; a compensated sum, such as sum() from Python 3.12 on, gives 1.0.
+    s = _pair_sentence()
+    inst = RelationInstance("p", entity=span("t", 0, 1), expression=span("e", 1, 2))
+    expressions = {span("e", 1, 2)}
+    a, b, *_, c = featurize(s, inst, expressions=expressions)
+    bias = 0.25
+    model = RelationModel(
+        kind=RelationKind.LOGISTIC, weights={a: 1e16, b: 1.0, c: -1e16}, bias=bias
+    )
+    _, score = classify(model, s, inst, expressions=expressions)
+    assert score == _sigmoid(bias + 0.0)
 
 
 def test_trained_model_accepts_close_pair():

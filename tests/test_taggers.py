@@ -1,8 +1,9 @@
 import math
+import random
 
 import pytest
 
-from helpers import love_school, opinion, sent, span
+from helpers import love_school, opinion, reference_perceptron, sent, span
 from sentigraph import (
     Dataset,
     ModelError,
@@ -10,11 +11,13 @@ from sentigraph import (
     ValidationError,
     decode,
     encode,
+    filter_overlapping,
     load_external_predictions,
     most_common_tagger,
     pos_chunk_tagger,
     tag,
     train_perceptron,
+    upsample,
 )
 from sentigraph.corpus import FileFormat, save_dataset
 from sentigraph.synth import generate_corpus
@@ -92,6 +95,65 @@ def test_perceptron_empty_dataset_errors():
 def test_perceptron_negative_epochs_errors():
     with pytest.raises(ValidationError):
         train_perceptron(Dataset(name="d", sentences=[love_school()]), epochs=-1, seed=0)
+
+
+def _count_shuffles(monkeypatch):
+    calls = []
+    shuffle = random.Random.shuffle
+
+    def counted(self, x):
+        calls.append(1)
+        return shuffle(self, x)
+
+    monkeypatch.setattr(random.Random, "shuffle", counted)
+    return calls
+
+
+def test_perceptron_stops_early_with_the_weights_of_every_pass(monkeypatch):
+    filtered, _ = filter_overlapping(generate_corpus(160, seed=41, name="train"))
+    corpus = upsample(filtered, seed=3)
+    expected, mistakes = reference_perceptron(corpus, epochs=10, seed=1)
+    assert 0 in mistakes[:-1]
+    shuffles = _count_shuffles(monkeypatch)
+    model = train_perceptron(corpus, epochs=10, seed=1)
+    assert len(shuffles) == mistakes.index(0) + 1
+    assert model.weights == expected
+
+
+def test_perceptron_runs_every_pass_when_no_pass_is_mistake_free(monkeypatch):
+    words = ["Bob", "hates", "rain"]
+    corpus = Dataset(name="conflict", sentences=[
+        sent("as-holder", words, opinions=[
+            opinion(holders=[span("h", 0, 1)], expressions=[span("e", 1, 2)])]),
+        sent("as-target", words, opinions=[
+            opinion(targets=[span("t", 0, 1)], expressions=[span("e", 1, 2)])]),
+    ])
+    expected, mistakes = reference_perceptron(corpus, epochs=6, seed=4)
+    assert all(mistakes)
+    shuffles = _count_shuffles(monkeypatch)
+    model = train_perceptron(corpus, epochs=6, seed=4)
+    assert len(shuffles) == 6
+    assert model.weights == expected
+
+
+def test_perceptron_all_o_corpus_stops_after_one_pass(monkeypatch):
+    corpus = Dataset(name="plain", sentences=[
+        sent("a", ["it", "rains"]), sent("b", ["ok"], pos=["INTJ"])
+    ])
+    expected, mistakes = reference_perceptron(corpus, epochs=5, seed=0)
+    assert mistakes == [0] * 5 and expected == {}
+    shuffles = _count_shuffles(monkeypatch)
+    assert train_perceptron(corpus, epochs=5, seed=0).weights == {}
+    assert len(shuffles) == 1
+
+
+def test_perceptron_first_mistake_free_pass_is_the_last():
+    corpus = generate_corpus(120, seed=21)
+    _, mistakes = reference_perceptron(corpus, epochs=10, seed=1)
+    epochs = mistakes.index(0) + 1
+    assert epochs > 1
+    expected, _ = reference_perceptron(corpus, epochs=epochs, seed=1)
+    assert train_perceptron(corpus, epochs=epochs, seed=1).weights == expected
 
 
 def test_perceptron_fits_training_sentence():
