@@ -20,19 +20,16 @@ from .aggregator import (
 from .corpus import (
     BIO_LABELS,
     Dataset,
-    DistributionStats,
     FileFormat,
     OpinionTuple,
     OverlapPolicy,
     Role,
-    RoleStats,
     Sentence,
     Span,
     Token,
     compute_stats,
     filter_overlapping,
     load_dataset,
-    merge_stats,
     save_dataset,
     upsample,
 )
@@ -53,7 +50,6 @@ from .metrics import (
     Stratum,
     format_report_table,
     graph_f1,
-    macro_average,
     relation_prf,
     stratified_report,
     token_f1,
@@ -85,9 +81,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregationError", "BIO_LABELS", "CodecError", "ConfigError", "DEFAULT_POS_MAP",
-    "Dataset", "DistributionStats", "EvalReport", "FileFormat", "InputError",
+    "Dataset", "EvalReport", "FileFormat", "InputError",
     "ModelError", "OpinionTuple", "OverlapPolicy", "PRF", "ParseError",
-    "RelationInstance", "RelationKind", "RelationModel", "Role", "RoleStats",
+    "RelationInstance", "RelationKind", "RelationModel", "Role",
     "Sentence", "SentigraphError", "SentimentGraph", "Span", "StageError",
     "Stratum", "TagSequence", "TaggerKind", "TaggerModel", "Token",
     "ValidationError", "aggregate", "always_true_model", "classify",
@@ -95,7 +91,7 @@ __all__ = [
     "filter_overlapping", "format_report_table", "generate_instances",
     "gold_graph", "gold_instances", "graph_f1", "graph_from_sentence",
     "graphs_to_dataset", "load_dataset", "load_external_predictions",
-    "macro_average", "merge_stats", "most_common_tagger", "pos_chunk_tagger",
+    "most_common_tagger", "pos_chunk_tagger",
     "relation_prf", "save_dataset",
     "stratified_report", "tag", "token_f1", "train_logistic", "train_perceptron",
     "union_same_role", "upsample", "write_triples",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from . import aggregator, corpus, metrics, relation, taggers
-from .corpus import Dataset, FileFormat, OverlapPolicy, STATS_COLUMNS
+from .corpus import Dataset, FileFormat, OverlapPolicy
 from .errors import ConfigError, InputError, SentigraphError, StageError
 from .metrics import Stratum
 # Not called here; benchmark/test_benchmark.py checks that its tracer restores cli.decode.
@@ -59,7 +59,6 @@ class RelationConfig:
     learning_rate: float = 0.5
     threshold: float = 0.5
     seed: int = 2
-    class_weight: Optional[str] = None
 
     def __post_init__(self):
         self.kind = self.kind.upper()
@@ -68,8 +67,6 @@ class RelationConfig:
         _check("relation.epochs", self.epochs >= 1, "must be >= 1")
         _check("relation.learning_rate", self.learning_rate > 0, "must be > 0")
         _check("relation.threshold", 0.0 < self.threshold < 1.0, "must be in (0, 1)")
-        _check("relation.class_weight", self.class_weight in (None, "balanced"),
-               f"unknown class weight {self.class_weight!r}")
 
 
 @dataclass
@@ -90,9 +87,14 @@ class PipelineConfig:
 
 
 def _present(obj: Mapping, types: Mapping[str, type], where: str) -> dict:
-    """The keys of ``obj`` named in ``types``, each type-checked (``object``
+    """The keys of ``obj``, each named in ``types`` and type-checked (``object``
     takes any value and leaves the check to the config dataclass); absent
-    keys are left out, so the config dataclasses supply their defaults."""
+    keys are left out, so the config dataclasses supply their defaults. A key
+    not in ``types`` is an error, so a misspelt or retired field is not
+    silently ignored."""
+    for key in obj:
+        if key not in types:
+            raise ConfigError(f"config field '{where}{key}': unknown field")
     out = {}
     for key, kind in types.items():
         if key not in obj:
@@ -122,7 +124,6 @@ def load_config(path: str) -> PipelineConfig:
     }, "tagger.")
     rel_obj = _present(top.pop("relation", {}), {
         "kind": str, "epochs": int, "learning_rate": float, "threshold": float, "seed": int,
-        "class_weight": object,
     }, "relation.")
     cfg = PipelineConfig(
         **top, tagger=TaggerConfig(**tagger_obj), relation=RelationConfig(**rel_obj)
@@ -180,7 +181,6 @@ def _train_relation(cfg: RelationConfig, train_ds: Dataset) -> relation.Relation
         epochs=cfg.epochs,
         learning_rate=cfg.learning_rate,
         seed=cfg.seed,
-        class_weight=cfg.class_weight,
     )
     return replace(model, threshold=cfg.threshold)
 
@@ -296,31 +296,24 @@ def run_pipeline(cfg: PipelineConfig) -> Dict[str, str]:
 
 
 def _cmd_stats(args) -> int:
-    rows = []
-    for path in args.datasets:
-        ds = corpus.load_dataset(path, FileFormat.JSON)
-        rows.append((ds.name, corpus.compute_stats(ds)))
-    if len(rows) > 1:
-        rows.append(("pooled", corpus.merge_stats([stats for _, stats in rows])))
-    payload = [{"dataset": name, **stats.to_dict()} for name, stats in rows]
+    datasets = [corpus.load_dataset(path, FileFormat.JSON) for path in args.datasets]
+    payload = [{"dataset": ds.name, **corpus.compute_stats(ds)} for ds in datasets]
+    if len(datasets) > 1:
+        pooled = corpus.compute_stats(sentence for ds in datasets for sentence in ds)
+        payload.append({"dataset": "pooled", **pooled})
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        table = [("dataset",) + STATS_COLUMNS]
-        for name, stats in rows:
-            d = stats.to_dict()
-            table.append(
-                (name,)
-                + tuple(
-                    f"{d[col]:.2f}" if col.endswith("avg_count") else str(d[col])
-                    for col in STATS_COLUMNS
-                )
-            )
+        columns = [key for key in payload[0] if key != "label_group_counts"]
+        table = [columns] + [
+            [f"{row[c]:.2f}" if isinstance(row[c], float) else str(row[c]) for c in columns]
+            for row in payload
+        ]
         print(metrics.format_table(table))
         group_table = [("dataset", "labels_present", "sentences")]
-        for name, stats in rows:
-            for k, v in sorted(stats.label_group_counts.items()):
-                group_table.append((name, str(k), str(v)))
+        for row in payload:
+            for k, v in row["label_group_counts"].items():
+                group_table.append((row["dataset"], k, str(v)))
         print()
         print(metrics.format_table(group_table))
     if args.output_dir:

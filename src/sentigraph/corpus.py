@@ -235,108 +235,39 @@ class Dataset:
         return {s.id: s for s in self.sentences}
 
 
-@dataclass(frozen=True)
-class RoleStats:
-    count: int
-    max_count: int
-    avg_count: float
+def compute_stats(sentences: Iterable[Sentence]) -> dict:
+    """The stats report row of some sentences (a ``Dataset`` iterates over its own).
 
-
-@dataclass(frozen=True)
-class DistributionStats:
-    """Span-count distribution of a dataset.
-
-    ``label_group_counts`` maps the number of distinct role categories
-    present in a sentence (0-3) to the number of such sentences.
+    Keys, in the report's column order: ``total_sentence``; then
+    ``<role>_count``, ``<role>_max_count`` and ``<role>_avg_count`` for the
+    roles ``source``, ``target`` and ``exp``; then ``label_group_counts``,
+    which maps the number of distinct roles present in a sentence (``"0"`` to
+    ``"3"``) to the number of such sentences. Averages are rounded to two
+    decimals, and are 0.0 when there are no sentences. A span duplicated
+    across several opinions of one sentence (same role, same range) is
+    counted once.
     """
-
-    total_sentence: int
-    source: RoleStats
-    target: RoleStats
-    expression: RoleStats
-    label_group_counts: Mapping[int, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "total_sentence": self.total_sentence,
-            "source_count": self.source.count,
-            "source_max_count": self.source.max_count,
-            "source_avg_count": self.source.avg_count,
-            "target_count": self.target.count,
-            "target_max_count": self.target.max_count,
-            "target_avg_count": self.target.avg_count,
-            "exp_count": self.expression.count,
-            "exp_max_count": self.expression.max_count,
-            "exp_avg_count": self.expression.avg_count,
-            "label_group_counts": {str(k): v for k, v in sorted(self.label_group_counts.items())},
-        }
-
-
-# Table-style column order for the stats report.
-STATS_COLUMNS = (
-    "total_sentence",
-    "source_count", "source_max_count", "source_avg_count",
-    "target_count", "target_max_count", "target_avg_count",
-    "exp_count", "exp_max_count", "exp_avg_count",
-)
-
-
-def compute_stats(ds: Dataset) -> DistributionStats:
-    """Count spans per role and group sentences by distinct roles present.
-
-    A span duplicated across several opinions of one sentence (same role,
-    same range) is counted once.
-    """
-    total = len(ds.sentences)
-    role_counts = {role: 0 for role in Role}
-    role_max = {role: 0 for role in Role}
-    groups = {k: 0 for k in range(4)}
-    for sentence in ds.sentences:
+    total = 0
+    counts = {role: 0 for role in Role}
+    maxima = {role: 0 for role in Role}
+    groups = [0, 0, 0, 0]
+    for sentence in sentences:
+        total += 1
         present = 0
         for role in Role:
             n = len(sentence.spans(role))
-            role_counts[role] += n
-            role_max[role] = max(role_max[role], n)
+            counts[role] += n
+            maxima[role] = max(maxima[role], n)
             if n:
                 present += 1
         groups[present] += 1
-
-    def role_stats(role: Role) -> RoleStats:
-        count = role_counts[role]
-        avg = round(count / total, 2) if total else 0.0
-        return RoleStats(count=count, max_count=role_max[role], avg_count=avg)
-
-    return DistributionStats(
-        total_sentence=total,
-        source=role_stats(Role.HOLDER),
-        target=role_stats(Role.TARGET),
-        expression=role_stats(Role.EXPRESSION),
-        label_group_counts=groups,
-    )
-
-
-def merge_stats(stats: Sequence[DistributionStats]) -> DistributionStats:
-    """Pool several per-dataset stats into one (averages recomputed)."""
-    if not stats:
-        raise ValidationError("merge_stats needs at least one stats object")
-    total = sum(s.total_sentence for s in stats)
-
-    def merge_role(parts: Sequence[RoleStats]) -> RoleStats:
-        count = sum(p.count for p in parts)
-        avg = round(count / total, 2) if total else 0.0
-        return RoleStats(count=count, max_count=max(p.max_count for p in parts), avg_count=avg)
-
-    groups = {k: 0 for k in range(4)}
-    for s in stats:
-        for k, v in s.label_group_counts.items():
-            groups[k] = groups.get(k, 0) + v
-    return DistributionStats(
-        total_sentence=total,
-        source=merge_role([s.source for s in stats]),
-        target=merge_role([s.target for s in stats]),
-        expression=merge_role([s.expression for s in stats]),
-        label_group_counts=groups,
-    )
+    row = {"total_sentence": total}
+    for role, name in ((Role.HOLDER, "source"), (Role.TARGET, "target"), (Role.EXPRESSION, "exp")):
+        row[f"{name}_count"] = counts[role]
+        row[f"{name}_max_count"] = maxima[role]
+        row[f"{name}_avg_count"] = round(counts[role] / total, 2) if total else 0.0
+    row["label_group_counts"] = {str(k): v for k, v in enumerate(groups)}
+    return row
 
 
 # ---------------------------------------------------------------------------

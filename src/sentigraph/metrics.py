@@ -1,10 +1,9 @@
 """Evaluation metrics for every pipeline stage.
 
 Token-level F1 per role (with and without collapsing B-/I- prefixes),
-exact-match sentiment-graph F1, per-class relation P/R/F1, stratified
-reports over single- vs multi-target sentences, and macro averaging
-across datasets. The zero-denominator convention throughout is
-P = R = F1 = 0, never NaN, so macro averages stay total.
+exact-match sentiment-graph F1, per-class relation P/R/F1, and stratified
+reports over single- vs multi-target sentences. The zero-denominator
+convention throughout is P = R = F1 = 0, never NaN.
 """
 
 from __future__ import annotations
@@ -260,48 +259,6 @@ def stratified_report(
         token_collapsed=token_collapsed,
         graph=graph,
         relation=rel,
-    )
-
-
-def macro_average(reports: Sequence[EvalReport]) -> EvalReport:
-    """Unweighted mean of every P/R/F1 field; tp/fp/fn counts are summed.
-
-    A section is averaged only if present in every input report.
-    """
-    if not reports:
-        raise ValidationError("macro_average needs at least one report")
-
-    def mean(values: Sequence[float]) -> float:
-        return sum(values) / len(values)
-
-    def avg_prf(parts: Sequence[PRF]) -> PRF:
-        return PRF(
-            precision=mean([p.precision for p in parts]),
-            recall=mean([p.recall for p in parts]),
-            f1=mean([p.f1 for p in parts]),
-            tp=sum(p.tp for p in parts),
-            fp=sum(p.fp for p in parts),
-            fn=sum(p.fn for p in parts),
-        )
-
-    def avg_section(sections, keys):
-        if any(section is None for section in sections):
-            return None
-        return {key: avg_prf([section[key] for section in sections]) for key in keys}
-
-    strata = {r.stratum for r in reports}
-    return EvalReport(
-        dataset="+".join(r.dataset for r in reports),
-        stratum=strata.pop() if len(strata) == 1 else Stratum.ALL,
-        sentence_count=sum(r.sentence_count for r in reports),
-        token=avg_section([r.token for r in reports], list(Role)),
-        token_collapsed=avg_section([r.token_collapsed for r in reports], list(Role)),
-        graph=(
-            None
-            if any(r.graph is None for r in reports)
-            else avg_prf([r.graph for r in reports])
-        ),
-        relation=avg_section([r.relation for r in reports], ["positive", "negative"]),
     )
 
 

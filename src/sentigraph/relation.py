@@ -205,28 +205,23 @@ def train_logistic(
     epochs: int,
     learning_rate: float,
     seed: int,
-    class_weight: Optional[str] = None,
 ) -> RelationModel:
     """Logistic regression on log-loss via seeded-shuffle SGD.
 
-    The natural class distribution is kept by default; pass
-    ``class_weight="balanced"`` to scale each example's gradient by the
-    inverse frequency of its class. Deterministic for fixed inputs.
+    Every example's gradient has the same weight, so the natural class
+    distribution is kept. Deterministic for fixed inputs.
     """
     if not isinstance(epochs, int) or epochs < 1:
         raise ValidationError(f"epochs must be a positive integer, got {epochs!r}")
     if not (learning_rate > 0):
         raise ValidationError(f"learning_rate must be positive, got {learning_rate!r}")
-    if class_weight not in (None, "balanced"):
-        raise ValidationError(f"unknown class_weight {class_weight!r}")
     for inst in instances:
         if inst.label is None:
             raise ValidationError(
                 f"sentence '{inst.sentence_id}': unlabeled instance in training data"
             )
     n_pos = sum(1 for i in instances if i.label)
-    n_neg = len(instances) - n_pos
-    if n_pos == 0 or n_neg == 0:
+    if n_pos in (0, len(instances)):
         raise ValidationError(
             "training instances contain a single class; both positive and negative "
             "examples are required"
@@ -238,9 +233,7 @@ def train_logistic(
         context.setdefault(inst.sentence_id, set()).add(inst.expression)
     # Each example's features as integer ids, in featurize's sorted order.
     ids: Dict[str, int] = {}
-    examples: List[Tuple[List[int], float, float]] = []
-    cw_pos = len(instances) / (2.0 * n_pos) if class_weight == "balanced" else 1.0
-    cw_neg = len(instances) / (2.0 * n_neg) if class_weight == "balanced" else 1.0
+    examples: List[Tuple[List[int], float]] = []
     for inst in instances:
         if inst.sentence_id not in by_id:
             raise ValidationError(f"instance references unknown sentence '{inst.sentence_id}'")
@@ -248,7 +241,6 @@ def train_logistic(
         examples.append((
             [ids.setdefault(f, len(ids)) for f in feats],
             1.0 if inst.label else 0.0,
-            cw_pos if inst.label else cw_neg,
         ))
 
     w = [0.0] * len(ids)
@@ -258,13 +250,13 @@ def train_logistic(
     for _ in range(epochs):
         rng.shuffle(order)
         for idx in order:
-            feat_ids, y, cw = examples[idx]
+            feat_ids, y = examples[idx]
             # A plain loop, not sum(): from Python 3.12 on sum() compensates
             # float rounding, and the weights must not depend on the version.
             z = 0.0
             for i in feat_ids:
                 z += w[i]
-            grad = (_sigmoid(b + z) - y) * cw
+            grad = _sigmoid(b + z) - y
             if grad:
                 step = learning_rate * grad
                 for i in feat_ids:

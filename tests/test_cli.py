@@ -89,6 +89,27 @@ def test_stats_pooled_row(tmp_path, capsys):
     assert payload[2]["total_sentence"] == 2
 
 
+def test_stats_pooled_row_pools_counts(tmp_path, capsys):
+    a = sent("a", ["x", "y"], opinions=[opinion(expressions=[span("e", 0, 1)])])
+    paths = [str(tmp_path / f"{name}.json") for name in ("d1", "d2", "d3")]
+    save_dataset(Dataset(name="d1", sentences=[a]), paths[0])
+    save_dataset(Dataset(name="d2", sentences=[sent("b", ["x"])]), paths[1])
+    save_dataset(generate_corpus(25, seed=82, name="d3"), paths[2])
+    assert main(["--format", "json", "stats", *paths]) == 0
+    *parts, pooled = json.loads(capsys.readouterr().out)
+    assert pooled["dataset"] == "pooled"
+    total = sum(part["total_sentence"] for part in parts)
+    assert pooled["total_sentence"] == total
+    for role in ("source", "target", "exp"):
+        count = sum(part[f"{role}_count"] for part in parts)
+        assert pooled[f"{role}_count"] == count
+        assert pooled[f"{role}_max_count"] == max(part[f"{role}_max_count"] for part in parts)
+        assert pooled[f"{role}_avg_count"] == round(count / total, 2)
+    assert pooled["label_group_counts"] == {
+        k: sum(part["label_group_counts"][k] for part in parts) for k in ("0", "1", "2", "3")
+    }
+
+
 def test_stats_missing_file_exits_2(tmp_path, capsys):
     assert main(["stats", str(tmp_path / "absent.json")]) == 2
     assert "absent.json" in capsys.readouterr().err
@@ -371,8 +392,12 @@ def test_pipeline_invalid_epochs_names_field(tmp_path, capsys, synth_paths):
         ({"tagger": {"kind": "POS_CHUNK", "pos_map": "NOUN"}}, "tagger.pos_map"),
         ({"relation": {"kind": "LOGISTIC", "class_weight": "inverse"}}, "relation.class_weight"),
         ({"relation": {"kind": "LOGISTIC", "threshold": 1.5}}, "relation.threshold"),
+        ({"upsampel": True}, "'upsampel'"),
+        ({"tagger": {"kind": "PERCEPTRON", "epoch": 3}}, "'tagger.epoch'"),
+        ({"relation": {"kind": "LOGISTIC", "threshhold": 0.4}}, "'relation.threshhold'"),
     ],
-    ids=["pos_map_string", "unknown_class_weight", "threshold_above_one"],
+    ids=["pos_map_string", "unknown_class_weight", "threshold_above_one",
+         "unknown_top_level_field", "unknown_tagger_field", "unknown_relation_field"],
 )
 def test_pipeline_invalid_option_named_before_loading_data(tmp_path, capsys, overrides,
                                                            field_name):

@@ -21,7 +21,6 @@ from sentigraph import (
     compute_stats,
     filter_overlapping,
     load_dataset,
-    merge_stats,
     save_dataset,
     upsample,
 )
@@ -320,18 +319,18 @@ def test_stats_synthetic_target_counts():
         ],
     )
     stats = compute_stats(Dataset(name="d", sentences=[a, b]))
-    assert stats.target.count == 4
-    assert stats.target.max_count == 3
-    assert stats.target.avg_count == 2.0
-    assert stats.source.count == 0
-    assert stats.label_group_counts == {0: 0, 1: 0, 2: 2, 3: 0}
+    assert stats["target_count"] == 4
+    assert stats["target_max_count"] == 3
+    assert stats["target_avg_count"] == 2.0
+    assert stats["source_count"] == 0
+    assert stats["label_group_counts"] == {"0": 0, "1": 0, "2": 2, "3": 0}
 
 
 def test_stats_empty_dataset():
     stats = compute_stats(Dataset(name="void"))
-    assert stats.total_sentence == 0
-    assert stats.source.count == 0 and stats.source.avg_count == 0.0
-    assert sum(stats.label_group_counts.values()) == 0
+    assert stats["total_sentence"] == 0
+    assert stats["source_count"] == 0 and stats["source_avg_count"] == 0.0
+    assert sum(stats["label_group_counts"].values()) == 0
 
 
 def test_stats_duplicate_span_counted_once():
@@ -345,29 +344,17 @@ def test_stats_duplicate_span_counted_once():
         ],
     )
     stats = compute_stats(Dataset(name="d", sentences=[s]))
-    assert stats.expression.count == 1
-    assert stats.target.count == 2
+    assert stats["exp_count"] == 1
+    assert stats["target_count"] == 2
 
 
 def test_stats_avg_consistency_on_random_data():
     for seed in range(10):
         ds = random_dataset(random.Random(seed), 25)
         stats = compute_stats(ds)
-        for role_stats in (stats.source, stats.target, stats.expression):
-            assert role_stats.avg_count == round(role_stats.count / len(ds), 2)
-        assert sum(stats.label_group_counts.values()) == len(ds)
-
-
-def test_merge_stats_pools_counts():
-    a = sent("a", ["x", "y"], opinions=[opinion(expressions=[span("e", 0, 1)])])
-    b = sent("b", ["x"])
-    s1 = compute_stats(Dataset(name="d1", sentences=[a]))
-    s2 = compute_stats(Dataset(name="d2", sentences=[b]))
-    merged = merge_stats([s1, s2])
-    assert merged.total_sentence == 2
-    assert merged.expression.count == 1
-    assert merged.expression.avg_count == 0.5
-    assert merged.label_group_counts[0] == 1 and merged.label_group_counts[1] == 1
+        for role in ("source", "target", "exp"):
+            assert stats[f"{role}_avg_count"] == round(stats[f"{role}_count"] / len(ds), 2)
+        assert sum(stats["label_group_counts"].values()) == len(ds)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,7 @@ import pytest
 from helpers import love_school, opinion, sent, span
 from sentigraph import (
     Dataset,
-    EvalReport,
     OpinionTuple,
-    PRF,
     Role,
     SentimentGraph,
     Stratum,
@@ -16,7 +14,6 @@ from sentigraph import (
     format_report_table,
     gold_graph,
     graph_f1,
-    macro_average,
     relation_prf,
     stratified_report,
     token_f1,
@@ -291,49 +288,6 @@ def test_stratified_missing_prediction_names_sentence():
     with pytest.raises(ValidationError) as err:
         stratified_report(ds, tags, graphs, stratum=Stratum.ALL)
     assert "two" in str(err.value)
-
-
-# ---------------------------------------------------------------------------
-# macro_average
-# ---------------------------------------------------------------------------
-
-
-def _report(name, target_f1):
-    prf = {role: PRF.from_counts(1, 0, 0) for role in Role}
-    prf[Role.TARGET] = PRF(precision=target_f1, recall=target_f1, f1=target_f1, tp=1, fp=0, fn=0)
-    return EvalReport(
-        dataset=name,
-        stratum=Stratum.ALL,
-        sentence_count=5,
-        token=prf,
-        token_collapsed=prf,
-        graph=PRF.from_counts(2, 1, 1),
-        relation={"positive": PRF.from_counts(1, 0, 0), "negative": PRF.from_counts(0, 0, 0)},
-    )
-
-
-def test_macro_average_single_report_is_identity():
-    report = _report("only", 0.8)
-    assert macro_average([report]) == report
-
-
-def test_macro_average_means_f1():
-    merged = macro_average([_report("a", 0.8), _report("b", 0.9)])
-    assert merged.token[Role.TARGET].f1 == pytest.approx(0.85)
-    assert merged.token[Role.TARGET].tp == 2
-    assert merged.dataset == "a+b"
-    assert merged.sentence_count == 10
-
-
-def test_macro_average_three_reports_matches_recompute():
-    values = [0.3, 0.6, 0.9]
-    merged = macro_average([_report(f"d{i}", v) for i, v in enumerate(values)])
-    assert merged.token[Role.TARGET].f1 == pytest.approx(sum(values) / 3)
-
-
-def test_macro_average_empty_errors():
-    with pytest.raises(ValidationError):
-        macro_average([])
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,15 @@ training and test splits each hold one sentence with a cross-role overlap,
 so the overlap filter takes part. The digests were computed before the
 stage-1 to 3 code paths were merged into one; any refactor of the
 pipeline must write the same bytes.
+
+``stats`` over two generated datasets (so the pooled row takes part) is
+pinned the same way: its text and JSON stdout and its ``stats.json``. Those
+digests were computed before the stats report was cut down to one function.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
@@ -39,6 +45,11 @@ PREDICT_EXTERNAL = {
     "triples.jsonl": "6bcffbbc8504620124a2d944ccb698555e6b64d94a1da85e5798112b6166e9d7",
 }
 EVALUATE = {"report.json": "84125f5827e62a946ff4feca09632c517fef7cef7b702614d69f0cf946aad7ef"}
+STATS = {
+    "stdout_text": "316d3abacdb67c49aa11e7dbefe588f40b2283e3ba86a6919bdac3f4f72bd52a",
+    "stdout_json": "b7111a1d128559fdcaf4d4a45532efae0383520dc67fa7ae62004c1363ca85ba",
+    "stats.json": "b7111a1d128559fdcaf4d4a45532efae0383520dc67fa7ae62004c1363ca85ba",
+}
 
 
 def _clash(sent_id: str):
@@ -102,3 +113,26 @@ def test_predict_external_conll_is_pinned(runs):
 
 def test_evaluate_strata_output_is_pinned(runs):
     assert _digests(runs / "eval", EVALUATE) == EVALUATE
+
+
+@pytest.fixture(scope="module")
+def stats_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("stats-digests")
+    paths = [str(root / "first.json"), str(root / "second.json")]
+    save_dataset(generate_corpus(60, seed=81, name="first"), paths[0])
+    save_dataset(generate_corpus(25, seed=82, name="second"), paths[1])
+    out = {}
+    for key, argv in (
+        ("stdout_text", ["stats"]),
+        ("stdout_json", ["--format", "json", "--output-dir", str(root / "out"), "stats"]),
+    ):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv + paths) == 0
+        out[key] = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    out.update(_digests(root / "out", ["stats.json"]))
+    return out
+
+
+def test_stats_output_is_pinned(stats_run):
+    assert stats_run == STATS
