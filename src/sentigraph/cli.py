@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from . import aggregator, corpus, metrics, relation, taggers
 from .corpus import Dataset, FileFormat, OverlapPolicy
-from .errors import ConfigError, InputError, SentigraphError, StageError
+from .errors import ConfigError, InputError, SentigraphError, ValidationError
 from .metrics import Stratum
 # Not called here; benchmark/test_benchmark.py checks that its tracer restores cli.decode.
 from .span_codec import decode  # noqa: F401
@@ -139,15 +139,6 @@ def load_config(path: str) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 
 
-def _stage(name: str, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except InputError:
-        raise
-    except SentigraphError as err:
-        raise StageError(f"stage '{name}': {err}") from err
-
-
 def _filter_overlaps(ds: Dataset, policy: str, what: str) -> Dataset:
     """Apply an overlap policy by name (``none`` keeps ``ds``); list affected ids on stderr."""
     if policy.lower() == "none":
@@ -242,15 +233,15 @@ def _report_payload(reports: Sequence[metrics.EvalReport]) -> dict:
 
 def run_pipeline(cfg: PipelineConfig) -> Dict[str, str]:
     """Execute the full pipeline; returns the artifact paths that were written."""
-    train_ds = _stage("load-train", corpus.load_dataset, cfg.train, FileFormat.JSON)
-    test_ds = _stage("load-test", corpus.load_dataset, cfg.test, FileFormat.JSON)
+    train_ds = corpus.load_dataset(cfg.train, FileFormat.JSON)
+    test_ds = corpus.load_dataset(cfg.test, FileFormat.JSON)
     train_f = _filter_overlaps(train_ds, cfg.overlap_policy, "training sentence(s)")
     test_f = _filter_overlaps(test_ds, cfg.overlap_policy, "test sentence(s)")
     if cfg.upsample:
-        train_f = _stage("upsample", corpus.upsample, train_f, cfg.upsample_seed)
+        train_f = corpus.upsample(train_f, cfg.upsample_seed)
 
-    tagger_model = _stage("train-tagger", _train_tagger, cfg.tagger, train_f)
-    relation_model = _stage("train-relation", _train_relation, cfg.relation, train_f)
+    tagger_model = _train_tagger(cfg.tagger, train_f)
+    relation_model = _train_relation(cfg.relation, train_f)
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     paths = {
@@ -262,10 +253,10 @@ def run_pipeline(cfg: PipelineConfig) -> Dict[str, str]:
     taggers.save_model(tagger_model, paths["tagger_model"])
     relation.save_model(relation_model, paths["relation_model"])
 
-    tags, graphs, rows = _stage("predict", _predict, test_f, tagger_model, relation_model)
+    tags, graphs, rows = _predict(test_f, tagger_model, relation_model)
     paths.update(_write_predictions(cfg.output_dir, test_f, tags, graphs, rows))
 
-    reports = _stage("evaluate", _reports, test_f, tags, graphs, True)
+    reports = _reports(test_f, tags, graphs, True)
     corpus.write_json_object(paths["report"], _report_payload(reports))
     table = metrics.format_report_table(reports)
     with open(paths["report_txt"], "w", encoding="utf-8") as fh:
@@ -273,19 +264,17 @@ def run_pipeline(cfg: PipelineConfig) -> Dict[str, str]:
     print(table)
 
     if cfg.dev is not None:
-        dev_ds = _stage("load-dev", corpus.load_dataset, cfg.dev, FileFormat.JSON)
+        dev_ds = corpus.load_dataset(cfg.dev, FileFormat.JSON)
         dev_f = _filter_overlaps(dev_ds, cfg.overlap_policy, "dev sentence(s)")
         paths["dev_predictions_conll"] = os.path.join(cfg.output_dir, "dev_predictions.conll")
         paths["dev_graphs"] = os.path.join(cfg.output_dir, "dev_graphs.json")
         paths["dev_report"] = os.path.join(cfg.output_dir, "dev_report.json")
-        dev_tags, dev_graphs, _rows = _stage(
-            "predict-dev", _predict, dev_f, tagger_model, relation_model
-        )
+        dev_tags, dev_graphs, _rows = _predict(dev_f, tagger_model, relation_model)
         taggers.save_predictions_conll(paths["dev_predictions_conll"], dev_f, dev_tags)
         corpus.save_dataset(
             aggregator.graphs_to_dataset(dev_f, dev_graphs), paths["dev_graphs"]
         )
-        dev_reports = _stage("evaluate-dev", _reports, dev_f, dev_tags, dev_graphs, True)
+        dev_reports = _reports(dev_f, dev_tags, dev_graphs, True)
         corpus.write_json_object(paths["dev_report"], _report_payload(dev_reports))
     return paths
 
@@ -346,13 +335,13 @@ def _cmd_train(args) -> int:
     cfg = config(**{key: value for key, value in given.items() if value is not None})
     ds = corpus.load_dataset(args.train, FileFormat.JSON)
     ds = _filter_overlaps(ds, args.overlap_policy, "sentence(s)")
-    save(_stage(f"train-{args.stage}", train, cfg, ds), args.out)
+    save(train(cfg, ds), args.out)
     return 0
 
 
 def _cmd_predict(args) -> int:
-    if not args.tagger_model and not args.external_conll:
-        raise ConfigError("predict needs --tagger-model or --external-conll")
+    if bool(args.tagger_model) == bool(args.external_conll):
+        raise ConfigError("predict needs exactly one of --tagger-model and --external-conll")
     ds = corpus.load_dataset(args.data, FileFormat.JSON)
     tagger_model = external = None
     if args.external_conll:
@@ -366,19 +355,22 @@ def _cmd_predict(args) -> int:
     )
     out_dir = args.output_dir or "."
     os.makedirs(out_dir, exist_ok=True)
-    tags, graphs, rows = _stage(
-        "predict", _predict, ds, tagger_model, relation_model, external
-    )
+    tags, graphs, rows = _predict(ds, tagger_model, relation_model, external)
     _write_predictions(out_dir, ds, tags, graphs, rows)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    ds = corpus.load_dataset(args.gold, FileFormat.JSON)
-    ds = _filter_overlaps(ds, args.overlap_policy, "gold sentence(s)")
+    gold = corpus.load_dataset(args.gold, FileFormat.JSON)
+    ds = _filter_overlaps(gold, args.overlap_policy, "gold sentence(s)")
     tags = graphs = None
     if args.pred_conll:
-        tags = taggers.load_external_predictions(args.pred_conll, ds)
+        # predict tags every gold sentence, pipeline only those the overlap
+        # filter keeps; both files are scored on the kept ones.
+        try:
+            tags = taggers.load_external_predictions(args.pred_conll, gold)
+        except ValidationError:
+            tags = taggers.load_external_predictions(args.pred_conll, ds)
     if args.pred_graphs:
         pred_ds = corpus.load_dataset(args.pred_graphs, FileFormat.JSON)
         by_id = pred_ds.by_id()
@@ -389,7 +381,7 @@ def _cmd_evaluate(args) -> int:
             graphs[sentence.id] = aggregator.graph_from_sentence(by_id[sentence.id])
     if tags is None and graphs is None:
         raise ConfigError("evaluate needs --pred-conll and/or --pred-graphs")
-    reports = _stage("evaluate", _reports, ds, tags, graphs, args.strata)
+    reports = _reports(ds, tags, graphs, args.strata)
     payload = _report_payload(reports)
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))

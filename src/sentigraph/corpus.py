@@ -190,14 +190,18 @@ class Sentence:
                     f"sentence '{self.id}', token {i}: text[{tok.char_start}:{tok.char_end}] "
                     f"is {covered!r}, not the token text {tok.text!r}"
                 )
-        n = len(self.tokens)
         for opinion in self.opinions:
-            for span in opinion.spans():
-                if span.end > n:
-                    raise ValidationError(
-                        f"sentence '{self.id}': span [{span.start}, {span.end}) "
-                        f"exceeds token count {n}"
-                    )
+            self.check_spans(opinion.spans())
+
+    def check_spans(self, spans: Iterable[Span]) -> None:
+        """Raise ``ValidationError`` for the first span that runs past the last token."""
+        n = len(self.tokens)
+        for span in spans:
+            if span.end > n:
+                raise ValidationError(
+                    f"sentence '{self.id}': span [{span.start}, {span.end}) "
+                    f"exceeds token count {n}"
+                )
 
     def spans(self, role: Optional[Role] = None) -> set:
         """Distinct spans across all opinions, optionally filtered by role."""
@@ -284,25 +288,6 @@ def _has_cross_role_overlap(sentence: Sentence) -> bool:
     return False
 
 
-def _longest_run(indices: Iterable[int]) -> Optional[Tuple[int, int]]:
-    """Longest contiguous run as a half-open range; leftmost wins ties."""
-    ordered = sorted(indices)
-    if not ordered:
-        return None
-    best = (ordered[0], ordered[0] + 1)
-    start = ordered[0]
-    prev = ordered[0]
-    for idx in ordered[1:]:
-        if idx != prev + 1:
-            if prev + 1 - start > best[1] - best[0]:
-                best = (start, prev + 1)
-            start = idx
-        prev = idx
-    if prev + 1 - start > best[1] - best[0]:
-        best = (start, prev + 1)
-    return best
-
-
 def filter_overlapping(
     ds: Dataset, policy: OverlapPolicy = OverlapPolicy.DROP_SENTENCE
 ) -> Tuple[Dataset, List[str]]:
@@ -328,22 +313,26 @@ def filter_overlapping(
 
 
 def _truncate_sentence(sentence: Sentence) -> Sentence:
-    exp_idx = set()
+    blocked = set()  # tokens of the expressions, then also of the kept targets
+
+    def truncate(span: Span) -> Optional[Span]:
+        """The longest run of unblocked tokens in ``span`` (leftmost on ties), or None."""
+        best_start, best_len = span.start, 0
+        run_start = span.start
+        for i in range(span.start, span.end + 1):
+            if i == span.end or i in blocked:
+                if i - run_start > best_len:
+                    best_start, best_len = run_start, i - run_start
+                run_start = i + 1
+        return Span(span.role, best_start, best_start + best_len) if best_len else None
+
     for span in sentence.spans(Role.EXPRESSION):
-        exp_idx |= set(range(span.start, span.end))
-
-    def truncate(span: Span, blocked: set) -> Optional[Span]:
-        run = _longest_run(set(range(span.start, span.end)) - blocked)
-        if run is None:
-            return None
-        return Span(span.role, run[0], run[1])
-
-    target_map = {t: truncate(t, exp_idx) for t in sentence.spans(Role.TARGET)}
-    blocked = set(exp_idx)
+        blocked.update(range(span.start, span.end))
+    target_map = {t: truncate(t) for t in sentence.spans(Role.TARGET)}
     for new in target_map.values():
         if new is not None:
-            blocked |= set(range(new.start, new.end))
-    holder_map = {h: truncate(h, blocked) for h in sentence.spans(Role.HOLDER)}
+            blocked.update(range(new.start, new.end))
+    holder_map = {h: truncate(h) for h in sentence.spans(Role.HOLDER)}
 
     opinions = []
     for opinion in sentence.opinions:
@@ -376,6 +365,8 @@ def upsample(ds: Dataset, seed: int) -> Dataset:
     target_size = max(len(g) for g in groups.values())
     rng = random.Random(seed)
     used_ids = {s.id for s in ds.sentences}
+    # The last k given to each original: the search for a free id resumes
+    # there, since restarting at 1 takes time quadratic in its duplicates.
     dup_counter: dict = {}
     duplicates: List[Sentence] = []
     for key in sorted(groups):
@@ -542,15 +533,18 @@ _SENT_ID_RE = re.compile(r"#\s*sent_id\s*=\s*(.+?)\s*$")
 ConllBlock = Tuple[str, List[Tuple[str, Optional[str], str]]]
 
 
-def write_conll_blocks(path: str, blocks: Iterable[ConllBlock]) -> None:
+def write_conll(path: str, labelled: Iterable[Tuple[Sentence, Sequence[str]]]) -> None:
+    """Write each sentence as a CoNLL block, with one label per token."""
     with open(path, "w", encoding="utf-8") as fh:
-        for sent_id, rows in blocks:
+        for sentence, labels in labelled:
+            sent_id = sentence.id
             if "\n" in sent_id or "\t" in sent_id:
                 raise ValidationError(
                     f"sentence id {sent_id!r} contains characters not representable in CoNLL"
                 )
             fh.write(f"# sent_id = {sent_id}\n")
-            for i, (text, pos, label) in enumerate(rows):
+            for i, (tok, label) in enumerate(zip(sentence.tokens, labels)):
+                text, pos = tok.text, tok.pos
                 for value in (text, pos or ""):
                     if "\t" in value or "\n" in value:
                         raise ValidationError(
@@ -802,11 +796,4 @@ def save_dataset(ds: Dataset, path: str, fmt: FileFormat = FileFormat.JSON) -> N
         return
     from .span_codec import encode
 
-    blocks = []
-    for sentence in ds.sentences:
-        labels = encode(sentence)
-        rows = [
-            (tok.text, tok.pos, label) for tok, label in zip(sentence.tokens, labels)
-        ]
-        blocks.append((sentence.id, rows))
-    write_conll_blocks(path, blocks)
+    write_conll(path, [(sentence, encode(sentence)) for sentence in ds.sentences])

@@ -96,15 +96,9 @@ def generate_instances(
     contains both its entity span (among holders or targets) and its
     expression span, by exact range match; otherwise labels are None.
     """
-    n = len(sentence.tokens)
     entities = sorted(set(entity_spans), key=Span.sort_key)
     expressions = sorted(set(expression_spans), key=Span.sort_key)
-    for span in entities + expressions:
-        if span.end > n:
-            raise ValidationError(
-                f"sentence '{sentence.id}': span [{span.start}, {span.end}) exceeds "
-                f"token count {n}"
-            )
+    sentence.check_spans(entities + expressions)
     linked = None if gold is None else linked_pairs(gold)
     instances = []
     for entity in entities:
@@ -156,14 +150,8 @@ def featurize(
     sentence (gold spans at training time, decoded spans at inference); it
     feeds the between-span expression count.
     """
-    n = len(sentence.tokens)
-    for span in (inst.entity, inst.expression):
-        if span.end > n:
-            raise ValidationError(
-                f"sentence '{sentence.id}': span [{span.start}, {span.end}) exceeds "
-                f"token count {n}"
-            )
     ent, exp = inst.entity, inst.expression
+    sentence.check_spans((ent, exp))
     first, second = (ent, exp) if ent.sort_key() <= exp.sort_key() else (exp, ent)
     gap = max(second.start - first.end, 0)
     tokens = sentence.tokens

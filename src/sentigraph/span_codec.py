@@ -54,22 +54,19 @@ def encode(sentence: Sentence) -> TagSequence:
     Raises CodecError on a cross-role token overlap, naming the token and
     the two roles involved.
     """
-    merged = union_same_role(sentence.spans())
-    owner: Dict[int, Span] = {}
-    for span in sorted(merged, key=Span.sort_key):
+    labels = ["O"] * len(sentence.tokens)
+    # Unioned spans of one role share no token, so a token that already has
+    # a label belongs to a span of another role.
+    for span in sorted(union_same_role(sentence.spans()), key=Span.sort_key):
+        label, inside = bio_label("B", span.role), bio_label("I", span.role)
         for i in range(span.start, span.end):
-            if i in owner:
+            if labels[i] != "O":
                 raise CodecError(
                     f"sentence '{sentence.id}': cross-role overlap at token {i} "
-                    f"({owner[i].role.value} vs {span.role.value})"
+                    f"({label_role(labels[i]).value} vs {span.role.value})"
                 )
-            owner[i] = span
-    labels = ["O"] * len(sentence.tokens)
-    for span in merged:
-        labels[span.start] = bio_label("B", span.role)
-        inside = bio_label("I", span.role)
-        for i in range(span.start + 1, span.end):
-            labels[i] = inside
+            labels[i] = label
+            label = inside
     return tuple(labels)
 
 

@@ -24,7 +24,7 @@ from .corpus import (
     label_role,
     read_conll_blocks,
     read_json_object,
-    write_conll_blocks,
+    write_conll,
     write_json_object,
 )
 from .errors import ModelError, ParseError, ValidationError
@@ -179,9 +179,10 @@ _LEGAL_AFTER = tuple(
 
 
 def _new_row() -> tuple:
-    # (weights, lazy-average totals, stamps), one slot per label in TIE_ORDER
+    # (weights, update sums), one slot per label in TIE_ORDER; an update of
+    # d at step s adds d to the weight and s * d to the update sum
     n = len(TIE_ORDER)
-    return ([0.0] * n, [0.0] * n, [0] * n)
+    return ([0.0] * n, [0.0] * n)
 
 
 def train_perceptron(train: Dataset, epochs: int, seed: int) -> TaggerModel:
@@ -189,18 +190,19 @@ def train_perceptron(train: Dataset, epochs: int, seed: int) -> TaggerModel:
 
     Greedy left-to-right training with the decode-time legality constraint,
     using the model's own previous prediction as label context. The returned
-    weights are the average of the weight vector over every token step,
-    computed with the usual lazy accumulator trick. Deterministic for a
-    fixed (dataset, epochs, seed).
+    weights are the average of the weight vector over every token step.
+    Deterministic for a fixed (dataset, epochs, seed).
 
-    Each feature's weights, lazy-average totals and stamps are 7-slot lists
-    in ``TIE_ORDER``, held in one row per feature. The templates that do not
-    depend on the previous label are built once per distinct ``tokens``
-    tuple (up-sampled duplicates share theirs), and each token keeps
-    references to its rows, so a step looks up only the two ``t-1`` rows.
-    Every update adds or subtracts 1.0, so weights, scores and totals are
-    integers held exactly in floats, and the result does not depend on the
-    order of any sum.
+    Each feature's weights and update sums are 7-slot lists in ``TIE_ORDER``,
+    held in one row per feature. An update of d at step s adds d to a weight
+    and s * d to its update sum u, so after N steps the weight w has summed
+    to N * w - u over the steps, and the average is (N * w - u) / N. The
+    templates that do not depend on the previous label are built once per
+    distinct ``tokens`` tuple (up-sampled duplicates share theirs), and each
+    token keeps references to its rows, so a step looks up only the two
+    ``t-1`` rows. Every update adds or subtracts 1.0, so weights, scores and
+    update sums are integers held exactly in floats, and the result does
+    not depend on the order of any sum.
 
     Training stops after the first pass that makes no mistake. The weights
     no longer change after such a pass, so each remaining pass would only
@@ -257,15 +259,11 @@ def train_perceptron(train: Dataset, epochs: int, seed: int) -> TaggerModel:
                     if word_row is None:
                         word_row = prev_word_rows[prev][lower] = _new_row()
                     active = static + (prev_rows[prev], word_row)
-                    for w, totals, stamps in active:
-                        cur = w[truth]
-                        totals[truth] += (step - stamps[truth]) * cur
-                        stamps[truth] = step
-                        w[truth] = cur + 1.0
-                        cur = w[guess]
-                        totals[guess] += (step - stamps[guess]) * cur
-                        stamps[guess] = step
-                        w[guess] = cur - 1.0
+                    for w, u in active:
+                        w[truth] += 1.0
+                        u[truth] += step
+                        w[guess] -= 1.0
+                        u[guess] -= step
                 prev = guess
         if not mistakes:
             # The weights are at a fixed point: every later pass would tag
@@ -282,10 +280,10 @@ def train_perceptron(train: Dataset, epochs: int, seed: int) -> TaggerModel:
             (_prev_features(prev_label, lower)[1], row) for lower, row in prev_word_rows[p].items()
         )
     averaged: Dict[str, Dict[str, float]] = {}
-    for feat, (w, totals, stamps) in named:
+    for feat, (w, u) in named:
         out = {}
         for k, label in enumerate(TIE_ORDER):
-            avg = (totals[k] + (step - stamps[k]) * w[k]) / step
+            avg = (w[k] * step - u[k]) / step
             if avg:
                 out[label] = avg
         if out:
@@ -421,14 +419,14 @@ def save_predictions_conll(
     path: str, ds: Dataset, tags: Mapping[str, Sequence[str]]
 ) -> None:
     """Write predicted tag sequences for a dataset in CoNLL format."""
-    blocks = []
+    labelled = []
     for sentence in ds.sentences:
         if sentence.id not in tags:
             raise ValidationError(f"no predicted tags for sentence '{sentence.id}'")
-        labels = validate_tags(tags[sentence.id], n_tokens=len(sentence.tokens))
-        rows = [(tok.text, tok.pos, label) for tok, label in zip(sentence.tokens, labels)]
-        blocks.append((sentence.id, rows))
-    write_conll_blocks(path, blocks)
+        labelled.append(
+            (sentence, validate_tags(tags[sentence.id], n_tokens=len(sentence.tokens)))
+        )
+    write_conll(path, labelled)
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,56 @@ def test_predict_requires_model(synth_paths, capsys):
     assert main(["predict", "--data", test_path]) == 2
 
 
+def test_predict_rejects_tagger_model_with_external_conll(tmp_path, capsys, synth_paths):
+    _, test_path = synth_paths
+    conll = tmp_path / "echo.conll"
+    save_dataset(load_dataset(test_path), str(conll), FileFormat.CONLL)
+    out_dir = tmp_path / "preds"
+    rc = main(["--output-dir", str(out_dir), "predict", "--data", test_path,
+               "--tagger-model", str(tmp_path / "nonexistent.json"),
+               "--external-conll", str(conll)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--tagger-model" in err and "--external-conll" in err
+    assert not out_dir.exists()
+
+
+def test_evaluate_scores_predict_and_pipeline_conll_when_gold_has_overlap(tmp_path, capsys):
+    # The default overlap policy drops "clash" from the gold set. predict
+    # tags every gold sentence and pipeline only the kept ones; evaluate
+    # accepts both files, and still rejects a sentence the gold file lacks.
+    clash = sent(
+        "clash", ["w0", "w1", "w2"],
+        opinions=[opinion(targets=[span("t", 0, 2)], expressions=[span("e", 1, 3)])],
+    )
+    kept = generate_corpus(12, seed=7, name="gold")
+    gold = tmp_path / "gold.json"
+    save_dataset(Dataset(name="gold", sentences=kept.sentences + (clash,)), str(gold))
+    tagger = tmp_path / "tagger.json"
+    tagger.write_text('{"kind": "MOST_COMMON"}', encoding="utf-8")
+    out_dir = tmp_path / "preds"
+    assert main(["--output-dir", str(out_dir), "predict", "--data", str(gold),
+                 "--tagger-model", str(tagger)]) == 0
+    predicted = out_dir / "predictions.conll"
+    assert "# sent_id = clash" in predicted.read_text(encoding="utf-8")
+    assert main(["evaluate", "--gold", str(gold), "--pred-conll", str(predicted),
+                 "--pred-graphs", str(out_dir / "graphs.json")]) == 0
+    capsys.readouterr()
+
+    only_kept = tmp_path / "kept.conll"
+    save_dataset(kept, str(only_kept), FileFormat.CONLL)
+    assert main(["--format", "json", "evaluate", "--gold", str(gold),
+                 "--pred-conll", str(only_kept)]) == 0
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert report["token"]["target"]["f1"] == 1.0
+
+    ghost = tmp_path / "ghost.conll"
+    ghost.write_text(predicted.read_text(encoding="utf-8") + "# sent_id = ghost\n1\tb\t_\tO\n\n",
+                     encoding="utf-8")
+    assert main(["evaluate", "--gold", str(gold), "--pred-conll", str(ghost)]) == 2
+    assert "ghost" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "content",
     [

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -456,6 +457,75 @@ def test_filter_output_has_no_collisions(policy):
             assert not _cross_role_collision(out)
 
 
+def _brute_truncate(sp, blocked):
+    """The longest range inside ``sp`` free of ``blocked`` tokens, leftmost
+    on ties, found by trying every sub-range; None if every token is blocked."""
+    free = [
+        (a, b)
+        for a in range(sp.start, sp.end)
+        for b in range(a + 1, sp.end + 1)
+        if not blocked & set(range(a, b))
+    ]
+    if not free:
+        return None
+    a, b = max(free, key=lambda r: (r[1] - r[0], -r[0]))
+    return Span(sp.role, a, b)
+
+
+def _brute_priority_keep(sentence):
+    """PRIORITY_KEEP written from its definition: targets yield to
+    expressions, then holders yield to expressions and the kept targets."""
+    def tokens(spans):
+        return {i for sp in spans for i in range(sp.start, sp.end)}
+
+    blocked = tokens(sentence.spans(Role.EXPRESSION))
+    targets = {t: _brute_truncate(t, blocked) for t in sentence.spans(Role.TARGET)}
+    blocked |= tokens(t for t in targets.values() if t is not None)
+    holders = {h: _brute_truncate(h, blocked) for h in sentence.spans(Role.HOLDER)}
+    opinions = [
+        OpinionTuple(
+            holders={holders[h] for h in o.holders} - {None},
+            targets={targets[t] for t in o.targets} - {None},
+            expressions=o.expressions,
+            polarity=o.polarity,
+        )
+        for o in sentence.opinions
+    ]
+    return replace(sentence, opinions=tuple(opinions))
+
+
+@st.composite
+def _overlapping_sentences(draw):
+    n = draw(st.integers(1, 9))
+
+    def spans(role, least):
+        starts = draw(st.lists(st.integers(0, n - 1), min_size=least, max_size=3))
+        return [Span(role, s, min(n, s + draw(st.integers(1, 5)))) for s in starts]
+
+    opinions = [
+        OpinionTuple(
+            holders=spans(Role.HOLDER, 0),
+            targets=spans(Role.TARGET, 0),
+            expressions=spans(Role.EXPRESSION, 1),
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return [f"w{i}" for i in range(n)], opinions
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_overlapping_sentences(), min_size=1, max_size=4))
+def test_filter_priority_keep_matches_brute_force(drawn):
+    sentences = [sent(f"s{k}", words, opinions=ops) for k, (words, ops) in enumerate(drawn)]
+    filtered, report = filter_overlapping(
+        Dataset(name="d", sentences=sentences), OverlapPolicy.PRIORITY_KEEP
+    )
+    affected = [s.id for s in sentences if _cross_role_collision(s)]
+    assert report == affected
+    expected = [_brute_priority_keep(s) if s.id in affected else s for s in sentences]
+    assert filtered.sentences == tuple(expected)
+
+
 # ---------------------------------------------------------------------------
 # upsample
 # ---------------------------------------------------------------------------
@@ -510,3 +580,19 @@ def test_upsample_deterministic():
 def test_upsample_empty_errors():
     with pytest.raises(ValidationError):
         upsample(Dataset(name="void"), seed=0)
+
+
+def test_upsample_skips_taken_duplicate_ids():
+    # "a" is the only sentence of its group, so all three duplicates copy it;
+    # the input already holds "a#1" (and, below, "a#2"), so numbering skips them.
+    plain = [sent(sid, ["just", "words"]) for sid in ("a#1", "p1", "p2", "p3")]
+    full = sent("a", ["he", "loved", "it"], opinions=[
+        opinion(holders=[span("h", 0, 1)], targets=[span("t", 2, 3)],
+                expressions=[span("e", 1, 2)])
+    ])
+    out = upsample(Dataset(name="taken", sentences=plain + [full]), seed=9)
+    assert [s.id for s in out.sentences[5:]] == ["a#2", "a#3", "a#4"]
+
+    plain[0] = sent("a#2", ["just", "words"])
+    out = upsample(Dataset(name="gap", sentences=plain + [full]), seed=9)
+    assert [s.id for s in out.sentences[5:]] == ["a#1", "a#3", "a#4"]

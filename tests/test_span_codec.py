@@ -59,6 +59,55 @@ def test_encode_cross_role_overlap_names_token_and_roles():
     assert "TARGET" in message and "EXPRESSION" in message
 
 
+# Each layout's exact error: the first token, in span sort order, that a
+# span of another role already labelled, after same-role spans are unioned.
+@pytest.mark.parametrize(
+    "opinions, message",
+    [
+        (  # an expression nested inside a target
+            [opinion(targets=[span("t", 0, 4)], expressions=[span("e", 1, 2)])],
+            "cross-role overlap at token 1 (TARGET vs EXPRESSION)",
+        ),
+        (  # same start: the shorter span sorts first
+            [opinion(holders=[span("h", 1, 3)], targets=[span("t", 1, 2)],
+                     expressions=[span("e", 5, 6)])],
+            "cross-role overlap at token 1 (TARGET vs HOLDER)",
+        ),
+        (  # identical ranges: the role name breaks the tie
+            [opinion(holders=[span("h", 2, 3)], targets=[span("t", 2, 3)],
+                     expressions=[span("e", 5, 6)])],
+            "cross-role overlap at token 2 (HOLDER vs TARGET)",
+        ),
+        (  # touching expressions merge to [0, 4), which a target then overlaps
+            [opinion(targets=[span("t", 3, 5)], expressions=[span("e", 0, 2)]),
+             opinion(expressions=[span("e", 2, 4)])],
+            "cross-role overlap at token 3 (EXPRESSION vs TARGET)",
+        ),
+        (  # overlapping holders merge to [0, 3), which a target then overlaps
+            [opinion(holders=[span("h", 0, 2), span("h", 1, 3)], targets=[span("t", 2, 4)],
+                     expressions=[span("e", 6, 7)])],
+            "cross-role overlap at token 2 (HOLDER vs TARGET)",
+        ),
+        (  # three roles in a chain: the first collision is reported
+            [opinion(holders=[span("h", 0, 3)], targets=[span("t", 2, 5)],
+                     expressions=[span("e", 4, 6)])],
+            "cross-role overlap at token 2 (HOLDER vs TARGET)",
+        ),
+        (  # touching spans of different roles are fine; a later overlap is not
+            [opinion(holders=[span("h", 0, 1)], targets=[span("t", 1, 2)],
+                     expressions=[span("e", 2, 4), span("e", 6, 7)]),
+             opinion(targets=[span("t", 5, 7)], expressions=[span("e", 2, 4)])],
+            "cross-role overlap at token 6 (TARGET vs EXPRESSION)",
+        ),
+    ],
+)
+def test_encode_cross_role_overlap_exact_message(opinions, message):
+    s = sent("x", [f"w{i}" for i in range(7)], opinions=opinions)
+    with pytest.raises(CodecError) as err:
+        encode(s)
+    assert str(err.value) == f"sentence 'x': {message}"
+
+
 def test_decode_simple_run():
     assert decode(["B-TARG", "I-TARG", "O"]) == {span("t", 0, 2)}
 
