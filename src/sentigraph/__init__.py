@@ -3,7 +3,7 @@
 A three-stage pipeline over tokenized sentences: a sequence tagger marks
 holder/target/expression spans, a binary classifier decides which entity
 and expression spans belong together, and a deterministic aggregator
-assembles the decisions into per-sentence sentiment graphs. Ships with
+assembles the linked pairs into per-sentence sentiment graphs. Ships with
 dataset tooling (stats, overlap filtering, up-sampling), exact-match
 evaluation metrics, and a CLI.
 """
@@ -34,7 +34,6 @@ from .corpus import (
     upsample,
 )
 from .errors import (
-    AggregationError,
     CodecError,
     ConfigError,
     InputError,
@@ -80,7 +79,7 @@ from .taggers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregationError", "BIO_LABELS", "CodecError", "ConfigError", "DEFAULT_POS_MAP",
+    "BIO_LABELS", "CodecError", "ConfigError", "DEFAULT_POS_MAP",
     "Dataset", "EvalReport", "FileFormat", "InputError",
     "ModelError", "OpinionTuple", "OverlapPolicy", "PRF", "ParseError",
     "RelationInstance", "RelationKind", "RelationModel", "Role",

@@ -1,19 +1,19 @@
-"""Assembly of spans and relation decisions into sentiment graphs.
+"""Assembly of spans and linked entity/expression pairs into sentiment graphs.
 
 One graph tuple is produced per expression span; its holder and target
-sets are exactly the entities whose relation decision for that expression
-is true. Expressions with no related entity keep an expression-only tuple
-so that relation-stage recall errors stay visible in graph metrics.
+sets are exactly the entities linked to that expression. Expressions with
+no linked entity keep an expression-only tuple so that relation-stage
+recall errors stay visible in graph metrics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .corpus import Dataset, OpinionTuple, Role, Sentence, Span, write_json_lines
-from .errors import AggregationError, ValidationError
-from .relation import RelationInstance, RelationModel, classify, generate_instances, gold_instances
+from .errors import ValidationError
+from .relation import RelationInstance, RelationModel, classify, generate_instances, linked_pairs
 from .span_codec import TagSequence, decode
 from .taggers import TaggerModel, tag
 
@@ -48,54 +48,38 @@ class SentimentGraph:
 
 
 def aggregate(
-    sentence: Sentence,
-    entity_spans: Iterable[Span],
-    expression_spans: Iterable[Span],
-    decisions: Mapping[Tuple[Span, Span], bool],
+    sentence: Sentence, expression_spans: Iterable[Span], linked: Iterable[Tuple[Span, Span]]
 ) -> SentimentGraph:
-    """Build the graph for one sentence from pairwise decisions.
-
-    ``decisions`` must cover the full entity x expression cross product;
-    a missing pair raises. Output tuples are ordered by expression start.
-    """
-    entities = sorted(set(entity_spans), key=Span.sort_key)
-    expressions = sorted(set(expression_spans), key=Span.sort_key)
-    tuples: List[OpinionTuple] = []
-    for expression in expressions:
-        holders = set()
-        targets = set()
-        for entity in entities:
-            decision = decisions.get((entity, expression))
-            if decision is None:
-                raise AggregationError(
-                    f"sentence '{sentence.id}': no decision for entity "
-                    f"[{entity.start}, {entity.end}) / expression "
-                    f"[{expression.start}, {expression.end})"
-                )
-            if decision:
-                (holders if entity.role is Role.HOLDER else targets).add(entity)
-        tuples.append(
-            OpinionTuple(holders=holders, targets=targets, expressions={expression})
+    """Build the graph for one sentence from its linked (entity, expression)
+    pairs: the inverse of ``relation.linked_pairs``. Each expression span
+    gets one tuple, in expression start order, holding the entities linked
+    to it; a pair whose expression is not in ``expression_spans`` raises."""
+    linked_to = {x: [] for x in sorted(expression_spans, key=Span.sort_key)}
+    for entity, expression in linked:
+        if expression not in linked_to:
+            raise ValidationError(
+                f"sentence '{sentence.id}': linked expression "
+                f"[{expression.start}, {expression.end}) is not an expression span"
+            )
+        linked_to[expression].append(entity)
+    return SentimentGraph(sentence_id=sentence.id, tuples=tuple(
+        OpinionTuple(
+            holders={e for e in entities if e.role is Role.HOLDER},
+            targets={e for e in entities if e.role is not Role.HOLDER},
+            expressions={x},
         )
-    return SentimentGraph(sentence_id=sentence.id, tuples=tuple(tuples))
+        for x, entities in linked_to.items()
+    ))
 
 
-def gold_graph(
-    sentence: Sentence, instances: Optional[Sequence[RelationInstance]] = None
-) -> SentimentGraph:
+def gold_graph(sentence: Sentence) -> SentimentGraph:
     """Project gold opinion annotations onto the one-tuple-per-expression shape.
 
     Tuples that share an expression span merge: the expression keeps the
-    union of their holders and targets. ``instances`` are the sentence's
-    ``gold_instances``, when the caller has built them already.
+    union of their holders and targets.
     """
-    if instances is None:
-        instances = gold_instances(sentence)
-    decisions = {(i.entity, i.expression): bool(i.label) for i in instances}
-    # Every entity is in some instance unless there is no expression, and
-    # then no tuple needs it.
-    entities = {i.entity for i in instances}
-    return aggregate(sentence, entities, sentence.spans(Role.EXPRESSION), decisions)
+    linked = linked_pairs(sentence.opinions)
+    return aggregate(sentence, sentence.spans(Role.EXPRESSION), linked)
 
 
 def end_to_end(
@@ -114,13 +98,14 @@ def end_to_end(
     spans = decode(labels)
     entities = {s for s in spans if s.role is not Role.EXPRESSION}
     expressions = {s for s in spans if s.role is Role.EXPRESSION}
-    decisions = {}
+    linked = []
     scored = []
     for inst in generate_instances(sentence, entities, expressions):
         decision, score = classify(rel, sentence, inst, expressions=expressions)
-        decisions[(inst.entity, inst.expression)] = decision
+        if decision:
+            linked.append((inst.entity, inst.expression))
         scored.append((inst, score))
-    return labels, aggregate(sentence, entities, expressions, decisions), scored
+    return labels, aggregate(sentence, expressions, linked), scored
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +119,7 @@ def graphs_to_dataset(ds: Dataset, graphs: Mapping[str, SentimentGraph]) -> Data
     for sentence in ds.sentences:
         if sentence.id not in graphs:
             raise ValidationError(f"no graph for sentence '{sentence.id}'")
-        sentences.append(
-            Sentence(
-                id=sentence.id,
-                text=sentence.text,
-                tokens=sentence.tokens,
-                opinions=graphs[sentence.id].tuples,
-            )
-        )
+        sentences.append(replace(sentence, opinions=graphs[sentence.id].tuples))
     return Dataset(name=ds.name, sentences=tuple(sentences))
 
 

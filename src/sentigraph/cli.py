@@ -259,7 +259,7 @@ def run_pipeline(cfg: PipelineConfig) -> Dict[str, str]:
     reports = _reports(test_f, tags, graphs, True)
     corpus.write_json_object(paths["report"], _report_payload(reports))
     table = metrics.format_report_table(reports)
-    with open(paths["report_txt"], "w", encoding="utf-8") as fh:
+    with corpus.replacing(paths["report_txt"]) as fh:
         fh.write(table + "\n")
     print(table)
 
@@ -374,6 +374,9 @@ def _cmd_evaluate(args) -> int:
     if args.pred_graphs:
         pred_ds = corpus.load_dataset(args.pred_graphs, FileFormat.JSON)
         by_id = pred_ds.by_id()
+        unknown = ", ".join(sorted(by_id.keys() - {s.id for s in gold.sentences}))
+        if unknown:
+            raise InputError(f"graphs file contains unknown sentence id(s): {unknown}")
         graphs = {}
         for sentence in ds.sentences:
             if sentence.id not in by_id:

@@ -35,18 +35,23 @@ Every JSON artifact (datasets, models, reports) goes through
 ``write_json_object``. It streams the document to the file in bounded
 chunks and writes exactly the bytes of ``json.dump(obj, fh, indent=2,
 sort_keys=True, ensure_ascii=False)`` followed by a newline.
+
+Every writer goes through ``replacing``: a write that fails part-way
+leaves any earlier file at the target path as it was.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from json.encoder import encode_basestring
-from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import IO, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ParseError, ValidationError
 
@@ -524,6 +529,33 @@ def dataset_from_dict(obj: dict, source: str = "<memory>") -> Dataset:
 
 
 # ---------------------------------------------------------------------------
+# File writes
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def replacing(path: str) -> Iterator[IO[str]]:
+    """Write a new UTF-8 text file, created as a plain ``open`` creates it,
+    under a temporary name beside ``path``, and move it onto ``path`` when
+    the block ends. On an error the temporary file is deleted instead, so an
+    earlier file at ``path`` keeps its bytes."""
+    directory, name = os.path.split(path)
+    temp = os.path.join(directory, f".{name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(temp, "x", encoding="utf-8")
+    except OSError as err:  # name the target, not the temporary file
+        err.filename = path
+        raise
+    try:
+        with fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        os.remove(temp)
+        raise
+
+
+# ---------------------------------------------------------------------------
 # CoNLL serialization
 # ---------------------------------------------------------------------------
 
@@ -535,7 +567,7 @@ ConllBlock = Tuple[str, List[Tuple[str, Optional[str], str]]]
 
 def write_conll(path: str, labelled: Iterable[Tuple[Sentence, Sequence[str]]]) -> None:
     """Write each sentence as a CoNLL block, with one label per token."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for sentence, labels in labelled:
             sent_id = sentence.id
             if "\n" in sent_id or "\t" in sent_id:
@@ -688,7 +720,7 @@ def write_json_object(path: str, obj) -> None:
     this encoder does less per value and writes in chunks of at most
     ``_WRITE_CHUNK`` pieces, so the document is never held whole in memory.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         parts: List[str] = []
         _encode_json(obj, "\n", parts, fh)
         parts.append("\n")
@@ -758,7 +790,7 @@ def _encode_json(value, newline: str, parts: List[str], fh) -> None:
 
 def write_json_lines(path: str, rows: Iterable[Mapping]) -> None:
     """Write one compact JSON object per line, keys sorted, non-ASCII kept."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for row in rows:
             fh.write(_LINE_ENCODER.encode(row) + "\n")
 

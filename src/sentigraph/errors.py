@@ -39,7 +39,3 @@ class CodecError(StageError):
 
 class ModelError(StageError):
     """A model is of the wrong kind or in an unusable state."""
-
-
-class AggregationError(StageError):
-    """Graph assembly received an incomplete decision map."""

@@ -9,9 +9,9 @@ convention throughout is P = R = F1 = 0, never NaN.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from .aggregator import SentimentGraph, gold_graph
 from .corpus import BIO_LABELS, Dataset, Role, Sentence, label_role
@@ -43,14 +43,7 @@ class PRF:
         return cls(precision=precision, recall=recall, f1=f1, tp=tp, fp=fp, fn=fn)
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-        }
+        return asdict(self)
 
 
 _ROLES = tuple(Role)
@@ -236,17 +229,14 @@ def stratified_report(
         token = token_f1(gold_seqs, pred_seqs, collapse_bio=False)
         token_collapsed = token_f1(gold_seqs, pred_seqs, collapse_bio=True)
     if pred_graphs is not None:
-        gold_graphs, predicted = [], []
-        gold_insts: List[RelationInstance] = []
-        decisions: List[bool] = []
+        gold_graphs, predicted, gold_insts, decisions = [], [], [], []
         for sentence in selected:
             if sentence.id not in pred_graphs:
                 raise ValidationError(f"no predicted graph for sentence '{sentence.id}'")
-            predicted_graph = pred_graphs[sentence.id]
+            gold_graphs.append(gold_graph(sentence))
+            predicted.append(pred_graphs[sentence.id])
+            connected = linked_pairs(predicted[-1].tuples)
             instances = gold_instances(sentence)
-            gold_graphs.append(gold_graph(sentence, instances))
-            predicted.append(predicted_graph)
-            connected = linked_pairs(predicted_graph.tuples)
             gold_insts.extend(instances)
             decisions.extend((i.entity, i.expression) in connected for i in instances)
         graph = graph_f1(gold_graphs, predicted)

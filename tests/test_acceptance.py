@@ -228,7 +228,8 @@ def test_criterion_3_aggregator_exhaustive():
         pairs = [(e, x) for e in entities for x in expressions]
         for bits in itertools.product([False, True], repeat=len(pairs)):
             decisions = dict(zip(pairs, bits))
-            graph = aggregate(sentence, entities, expressions, decisions)
+            linked = [pair for pair, bit in zip(pairs, bits) if bit]
+            graph = aggregate(sentence, expressions, linked)
             # oracle: for each expression, enumerate entity subsets and keep
             # the one consistent with the decision map
             expected = []

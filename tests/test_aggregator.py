@@ -1,13 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import love_school, opinion, sent, span
 from sentigraph import (
-    AggregationError,
     OpinionTuple,
     Role,
     SentimentGraph,
+    Span,
     ValidationError,
     aggregate,
     always_true_model,
@@ -27,13 +29,14 @@ from sentigraph import (
     train_perceptron,
     write_triples,
 )
+from sentigraph.relation import linked_pairs
 from sentigraph.synth import generate_corpus
 
 
 def test_single_tuple_when_all_true():
     s = love_school()
     h, t, e = span("h", 0, 1), span("t", 2, 3), span("e", 1, 2)
-    graph = aggregate(s, {h, t}, {e}, {(h, e): True, (t, e): True})
+    graph = aggregate(s, {e}, [(h, e), (t, e)])
     assert graph.tuples == (
         OpinionTuple(holders={h}, targets={t}, expressions={e}),
     )
@@ -42,7 +45,7 @@ def test_single_tuple_when_all_true():
 def test_all_false_keeps_expression_only_tuples():
     s = sent("f", [f"w{i}" for i in range(6)])
     h, e1, e2 = span("h", 0, 1), span("e", 2, 3), span("e", 4, 5)
-    graph = aggregate(s, {h}, {e1, e2}, {(h, e1): False, (h, e2): False})
+    graph = aggregate(s, {e1, e2}, [])
     assert graph.tuples == (
         OpinionTuple(expressions={e1}),
         OpinionTuple(expressions={e2}),
@@ -52,25 +55,57 @@ def test_all_false_keeps_expression_only_tuples():
 def test_shared_target_split_decisions():
     s = sent("sh", [f"w{i}" for i in range(6)])
     t, e1, e2 = span("t", 0, 1), span("e", 2, 3), span("e", 4, 5)
-    graph = aggregate(s, {t}, {e1, e2}, {(t, e1): True, (t, e2): False})
+    graph = aggregate(s, {e1, e2}, [(t, e1)])
     assert graph.tuples == (
         OpinionTuple(targets={t}, expressions={e1}),
         OpinionTuple(expressions={e2}),
     )
 
 
-def test_missing_decision_names_pair():
+def test_unknown_expression_names_span():
     s = sent("m", [f"w{i}" for i in range(4)])
     t, e = span("t", 0, 1), span("e", 2, 3)
-    with pytest.raises(AggregationError) as err:
-        aggregate(s, {t}, {e}, {})
-    assert "[0, 1)" in str(err.value) and "[2, 3)" in str(err.value)
+    with pytest.raises(ValidationError) as err:
+        aggregate(s, set(), [(t, e)])
+    assert "'m'" in str(err.value) and "[2, 3)" in str(err.value)
+
+
+_ENTITIES = [span(role, i, i + 1) for role in "ht" for i in range(4)]
+_EXPRESSIONS = [span("e", 4 + i, 5 + i) for i in range(4)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_aggregate_inverts_linked_pairs(data):
+    expressions = data.draw(st.sets(st.sampled_from(_EXPRESSIONS)))
+    ordered = sorted(expressions, key=Span.sort_key)
+    candidates = [(e, x) for e in _ENTITIES for x in ordered]
+    linked = data.draw(st.lists(st.sampled_from(candidates), max_size=12)) if candidates else []
+    graph = aggregate(sent("p", [f"w{i}" for i in range(8)]), expressions, linked)
+    assert linked_pairs(graph.tuples) == set(linked)
+    assert [x for t in graph.tuples for x in t.expressions] == ordered
+
+
+def test_gold_graph_links_the_gold_pairs():
+    # "t" is a target of both expressions; "e" anchors two gold tuples
+    t, e, other = span("t", 0, 1), span("e", 2, 3), span("e", 5, 6)
+    s = sent(
+        "share", [f"w{i}" for i in range(7)],
+        opinions=[
+            opinion(targets=[t], expressions=[e]),
+            opinion(holders=[span("h", 3, 4)], expressions=[e]),
+            opinion(holders=[span("h", 4, 5)], targets=[t], expressions=[other]),
+        ],
+    )
+    sentences = [s, *generate_corpus(60, seed=83).sentences]
+    for sentence in sentences:
+        assert linked_pairs(gold_graph(sentence).tuples) == linked_pairs(sentence.opinions)
 
 
 def test_tuples_ordered_by_expression_start():
     s = sent("o", [f"w{i}" for i in range(6)])
     e_late, e_early = span("e", 4, 5), span("e", 0, 1)
-    graph = aggregate(s, set(), {e_late, e_early}, {})
+    graph = aggregate(s, {e_late, e_early}, [])
     starts = [next(iter(t.expressions)).start for t in graph.tuples]
     assert starts == [0, 4]
 
@@ -134,11 +169,12 @@ def test_gold_echo_plus_always_true_equals_gold():
     entities = {x for x in spans if x.role is not Role.EXPRESSION}
     expressions = {x for x in spans if x.role is Role.EXPRESSION}
     model = always_true_model()
-    decisions = {
-        (i.entity, i.expression): classify(model, s, i, expressions=expressions)[0]
+    linked = [
+        (i.entity, i.expression)
         for i in generate_instances(s, entities, expressions)
-    }
-    assert aggregate(s, entities, expressions, decisions) == gold_graph(s)
+        if classify(model, s, i, expressions=expressions)[0]
+    ]
+    assert aggregate(s, expressions, linked) == gold_graph(s)
 
 
 def test_most_common_tagger_yields_empty_graph():
@@ -157,11 +193,12 @@ def test_end_to_end_matches_manual_composition():
         spans = decode(labels)
         entities = {s for s in spans if s.role is not Role.EXPRESSION}
         expressions = {s for s in spans if s.role is Role.EXPRESSION}
-        decisions = {
-            (i.entity, i.expression): classify(rel, sentence, i, expressions=expressions)[0]
+        linked = [
+            (i.entity, i.expression)
             for i in generate_instances(sentence, entities, expressions)
-        }
-        manual = aggregate(sentence, entities, expressions, decisions)
+            if classify(rel, sentence, i, expressions=expressions)[0]
+        ]
+        manual = aggregate(sentence, expressions, linked)
         assert end_to_end(sentence, tagger, rel)[:2] == (labels, manual)
 
 

@@ -193,6 +193,28 @@ def test_convert_overlap_without_policy_fails(tmp_path, capsys):
     assert rc == 1
 
 
+def test_failed_convert_keeps_the_earlier_output(tmp_path, capsys):
+    # The second sentence id cannot be written to CoNLL, so the write fails
+    # after the first sentence.
+    src = tmp_path / "in.json"
+    save_dataset(Dataset(name="in", sentences=[sent("good", ["a"]), sent("bad\tid", ["b"])]),
+                 str(src))
+    out = tmp_path / "out.conll"
+    out.write_bytes(b"earlier bytes\n")
+    assert main(["convert", str(src), str(out), "--from", "json", "--to", "conll"]) == 2
+    assert "bad\\tid" in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json", "out.conll"]
+
+
+def test_convert_into_a_missing_directory_names_the_output(tmp_path, capsys):
+    src = tmp_path / "in.json"
+    save_dataset(Dataset(name="in", sentences=[sent("good", ["a"])]), str(src))
+    out = tmp_path / "missing" / "out.conll"
+    assert main(["convert", str(src), str(out), "--from", "json", "--to", "conll"]) == 1
+    assert f"No such file or directory: '{out}'" in capsys.readouterr().err
+
+
 def test_convert_empty_dataset(tmp_path):
     src = tmp_path / "e.json"
     save_dataset(Dataset(name="e"), str(src))
@@ -301,6 +323,29 @@ def test_evaluate_scores_predict_and_pipeline_conll_when_gold_has_overlap(tmp_pa
     ghost.write_text(predicted.read_text(encoding="utf-8") + "# sent_id = ghost\n1\tb\t_\tO\n\n",
                      encoding="utf-8")
     assert main(["evaluate", "--gold", str(gold), "--pred-conll", str(ghost)]) == 2
+    assert "ghost" in capsys.readouterr().err
+
+
+def test_evaluate_pred_graphs_rejects_unknown_ids(tmp_path, capsys):
+    # A graphs file may hold every gold sentence, as predict writes it, or
+    # only the sentences the overlap filter keeps, as pipeline writes it; a
+    # sentence the gold file lacks exits 2.
+    clash = sent(
+        "clash", ["w0", "w1", "w2"],
+        opinions=[opinion(targets=[span("t", 0, 2)], expressions=[span("e", 1, 3)])],
+    )
+    kept = generate_corpus(12, seed=7, name="gold")
+    gold = tmp_path / "gold.json"
+    save_dataset(Dataset(name="gold", sentences=kept.sentences + (clash,)), str(gold))
+    every, only_kept, ghost = (tmp_path / f"{name}.json" for name in ("every", "kept", "ghost"))
+    save_dataset(load_dataset(str(gold)), str(every))
+    save_dataset(kept, str(only_kept))
+    save_dataset(Dataset(name="ghost", sentences=kept.sentences + (sent("ghost", ["b"]),)),
+                 str(ghost))
+    for graphs in (every, only_kept):
+        assert main(["evaluate", "--gold", str(gold), "--pred-graphs", str(graphs)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--gold", str(gold), "--pred-graphs", str(ghost)]) == 2
     assert "ghost" in capsys.readouterr().err
 
 

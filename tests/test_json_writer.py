@@ -70,21 +70,37 @@ def test_writer_rejects_what_json_cannot_encode(tmp_path):
         write_json_object(str(tmp_path / "c.json"), {"a": [Text("subclass")]})
 
 
+def test_failed_write_keeps_the_earlier_file(tmp_path):
+    path = tmp_path / "out.json"
+    write_json_object(str(path), {"a": 1})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_json_object(str(path), {"a": [1, 2], "b": {3: "int keys are not written"}})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
 def test_writer_streams_a_large_document_in_chunks(tmp_path, monkeypatch):
     value = {"rows": [{"id": f"s{i}", "span": [i, i + 1], "score": i / 7} for i in range(20000)]}
     writes = []
 
     class Recorder(io.StringIO):
+        def __init__(self, file):
+            super().__init__()
+            self.file = file
+
         def write(self, text):
             writes.append(len(text))
             return super().write(text)
 
         def close(self):
-            path.write_bytes(self.getvalue().encode())
+            # The writer opens a temporary file and then moves it onto ``path``.
+            with open(self.file, "wb") as fh:
+                fh.write(self.getvalue().encode())
             super().close()
 
     path = tmp_path / "big.json"
-    monkeypatch.setattr(corpus, "open", lambda *a, **k: Recorder(), raising=False)
+    monkeypatch.setattr(corpus, "open", lambda file, *a, **k: Recorder(file), raising=False)
     write_json_object(str(path), value)
     expected = _expected(value)
     assert path.read_bytes() == expected
