@@ -13,14 +13,12 @@ from .aggregator import (
     aggregate,
     end_to_end,
     gold_graph,
-    graph_from_sentence,
     graphs_to_dataset,
     write_triples,
 )
 from .corpus import (
     BIO_LABELS,
     Dataset,
-    FileFormat,
     OpinionTuple,
     OverlapPolicy,
     Role,
@@ -64,7 +62,7 @@ from .relation import (
     gold_instances,
     train_logistic,
 )
-from .span_codec import TagSequence, decode, encode, union_same_role
+from .span_codec import TagSequence, decode, encode, load_conll, save_conll, union_same_role
 from .taggers import (
     DEFAULT_POS_MAP,
     TaggerKind,
@@ -80,7 +78,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BIO_LABELS", "CodecError", "ConfigError", "DEFAULT_POS_MAP",
-    "Dataset", "EvalReport", "FileFormat", "InputError",
+    "Dataset", "EvalReport", "InputError",
     "ModelError", "OpinionTuple", "OverlapPolicy", "PRF", "ParseError",
     "RelationInstance", "RelationKind", "RelationModel", "Role",
     "Sentence", "SentigraphError", "SentimentGraph", "Span", "StageError",
@@ -88,10 +86,10 @@ __all__ = [
     "ValidationError", "aggregate", "always_true_model", "classify",
     "compute_stats", "decode", "encode", "end_to_end", "featurize",
     "filter_overlapping", "format_report_table", "generate_instances",
-    "gold_graph", "gold_instances", "graph_f1", "graph_from_sentence",
-    "graphs_to_dataset", "load_dataset", "load_external_predictions",
+    "gold_graph", "gold_instances", "graph_f1",
+    "graphs_to_dataset", "load_conll", "load_dataset", "load_external_predictions",
     "most_common_tagger", "pos_chunk_tagger",
-    "relation_prf", "save_dataset",
+    "relation_prf", "save_conll", "save_dataset",
     "stratified_report", "tag", "token_f1", "train_logistic", "train_perceptron",
     "union_same_role", "upsample", "write_triples",
 ]

@@ -114,18 +114,14 @@ def end_to_end(
 
 
 def graphs_to_dataset(ds: Dataset, graphs: Mapping[str, SentimentGraph]) -> Dataset:
-    """Dataset with each sentence's opinions replaced by its predicted graph."""
+    """Dataset with each sentence's opinions replaced by its predicted graph;
+    ``SentimentGraph(s.id, s.opinions)`` reads a sentence back as a graph."""
     sentences = []
     for sentence in ds.sentences:
         if sentence.id not in graphs:
             raise ValidationError(f"no graph for sentence '{sentence.id}'")
         sentences.append(replace(sentence, opinions=graphs[sentence.id].tuples))
     return Dataset(name=ds.name, sentences=tuple(sentences))
-
-
-def graph_from_sentence(sentence: Sentence) -> SentimentGraph:
-    """Read a sentence's opinions back as a graph (inverse of graphs_to_dataset)."""
-    return SentimentGraph(sentence_id=sentence.id, tuples=sentence.opinions)
 
 
 def write_triples(path: str, graphs: Iterable[SentimentGraph]) -> None:

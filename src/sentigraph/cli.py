@@ -15,9 +15,9 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from . import aggregator, corpus, metrics, relation, taggers
-from .corpus import Dataset, FileFormat, OverlapPolicy
-from .errors import ConfigError, InputError, SentigraphError, ValidationError
+from . import aggregator, corpus, metrics, relation, span_codec, taggers
+from .corpus import Dataset, OverlapPolicy
+from .errors import ConfigError, InputError, SentigraphError
 from .metrics import Stratum
 # Not called here; benchmark/test_benchmark.py checks that its tracer restores cli.decode.
 from .span_codec import decode  # noqa: F401
@@ -233,8 +233,8 @@ def _report_payload(reports: Sequence[metrics.EvalReport]) -> dict:
 
 def run_pipeline(cfg: PipelineConfig) -> Dict[str, str]:
     """Execute the full pipeline; returns the artifact paths that were written."""
-    train_ds = corpus.load_dataset(cfg.train, FileFormat.JSON)
-    test_ds = corpus.load_dataset(cfg.test, FileFormat.JSON)
+    train_ds = corpus.load_dataset(cfg.train)
+    test_ds = corpus.load_dataset(cfg.test)
     train_f = _filter_overlaps(train_ds, cfg.overlap_policy, "training sentence(s)")
     test_f = _filter_overlaps(test_ds, cfg.overlap_policy, "test sentence(s)")
     if cfg.upsample:
@@ -264,7 +264,7 @@ def run_pipeline(cfg: PipelineConfig) -> Dict[str, str]:
     print(table)
 
     if cfg.dev is not None:
-        dev_ds = corpus.load_dataset(cfg.dev, FileFormat.JSON)
+        dev_ds = corpus.load_dataset(cfg.dev)
         dev_f = _filter_overlaps(dev_ds, cfg.overlap_policy, "dev sentence(s)")
         paths["dev_predictions_conll"] = os.path.join(cfg.output_dir, "dev_predictions.conll")
         paths["dev_graphs"] = os.path.join(cfg.output_dir, "dev_graphs.json")
@@ -285,13 +285,13 @@ def run_pipeline(cfg: PipelineConfig) -> Dict[str, str]:
 
 
 def _cmd_stats(args) -> int:
-    datasets = [corpus.load_dataset(path, FileFormat.JSON) for path in args.datasets]
+    datasets = [corpus.load_dataset(path) for path in args.datasets]
     payload = [{"dataset": ds.name, **corpus.compute_stats(ds)} for ds in datasets]
     if len(datasets) > 1:
         pooled = corpus.compute_stats(sentence for ds in datasets for sentence in ds)
         payload.append({"dataset": "pooled", **pooled})
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
     else:
         columns = [key for key in payload[0] if key != "label_group_counts"]
         table = [columns] + [
@@ -312,12 +312,13 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    in_fmt = FileFormat[args.from_format.upper()]
-    out_fmt = FileFormat[args.to_format.upper()]
-    ds = corpus.load_dataset(args.input, in_fmt)
-    if out_fmt is FileFormat.CONLL:
+    load = span_codec.load_conll if args.from_format == "conll" else corpus.load_dataset
+    ds = load(args.input)
+    if args.to_format == "conll":
         ds = _filter_overlaps(ds, args.overlap_policy, "sentence(s)")
-    corpus.save_dataset(ds, args.output, out_fmt)
+        span_codec.save_conll(ds, args.output)
+    else:
+        corpus.save_dataset(ds, args.output)
     return 0
 
 
@@ -333,7 +334,7 @@ def _cmd_train(args) -> int:
         given.update(learning_rate=args.learning_rate, threshold=args.threshold)
         config, train, save = RelationConfig, _train_relation, relation.save_model
     cfg = config(**{key: value for key, value in given.items() if value is not None})
-    ds = corpus.load_dataset(args.train, FileFormat.JSON)
+    ds = corpus.load_dataset(args.train)
     ds = _filter_overlaps(ds, args.overlap_policy, "sentence(s)")
     save(train(cfg, ds), args.out)
     return 0
@@ -342,7 +343,7 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     if bool(args.tagger_model) == bool(args.external_conll):
         raise ConfigError("predict needs exactly one of --tagger-model and --external-conll")
-    ds = corpus.load_dataset(args.data, FileFormat.JSON)
+    ds = corpus.load_dataset(args.data)
     tagger_model = external = None
     if args.external_conll:
         external = taggers.load_external_predictions(args.external_conll, ds)
@@ -361,33 +362,26 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    gold = corpus.load_dataset(args.gold, FileFormat.JSON)
+    if not (args.pred_conll or args.pred_graphs):
+        raise ConfigError("evaluate needs --pred-conll and/or --pred-graphs")
+    gold = corpus.load_dataset(args.gold)
     ds = _filter_overlaps(gold, args.overlap_policy, "gold sentence(s)")
+    # A predictions file may hold any gold sentence (predict tags every one,
+    # pipeline those the overlap filter keeps); stratified_report requires
+    # each kept one.
     tags = graphs = None
     if args.pred_conll:
-        # predict tags every gold sentence, pipeline only those the overlap
-        # filter keeps; both files are scored on the kept ones.
-        try:
-            tags = taggers.load_external_predictions(args.pred_conll, gold)
-        except ValidationError:
-            tags = taggers.load_external_predictions(args.pred_conll, ds)
+        tags = taggers.load_predictions_conll(args.pred_conll, gold)
     if args.pred_graphs:
-        pred_ds = corpus.load_dataset(args.pred_graphs, FileFormat.JSON)
-        by_id = pred_ds.by_id()
-        unknown = ", ".join(sorted(by_id.keys() - {s.id for s in gold.sentences}))
+        predicted = corpus.load_dataset(args.pred_graphs).sentences
+        unknown = ", ".join(sorted({s.id for s in predicted} - gold.by_id().keys()))
         if unknown:
             raise InputError(f"graphs file contains unknown sentence id(s): {unknown}")
-        graphs = {}
-        for sentence in ds.sentences:
-            if sentence.id not in by_id:
-                raise InputError(f"graphs file is missing sentence '{sentence.id}'")
-            graphs[sentence.id] = aggregator.graph_from_sentence(by_id[sentence.id])
-    if tags is None and graphs is None:
-        raise ConfigError("evaluate needs --pred-conll and/or --pred-graphs")
+        graphs = {s.id: aggregator.SentimentGraph(s.id, s.opinions) for s in predicted}
     reports = _reports(ds, tags, graphs, args.strata)
     payload = _report_payload(reports)
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
     else:
         print(metrics.format_report_table(reports))
     if args.output:

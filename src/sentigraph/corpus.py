@@ -1,9 +1,9 @@
 """Data model and dataset I/O for opinion extraction.
 
 Holds the token/span/opinion containers shared by every pipeline stage,
-plus the dataset-level operations: JSON and CoNLL (de)serialization,
-distribution statistics, cross-role overlap filtering, and group
-up-sampling.
+plus the dataset-level operations: JSON (de)serialization, the CoNLL
+block reader and writer, distribution statistics, cross-role overlap
+filtering, and group up-sampling.
 
 JSON dataset schema (one file per dataset)::
 
@@ -28,8 +28,9 @@ CoNLL format: one token per line, blank line between sentences, a
 POS is ``_`` when absent. The BIO label alphabet is fixed:
 ``O, B-HOLDER, I-HOLDER, B-TARG, I-TARG, B-EXP, I-EXP``. CoNLL is a lossy
 projection: how spans group into opinion tuples is not representable, so
-a CoNLL round trip preserves span sets but flattens each sentence's
-opinions into a single tuple.
+a CoNLL round trip (``span_codec.save_conll`` and ``load_conll``)
+preserves span sets but flattens each sentence's opinions into a single
+tuple.
 
 Every JSON artifact (datasets, models, reports) goes through
 ``write_json_object``. It streams the document to the file in bounded
@@ -65,11 +66,6 @@ class Role(Enum):
 class OverlapPolicy(Enum):
     DROP_SENTENCE = "DROP_SENTENCE"
     PRIORITY_KEEP = "PRIORITY_KEEP"
-
-
-class FileFormat(Enum):
-    JSON = "JSON"
-    CONLL = "CONLL"
 
 
 # Fixed BIO label alphabet, shared by the CoNLL format and every tagger.
@@ -565,57 +561,60 @@ _SENT_ID_RE = re.compile(r"#\s*sent_id\s*=\s*(.+?)\s*$")
 ConllBlock = Tuple[str, List[Tuple[str, Optional[str], str]]]
 
 
+# A tab splits a row; a newline or carriage return ends a line.
+_CONLL_BREAK = re.compile("[\t\n\r]")
+
+
 def write_conll(path: str, labelled: Iterable[Tuple[Sentence, Sequence[str]]]) -> None:
-    """Write each sentence as a CoNLL block, with one label per token."""
+    """Write each sentence as a CoNLL block, with one label per token.
+
+    Only what ``read_conll_blocks`` reads back is written: a tab, newline or
+    carriage return in a sentence id, token text or POS raises
+    ``ValidationError``, and so does a sentence id with leading or trailing
+    whitespace, which the header reader strips.
+    """
     with replacing(path) as fh:
         for sentence, labels in labelled:
             sent_id = sentence.id
-            if "\n" in sent_id or "\t" in sent_id:
+            if _CONLL_BREAK.search(sent_id) or sent_id != sent_id.strip():
                 raise ValidationError(
-                    f"sentence id {sent_id!r} contains characters not representable in CoNLL"
+                    f"sentence id {sent_id!r} contains a tab or line break, or starts or "
+                    f"ends with whitespace, and cannot be written to CoNLL"
                 )
             fh.write(f"# sent_id = {sent_id}\n")
             for i, (tok, label) in enumerate(zip(sentence.tokens, labels)):
                 text, pos = tok.text, tok.pos
-                for value in (text, pos or ""):
-                    if "\t" in value or "\n" in value:
-                        raise ValidationError(
-                            f"sentence '{sent_id}', token {i}: text/pos contains a tab or "
-                            f"newline and cannot be written to CoNLL"
-                        )
+                if _CONLL_BREAK.search(text) or (pos is not None and _CONLL_BREAK.search(pos)):
+                    raise ValidationError(
+                        f"sentence '{sent_id}', token {i} {text!r}: text/pos contains a tab "
+                        f"or line break and cannot be written to CoNLL"
+                    )
                 fh.write(f"{i + 1}\t{text}\t{pos if pos is not None else '_'}\t{label}\n")
             fh.write("\n")
 
 
 def read_conll_blocks(path: str) -> List[ConllBlock]:
     blocks: List[ConllBlock] = []
-    sent_id: Optional[str] = None
-    rows: List[Tuple[str, Optional[str], str]] = []
-
-    def flush():
-        nonlocal sent_id, rows
-        if sent_id is not None:
-            blocks.append((sent_id, rows))
-        sent_id, rows = None, []
-
+    rows: Optional[List[Tuple[str, Optional[str], str]]] = None  # of the open block
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.rstrip("\n")
                 if not line.strip():
-                    flush()
+                    rows = None
                     continue
                 if line.startswith("#"):
                     match = _SENT_ID_RE.match(line)
                     if match:
-                        if sent_id is not None:
+                        if rows is not None:
                             raise ParseError(
                                 f"{path}:{lineno}: new '# sent_id' header without a blank "
-                                f"line after sentence '{sent_id}'"
+                                f"line after sentence '{blocks[-1][0]}'"
                             )
-                        sent_id = match.group(1)
+                        rows = []
+                        blocks.append((match.group(1), rows))
                     continue
-                if sent_id is None:
+                if rows is None:
                     raise ParseError(
                         f"{path}:{lineno}: token row before a '# sent_id =' header"
                     )
@@ -638,42 +637,9 @@ def read_conll_blocks(path: str) -> List[ConllBlock]:
                 if label not in BIO_LABELS:
                     raise ParseError(f"{path}:{lineno}: unknown BIO label {label!r}")
                 rows.append((text, None if pos == "_" else pos, label))
-        flush()
     except OSError as err:
         raise ParseError(f"{path}: cannot read: {err}") from err
     return blocks
-
-
-def _sentence_from_conll(sent_id: str, rows: Sequence[Tuple[str, Optional[str], str]]) -> Sentence:
-    from .span_codec import decode
-
-    tokens = []
-    offset = 0
-    for text, pos, _ in rows:
-        tokens.append(Token(text=text, char_start=offset, char_end=offset + len(text), pos=pos))
-        offset += len(text) + 1
-    spans = decode([label for _, _, label in rows])
-    by_role = {role: {s for s in spans if s.role is role} for role in Role}
-    opinions: List[OpinionTuple] = []
-    if by_role[Role.EXPRESSION]:
-        opinions.append(
-            OpinionTuple(
-                holders=by_role[Role.HOLDER],
-                targets=by_role[Role.TARGET],
-                expressions=by_role[Role.EXPRESSION],
-            )
-        )
-    elif by_role[Role.HOLDER] or by_role[Role.TARGET]:
-        raise ValidationError(
-            f"sentence '{sent_id}': CoNLL block has holder/target spans but no "
-            f"expression span; opinion tuples require an expression"
-        )
-    return Sentence(
-        id=sent_id,
-        text=" ".join(text for text, _, _ in rows),
-        tokens=tuple(tokens),
-        opinions=tuple(opinions),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -807,25 +773,11 @@ def finite_number(value, what: str) -> float:
     raise ValidationError(f"{what} must be a finite number, got {value!r}")
 
 
-def load_dataset(path: str, fmt: FileFormat = FileFormat.JSON) -> Dataset:
-    """Load a dataset file; every invariant is validated on the way in."""
-    if fmt is FileFormat.JSON:
-        return dataset_from_dict(read_json_object(path), source=path)
-    blocks = read_conll_blocks(path)
-    sentences = tuple(_sentence_from_conll(sent_id, rows) for sent_id, rows in blocks)
-    name = re.sub(r"\.[^.]*$", "", path.replace("\\", "/").rsplit("/", 1)[-1]) or "dataset"
-    return Dataset(name=name, sentences=sentences)
+def load_dataset(path: str) -> Dataset:
+    """Load a JSON dataset file; every invariant is validated on the way in."""
+    return dataset_from_dict(read_json_object(path), source=path)
 
 
-def save_dataset(ds: Dataset, path: str, fmt: FileFormat = FileFormat.JSON) -> None:
-    """Write a dataset file.
-
-    JSON is lossless. CoNLL requires overlap-free sentences: a cross-role
-    overlap raises, so filter with ``filter_overlapping`` first.
-    """
-    if fmt is FileFormat.JSON:
-        write_json_object(path, dataset_to_dict(ds))
-        return
-    from .span_codec import encode
-
-    write_conll(path, [(sentence, encode(sentence)) for sentence in ds.sentences])
+def save_dataset(ds: Dataset, path: str) -> None:
+    """Write a JSON dataset file; JSON keeps everything a ``Dataset`` holds."""
+    write_json_object(path, dataset_to_dict(ds))

@@ -5,13 +5,18 @@ recovers spans from any label sequence, repairing ill-formed input: an
 ``I-X`` without a valid predecessor is treated as ``B-X``. Same-role spans
 that overlap or touch are unioned before encoding, since BIO cannot keep
 them apart; cross-role overlaps are an error (filter them first).
+
+``load_conll`` and ``save_conll`` read and write a whole dataset as a
+CoNLL file (format in ``corpus``) through ``decode`` and ``encode``.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .corpus import BIO_LABELS, Role, Sentence, Span, bio_label, label_role
+from .corpus import (BIO_LABELS, Dataset, OpinionTuple, Role, Sentence, Span, Token, bio_label,
+                     label_role, read_conll_blocks, write_conll)
 from .errors import CodecError, ValidationError
 
 # One label per token, drawn from BIO_LABELS.
@@ -92,3 +97,34 @@ def decode(labels: Sequence[str]) -> Set[Span]:
     if open_role is not None:
         spans.add(Span(open_role, open_start, len(labels)))
     return spans
+
+
+def _sentence_from_conll(sent_id: str, rows: Sequence[Tuple[str, Optional[str], str]]) -> Sentence:
+    tokens, offset = [], 0
+    for text, pos, _ in rows:
+        tokens.append(Token(text=text, char_start=offset, char_end=offset + len(text), pos=pos))
+        offset += len(text) + 1
+    spans = decode([label for _, _, label in rows])
+    by_role = {role: {s for s in spans if s.role is role} for role in Role}
+    if spans and not by_role[Role.EXPRESSION]:
+        raise ValidationError(
+            f"sentence '{sent_id}': CoNLL block has holder/target spans but no "
+            f"expression span; opinion tuples require an expression"
+        )
+    opinions = [OpinionTuple(holders=by_role[Role.HOLDER], targets=by_role[Role.TARGET],
+                             expressions=by_role[Role.EXPRESSION])] if spans else []
+    return Sentence(sent_id, " ".join(text for text, _, _ in rows), tokens, opinions)
+
+
+def load_conll(path: str) -> Dataset:
+    """Load a CoNLL file as a dataset named after the file. A sentence's
+    spans form one opinion tuple, which needs an expression span."""
+    blocks = read_conll_blocks(path)
+    sentences = [_sentence_from_conll(sent_id, rows) for sent_id, rows in blocks]
+    name = re.sub(r"\.[^.]*$", "", path.replace("\\", "/").rsplit("/", 1)[-1]) or "dataset"
+    return Dataset(name=name, sentences=sentences)
+
+
+def save_conll(ds: Dataset, path: str) -> None:
+    """Write a dataset as CoNLL; a cross-role overlap raises ``CodecError``."""
+    write_conll(path, [(sentence, encode(sentence)) for sentence in ds.sentences])

@@ -3,7 +3,9 @@
 Three tagger kinds share one ``tag()`` interface: the all-O majority
 baseline, a POS-to-label chunking baseline and a trainable averaged
 perceptron. Tags produced by an external model are read from a CoNLL
-file with ``load_external_predictions`` instead.
+file with ``load_external_predictions`` (every sentence of a dataset, for
+``predict``) or ``load_predictions_conll`` (any of them, for ``evaluate``)
+instead.
 """
 
 from __future__ import annotations
@@ -386,32 +388,37 @@ def _tag_pos_chunk(model: TaggerModel, sentence: Sentence) -> TagSequence:
     return tuple(labels)
 
 
-def load_external_predictions(path: str, ds: Dataset) -> Dict[str, TagSequence]:
+def load_predictions_conll(path: str, ds: Dataset) -> Dict[str, TagSequence]:
     """Read per-sentence tag sequences from a CoNLL file, keyed by id.
 
-    The file must carry exactly the dataset's sentence ids with matching
-    token counts. Ill-formed BIO runs are accepted; they are repaired later
-    at decode time.
+    The file may hold any of the dataset's sentences, each with its token
+    count; a repeated id or one the dataset lacks raises. Ill-formed BIO
+    runs are accepted; they are repaired later at decode time.
     """
+    sentences = ds.by_id()
     predictions: Dict[str, TagSequence] = {}
     for sent_id, rows in read_conll_blocks(path):
         if sent_id in predictions:
             raise ParseError(f"{path}: duplicate sentence id '{sent_id}'")
+        if sent_id not in sentences:
+            raise ValidationError(f"predictions file contains unknown sentence id '{sent_id}'")
+        expected = len(sentences[sent_id].tokens)
+        if len(rows) != expected:
+            raise ValidationError(
+                f"sentence '{sent_id}': dataset has {expected} tokens "
+                f"but predictions file has {len(rows)}"
+            )
         predictions[sent_id] = tuple(label for _, _, label in rows)
+    return predictions
+
+
+def load_external_predictions(path: str, ds: Dataset) -> Dict[str, TagSequence]:
+    """``load_predictions_conll`` for a file that must hold every sentence
+    of the dataset; the result is in dataset order."""
+    predictions = load_predictions_conll(path, ds)
     for sentence in ds.sentences:
         if sentence.id not in predictions:
             raise ValidationError(f"predictions file is missing sentence '{sentence.id}'")
-        got = len(predictions[sentence.id])
-        if got != len(sentence.tokens):
-            raise ValidationError(
-                f"sentence '{sentence.id}': dataset has {len(sentence.tokens)} tokens "
-                f"but predictions file has {got}"
-            )
-    extra = set(predictions) - {s.id for s in ds.sentences}
-    if extra:
-        raise ValidationError(
-            f"predictions file contains unknown sentence id(s): {', '.join(sorted(extra))}"
-        )
     return {s.id: predictions[s.id] for s in ds.sentences}
 
 

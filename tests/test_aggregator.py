@@ -20,7 +20,6 @@ from sentigraph import (
     generate_instances,
     gold_graph,
     gold_instances,
-    graph_from_sentence,
     graphs_to_dataset,
     most_common_tagger,
     pos_chunk_tagger,
@@ -231,7 +230,7 @@ def test_graphs_to_dataset_round_trip():
     converted = graphs_to_dataset(ds, graphs)
     assert [s.id for s in converted] == [s.id for s in ds]
     for sentence in converted.sentences:
-        assert graph_from_sentence(sentence) == graphs[sentence.id]
+        assert SentimentGraph(sentence.id, sentence.opinions) == graphs[sentence.id]
 
 
 def test_write_triples_format(tmp_path):

@@ -7,8 +7,9 @@ import pytest
 
 import sentigraph
 from helpers import opinion, sent, span
-from sentigraph import Dataset, FileFormat, load_dataset, save_dataset
+from sentigraph import Dataset, load_conll, load_dataset, save_conll, save_dataset, taggers
 from sentigraph.cli import main
+from sentigraph.corpus import read_conll_blocks
 from sentigraph.synth import generate_corpus
 
 
@@ -179,7 +180,7 @@ def test_convert_overlap_drop_lists_ids(tmp_path, capsys):
                "--overlap-policy", "drop_sentence"])
     assert rc == 0
     assert "clash" in capsys.readouterr().err
-    assert len(load_dataset(str(out), FileFormat.CONLL)) == 1
+    assert len(load_conll(str(out))) == 1
 
 
 def test_convert_overlap_without_policy_fails(tmp_path, capsys):
@@ -220,7 +221,7 @@ def test_convert_empty_dataset(tmp_path):
     save_dataset(Dataset(name="e"), str(src))
     out = tmp_path / "e.conll"
     assert main(["convert", str(src), str(out), "--from", "json", "--to", "conll"]) == 0
-    assert len(load_dataset(str(out), FileFormat.CONLL)) == 0
+    assert len(load_conll(str(out))) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +261,7 @@ def test_evaluate_conll_only(tmp_path, capsys, synth_paths):
     _, test_path = synth_paths
     ds = load_dataset(test_path)
     pred = tmp_path / "echo.conll"
-    save_dataset(ds, str(pred), FileFormat.CONLL)
+    save_conll(ds, str(pred))
     assert main(["evaluate", "--gold", test_path, "--pred-conll", str(pred)]) == 0
     out = capsys.readouterr().out
     assert "1.000" in out
@@ -279,7 +280,7 @@ def test_predict_requires_model(synth_paths, capsys):
 def test_predict_rejects_tagger_model_with_external_conll(tmp_path, capsys, synth_paths):
     _, test_path = synth_paths
     conll = tmp_path / "echo.conll"
-    save_dataset(load_dataset(test_path), str(conll), FileFormat.CONLL)
+    save_conll(load_dataset(test_path), str(conll))
     out_dir = tmp_path / "preds"
     rc = main(["--output-dir", str(out_dir), "predict", "--data", test_path,
                "--tagger-model", str(tmp_path / "nonexistent.json"),
@@ -313,7 +314,7 @@ def test_evaluate_scores_predict_and_pipeline_conll_when_gold_has_overlap(tmp_pa
     capsys.readouterr()
 
     only_kept = tmp_path / "kept.conll"
-    save_dataset(kept, str(only_kept), FileFormat.CONLL)
+    save_conll(kept, str(only_kept))
     assert main(["--format", "json", "evaluate", "--gold", str(gold),
                  "--pred-conll", str(only_kept)]) == 0
     report = json.loads(capsys.readouterr().out)["reports"][0]
@@ -347,6 +348,97 @@ def test_evaluate_pred_graphs_rejects_unknown_ids(tmp_path, capsys):
     capsys.readouterr()
     assert main(["evaluate", "--gold", str(gold), "--pred-graphs", str(ghost)]) == 2
     assert "ghost" in capsys.readouterr().err
+
+
+def _gold_with_dropped(tmp_path, *dropped):
+    """Twelve sentences the default overlap filter keeps, then one it drops
+    (a target and an expression share a token) for each id in ``dropped``;
+    written to gold.json."""
+    kept = generate_corpus(12, seed=7, name="gold")
+    clashes = tuple(
+        sent(sent_id, ["w0", "w1", "w2"],
+             opinions=[opinion(targets=[span("t", 0, 2)], expressions=[span("e", 1, 3)])])
+        for sent_id in dropped
+    )
+    gold = tmp_path / "gold.json"
+    save_dataset(Dataset(name="gold", sentences=kept.sentences + clashes), str(gold))
+    return gold, kept
+
+
+def test_evaluate_reads_a_kept_plus_some_dropped_conll_file_once(tmp_path, capsys, monkeypatch):
+    gold, kept = _gold_with_dropped(tmp_path, "c1", "c2")
+    conll, graphs = tmp_path / "pred.conll", tmp_path / "pred.json"
+    save_conll(kept, str(conll))
+    with open(conll, "a", encoding="utf-8") as fh:
+        fh.write("# sent_id = c1\n1\tw0\t_\tO\n2\tw1\t_\tO\n3\tw2\t_\tO\n\n")
+    save_dataset(Dataset(name="pred", sentences=kept.sentences + (sent("c1", ["w0", "w1", "w2"]),)),
+                 str(graphs))
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return read_conll_blocks(path)
+
+    monkeypatch.setattr(taggers, "read_conll_blocks", counted)
+    assert main(["--format", "json", "evaluate", "--gold", str(gold),
+                 "--pred-conll", str(conll), "--pred-graphs", str(graphs)]) == 0
+    assert reads == [str(conll)]
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert report["sentence_count"] == 12
+    assert report["token"]["target"]["f1"] == 1.0
+
+
+def test_evaluate_missing_kept_sentence_exits_2_for_both_files(tmp_path, capsys):
+    gold, kept = _gold_with_dropped(tmp_path, "c1")
+    short = Dataset(name="short", sentences=kept.sentences[1:])
+    conll, graphs = tmp_path / "short.conll", tmp_path / "short.json"
+    save_conll(short, str(conll))
+    save_dataset(short, str(graphs))
+    capsys.readouterr()
+    for flag, path in (("--pred-conll", conll), ("--pred-graphs", graphs)):
+        assert main(["evaluate", "--gold", str(gold), flag, str(path)]) == 2
+        assert f"'{kept.sentences[0].id}'" in capsys.readouterr().err
+
+
+def test_json_stdout_equals_the_written_file(tmp_path, capsys):
+    ds = generate_corpus(6, seed=3, name="café")
+    gold, pred = tmp_path / "gold.json", tmp_path / "pred.conll"
+    save_dataset(ds, str(gold))
+    save_conll(ds, str(pred))
+    out_dir, report = tmp_path / "stats", tmp_path / "report.json"
+    assert main(["--format", "json", "--output-dir", str(out_dir), "stats", str(gold)]) == 0
+    out = capsys.readouterr().out
+    assert "café" in out
+    assert out.encode("utf-8") == (out_dir / "stats.json").read_bytes()
+    assert main(["--format", "json", "evaluate", "--gold", str(gold),
+                 "--pred-conll", str(pred), "--output", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert "café" in out
+    assert out.encode("utf-8") == report.read_bytes()
+
+
+def test_predict_rejects_an_id_that_conll_cannot_hold(tmp_path, capsys):
+    data, tagger = tmp_path / "data.json", tmp_path / "tagger.json"
+    save_dataset(Dataset(name="d", sentences=[sent("x ", ["a"])]), str(data))
+    tagger.write_text('{"kind": "MOST_COMMON"}', encoding="utf-8")
+    assert main(["--output-dir", str(tmp_path / "out"), "predict", "--data", str(data),
+                 "--tagger-model", str(tagger)]) == 2
+    assert "'x '" in capsys.readouterr().err
+
+
+def test_convert_json_to_conll_and_back(tmp_path, capsys):
+    src, conll, back = tmp_path / "in.json", tmp_path / "mid.conll", tmp_path / "back.json"
+    ds = generate_corpus(20, seed=5, name="in")
+    save_dataset(ds, str(src))
+    assert main(["convert", str(src), str(conll), "--from", "json", "--to", "conll",
+                 "--overlap-policy", "drop_sentence"]) == 0
+    assert main(["convert", str(conll), str(back), "--from", "conll", "--to", "json"]) == 0
+    loaded = load_dataset(str(back))
+    assert loaded.name == "mid"
+    assert [s.id for s in loaded] == [s.id for s in ds]
+    for original, read in zip(ds, loaded):
+        assert read.spans() == original.spans()
+        assert [t.text for t in read.tokens] == [t.text for t in original.tokens]
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ from helpers import love_school, opinion, random_dataset, sent, span
 from sentigraph import (
     CodecError,
     Dataset,
-    FileFormat,
     OpinionTuple,
     OverlapPolicy,
     ParseError,
@@ -21,11 +20,13 @@ from sentigraph import (
     ValidationError,
     compute_stats,
     filter_overlapping,
+    load_conll,
     load_dataset,
+    save_conll,
     save_dataset,
     upsample,
 )
-from sentigraph.corpus import dataset_from_dict, dataset_to_dict
+from sentigraph.corpus import dataset_from_dict, dataset_to_dict, read_conll_blocks, write_conll
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +116,7 @@ def _two_sentence_payload():
 def test_load_two_sentence_json(tmp_path):
     path = tmp_path / "fixture.json"
     path.write_text(json.dumps(_two_sentence_payload()), encoding="utf-8")
-    ds = load_dataset(str(path), FileFormat.JSON)
+    ds = load_dataset(str(path))
     assert len(ds) == 2
     assert ds.sentences[0].opinions[0].polarity == "positive"
     assert ds.sentences[0].spans(Role.TARGET) == {span("t", 2, 3)}
@@ -188,8 +189,8 @@ def test_load_missing_file_is_input_error(tmp_path):
 def test_json_round_trip_identity(tmp_path):
     ds = Dataset(name="rt", sentences=[love_school(), sent("empty", ["ok"])])
     path = tmp_path / "rt.json"
-    save_dataset(ds, str(path), FileFormat.JSON)
-    assert load_dataset(str(path), FileFormat.JSON) == ds
+    save_dataset(ds, str(path))
+    assert load_dataset(str(path)) == ds
 
 
 def test_empty_dataset_round_trip(tmp_path):
@@ -198,8 +199,8 @@ def test_empty_dataset_round_trip(tmp_path):
     save_dataset(ds, str(json_path))
     assert load_dataset(str(json_path)) == ds
     conll_path = tmp_path / "void.conll"
-    save_dataset(ds, str(conll_path), FileFormat.CONLL)
-    assert len(load_dataset(str(conll_path), FileFormat.CONLL)) == 0
+    save_conll(ds, str(conll_path))
+    assert len(load_conll(str(conll_path))) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -246,8 +247,8 @@ def test_ingestion_totality_on_mangled_input(tmp_path):
 def test_conll_round_trip_preserves_spans(tmp_path):
     ds = Dataset(name="c", sentences=[love_school(), sent("noop", ["quiet", "day"])])
     path = tmp_path / "c.conll"
-    save_dataset(ds, str(path), FileFormat.CONLL)
-    back = load_dataset(str(path), FileFormat.CONLL)
+    save_conll(ds, str(path))
+    back = load_conll(str(path))
     assert [s.id for s in back] == ["s-love", "noop"]
     for original, loaded in zip(ds.sentences, back.sentences):
         assert loaded.spans() == original.spans()
@@ -257,7 +258,7 @@ def test_conll_round_trip_preserves_spans(tmp_path):
 
 def test_conll_text_layout(tmp_path):
     path = tmp_path / "one.conll"
-    save_dataset(Dataset(name="one", sentences=[love_school()]), str(path), FileFormat.CONLL)
+    save_conll(Dataset(name="one", sentences=[love_school()]), str(path))
     assert path.read_text(encoding="utf-8") == (
         "# sent_id = s-love\n"
         "1\tI\tPRON\tB-HOLDER\n"
@@ -279,14 +280,14 @@ def _overlapping_sentence():
 def test_conll_save_overlap_errors_without_policy(tmp_path):
     ds = Dataset(name="x", sentences=[_overlapping_sentence()])
     with pytest.raises(CodecError):
-        save_dataset(ds, str(tmp_path / "x.conll"), FileFormat.CONLL)
+        save_conll(ds, str(tmp_path / "x.conll"))
 
 
 def test_conll_load_entity_without_expression_rejected(tmp_path):
     path = tmp_path / "h.conll"
     path.write_text("# sent_id = lonely\n1\the\t_\tB-HOLDER\n\n", encoding="utf-8")
     with pytest.raises(ValidationError) as err:
-        load_dataset(str(path), FileFormat.CONLL)
+        load_conll(str(path))
     assert "lonely" in str(err.value)
 
 
@@ -294,8 +295,57 @@ def test_conll_load_bad_label_has_line_number(tmp_path):
     path = tmp_path / "bad.conll"
     path.write_text("# sent_id = s\n1\tword\t_\tB-WRONG\n\n", encoding="utf-8")
     with pytest.raises(ParseError) as err:
-        load_dataset(str(path), FileFormat.CONLL)
+        load_conll(str(path))
     assert ":2:" in str(err.value)
+
+
+# Mostly the characters a CoNLL line treats specially: whitespace of every
+# kind, the column and line breaks, and the POS placeholder.
+_conll_strings = st.text(
+    st.one_of(st.sampled_from(" \t\r\n\x0b\x0c\x1c\x85\xa0\u2028_#="), st.characters()),
+    min_size=1, max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(_conll_strings, st.lists(st.tuples(_conll_strings, st.none() | _conll_strings),
+                                       max_size=3)),
+    max_size=3, unique_by=lambda block: block[0],
+))
+def test_write_conll_writes_only_what_reads_back(tmp_path_factory, blocks):
+    sentences = [sent(sent_id, [text for text, _ in rows], pos=[pos for _, pos in rows])
+                 for sent_id, rows in blocks]
+    path = str(tmp_path_factory.mktemp("conll") / "out.conll")
+    fields = [s.id for s in sentences] + [
+        value for s in sentences for t in s.tokens for value in (t.text, t.pos or "")]
+    writable = (not any(c in value for value in fields for c in "\t\n\r")
+                and all(s.id == s.id.strip() for s in sentences))
+    try:
+        write_conll(path, [(s, ["O"] * len(s.tokens)) for s in sentences])
+    except ValidationError:
+        assert not writable
+        return
+    assert writable
+    assert read_conll_blocks(path) == [
+        (s.id, [(t.text, None if t.pos == "_" else t.pos, "O") for t in s.tokens])
+        for s in sentences
+    ]
+
+
+@pytest.mark.parametrize("sentence, named", [
+    (sent("x ", ["a"]), "'x '"),
+    (sent(" x", ["a"]), "' x'"),
+    (sent("a\rb", ["a"]), "'a\\rb'"),
+    (sent("s", ["a\rb"]), "'a\\rb'"),
+    (sent("s", ["a"], pos=["N\rN"]), "token 0"),
+])
+def test_write_conll_rejects_what_does_not_read_back(tmp_path, sentence, named):
+    path = tmp_path / "x.conll"
+    with pytest.raises(ValidationError) as err:
+        save_conll(Dataset(name="x", sentences=[sentence]), str(path))
+    assert named in str(err.value)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------

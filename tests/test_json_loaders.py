@@ -20,8 +20,8 @@ from helpers import sent
 from sentigraph import (
     BIO_LABELS,
     Dataset,
-    FileFormat,
     InputError,
+    load_conll,
     load_dataset,
     relation,
     save_dataset,
@@ -122,5 +122,5 @@ def test_predict_exits_2_on_a_bad_relation_model(workdir, value):
 def test_conll_loaders_return_or_raise_input_error(workdir, text):
     path = workdir / "input.conll"
     path.write_text(text, encoding="utf-8")
-    _returns_or_input_error(lambda p: load_dataset(p, FileFormat.CONLL), path)
+    _returns_or_input_error(load_conll, path)
     _returns_or_input_error(lambda p: taggers.load_external_predictions(p, CONLL_GOLD), path)

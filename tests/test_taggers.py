@@ -19,7 +19,7 @@ from sentigraph import (
     train_perceptron,
     upsample,
 )
-from sentigraph.corpus import FileFormat, save_dataset
+from sentigraph.span_codec import save_conll
 from sentigraph.synth import generate_corpus
 from sentigraph.taggers import (
     TIE_ORDER,
@@ -316,7 +316,7 @@ def test_tag_with_no_finite_score_is_a_model_error():
 def test_external_predictions_mirror_gold(tmp_path):
     ds = Dataset(name="g", sentences=[love_school(), sent("plain", ["ok", "then"])])
     path = tmp_path / "gold.conll"
-    save_dataset(ds, str(path), FileFormat.CONLL)
+    save_conll(ds, str(path))
     predictions = load_external_predictions(str(path), ds)
     for sentence in ds.sentences:
         assert decode(predictions[sentence.id]) == sentence.spans()
@@ -325,7 +325,7 @@ def test_external_predictions_mirror_gold(tmp_path):
 def test_external_predictions_missing_sentence(tmp_path):
     ds = Dataset(name="g", sentences=[love_school(), sent("plain", ["ok"])])
     path = tmp_path / "partial.conll"
-    save_dataset(Dataset(name="g", sentences=[love_school()]), str(path), FileFormat.CONLL)
+    save_conll(Dataset(name="g", sentences=[love_school()]), str(path))
     with pytest.raises(ValidationError) as err:
         load_external_predictions(str(path), ds)
     assert "plain" in str(err.value)
