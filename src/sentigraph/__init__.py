@@ -17,7 +17,6 @@ from .aggregator import (
     write_triples,
 )
 from .corpus import (
-    BIO_LABELS,
     Dataset,
     OpinionTuple,
     OverlapPolicy,
@@ -62,7 +61,8 @@ from .relation import (
     gold_instances,
     train_logistic,
 )
-from .span_codec import TagSequence, decode, encode, load_conll, save_conll, union_same_role
+from .span_codec import (BIO_LABELS, TagSequence, decode, encode, load_conll, save_conll,
+                         union_same_role)
 from .taggers import (
     DEFAULT_POS_MAP,
     TaggerKind,

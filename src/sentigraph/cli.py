@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from . import aggregator, corpus, metrics, relation, span_codec, taggers
 from .corpus import Dataset, OverlapPolicy
-from .errors import ConfigError, InputError, SentigraphError
+from .errors import ConfigError, InputError, SentigraphError, ValidationError
 from .metrics import Stratum
 # Not called here; benchmark/test_benchmark.py checks that its tracer restores cli.decode.
 from .span_codec import decode  # noqa: F401
@@ -376,8 +376,11 @@ def _cmd_evaluate(args) -> int:
         predicted = corpus.load_dataset(args.pred_graphs).sentences
         unknown = ", ".join(sorted({s.id for s in predicted} - gold.by_id().keys()))
         if unknown:
-            raise InputError(f"graphs file contains unknown sentence id(s): {unknown}")
-        graphs = {s.id: aggregator.SentimentGraph(s.id, s.opinions) for s in predicted}
+            raise InputError(f"{args.pred_graphs}: unknown sentence id(s): {unknown}")
+        try:
+            graphs = {s.id: aggregator.SentimentGraph(s.id, s.opinions) for s in predicted}
+        except ValidationError as err:
+            raise ValidationError(f"{args.pred_graphs}: {err}") from err
     reports = _reports(ds, tags, graphs, args.strata)
     payload = _report_payload(reports)
     if args.format == "json":
@@ -477,6 +480,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except UnicodeEncodeError as err:  # every file writer raises ValidationError instead
+        print(f"error: standard output's encoding {err.encoding} cannot print "
+              f"{err.object[err.start:err.end]!r}; try PYTHONIOENCODING=utf-8", file=sys.stderr)
         return 2
     except SentigraphError as err:
         print(f"error: {err}", file=sys.stderr)

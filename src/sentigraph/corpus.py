@@ -1,9 +1,9 @@
 """Data model and dataset I/O for opinion extraction.
 
 Holds the token/span/opinion containers shared by every pipeline stage,
-plus the dataset-level operations: JSON (de)serialization, the CoNLL
-block reader and writer, distribution statistics, cross-role overlap
-filtering, and group up-sampling.
+plus the dataset-level operations: JSON (de)serialization, distribution
+statistics, cross-role overlap filtering, and group up-sampling. BIO
+labels and the CoNLL format live in ``span_codec``.
 
 JSON dataset schema (one file per dataset)::
 
@@ -20,18 +20,6 @@ Span pairs are half-open token-index ranges. Token ``start``/``end`` are
 character offsets (Unicode code points) into the sentence text, and
 ``text[start:end]`` must equal the token's own ``text``.
 
-CoNLL format: one token per line, blank line between sentences, a
-``# sent_id = <id>`` comment before each sentence, and four columns::
-
-    index   token   pos   bio_label
-
-POS is ``_`` when absent. The BIO label alphabet is fixed:
-``O, B-HOLDER, I-HOLDER, B-TARG, I-TARG, B-EXP, I-EXP``. CoNLL is a lossy
-projection: how spans group into opinion tuples is not representable, so
-a CoNLL round trip (``span_codec.save_conll`` and ``load_conll``)
-preserves span sets but flattens each sentence's opinions into a single
-tuple.
-
 Every JSON artifact (datasets, models, reports) goes through
 ``write_json_object``. It streams the document to the file in bounded
 chunks and writes exactly the bytes of ``json.dump(obj, fh, indent=2,
@@ -47,12 +35,11 @@ import json
 import math
 import os
 import random
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from json.encoder import encode_basestring
-from typing import IO, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import IO, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import ParseError, ValidationError
 
@@ -66,23 +53,6 @@ class Role(Enum):
 class OverlapPolicy(Enum):
     DROP_SENTENCE = "DROP_SENTENCE"
     PRIORITY_KEEP = "PRIORITY_KEEP"
-
-
-# Fixed BIO label alphabet, shared by the CoNLL format and every tagger.
-ROLE_SUFFIX = {Role.HOLDER: "HOLDER", Role.TARGET: "TARG", Role.EXPRESSION: "EXP"}
-SUFFIX_ROLE = {suffix: role for role, suffix in ROLE_SUFFIX.items()}
-BIO_LABELS = ("O", "B-HOLDER", "I-HOLDER", "B-TARG", "I-TARG", "B-EXP", "I-EXP")
-
-
-def bio_label(prefix: str, role: Role) -> str:
-    return f"{prefix}-{ROLE_SUFFIX[role]}"
-
-
-def label_role(label: str) -> Optional[Role]:
-    """Role of a BIO label, or None for ``O``."""
-    if label == "O":
-        return None
-    return SUFFIX_ROLE[label.split("-", 1)[1]]
 
 
 @dataclass(frozen=True)
@@ -534,7 +504,8 @@ def replacing(path: str) -> Iterator[IO[str]]:
     """Write a new UTF-8 text file, created as a plain ``open`` creates it,
     under a temporary name beside ``path``, and move it onto ``path`` when
     the block ends. On an error the temporary file is deleted instead, so an
-    earlier file at ``path`` keeps its bytes."""
+    earlier file at ``path`` keeps its bytes; a character that UTF-8 cannot
+    encode (a lone surrogate) raises ``ValidationError``."""
     directory, name = os.path.split(path)
     temp = os.path.join(directory, f".{name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     try:
@@ -546,100 +517,12 @@ def replacing(path: str) -> Iterator[IO[str]]:
         with fh:
             yield fh
         os.replace(temp, path)
-    except BaseException:
+    except BaseException as err:
         os.remove(temp)
+        if isinstance(err, UnicodeEncodeError):
+            bad = err.object[err.start:err.end]
+            raise ValidationError(f"{path}: cannot write {bad!r} as UTF-8") from err
         raise
-
-
-# ---------------------------------------------------------------------------
-# CoNLL serialization
-# ---------------------------------------------------------------------------
-
-_SENT_ID_RE = re.compile(r"#\s*sent_id\s*=\s*(.+?)\s*$")
-
-# (sent_id, [(token_text, pos_or_None, bio_label), ...])
-ConllBlock = Tuple[str, List[Tuple[str, Optional[str], str]]]
-
-
-# A tab splits a row; a newline or carriage return ends a line.
-_CONLL_BREAK = re.compile("[\t\n\r]")
-
-
-def write_conll(path: str, labelled: Iterable[Tuple[Sentence, Sequence[str]]]) -> None:
-    """Write each sentence as a CoNLL block, with one label per token.
-
-    Only what ``read_conll_blocks`` reads back is written: a tab, newline or
-    carriage return in a sentence id, token text or POS raises
-    ``ValidationError``, and so does a sentence id with leading or trailing
-    whitespace, which the header reader strips.
-    """
-    with replacing(path) as fh:
-        for sentence, labels in labelled:
-            sent_id = sentence.id
-            if _CONLL_BREAK.search(sent_id) or sent_id != sent_id.strip():
-                raise ValidationError(
-                    f"sentence id {sent_id!r} contains a tab or line break, or starts or "
-                    f"ends with whitespace, and cannot be written to CoNLL"
-                )
-            fh.write(f"# sent_id = {sent_id}\n")
-            for i, (tok, label) in enumerate(zip(sentence.tokens, labels)):
-                text, pos = tok.text, tok.pos
-                if _CONLL_BREAK.search(text) or (pos is not None and _CONLL_BREAK.search(pos)):
-                    raise ValidationError(
-                        f"sentence '{sent_id}', token {i} {text!r}: text/pos contains a tab "
-                        f"or line break and cannot be written to CoNLL"
-                    )
-                fh.write(f"{i + 1}\t{text}\t{pos if pos is not None else '_'}\t{label}\n")
-            fh.write("\n")
-
-
-def read_conll_blocks(path: str) -> List[ConllBlock]:
-    blocks: List[ConllBlock] = []
-    rows: Optional[List[Tuple[str, Optional[str], str]]] = None  # of the open block
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.rstrip("\n")
-                if not line.strip():
-                    rows = None
-                    continue
-                if line.startswith("#"):
-                    match = _SENT_ID_RE.match(line)
-                    if match:
-                        if rows is not None:
-                            raise ParseError(
-                                f"{path}:{lineno}: new '# sent_id' header without a blank "
-                                f"line after sentence '{blocks[-1][0]}'"
-                            )
-                        rows = []
-                        blocks.append((match.group(1), rows))
-                    continue
-                if rows is None:
-                    raise ParseError(
-                        f"{path}:{lineno}: token row before a '# sent_id =' header"
-                    )
-                cols = line.split("\t") if "\t" in line else line.split()
-                if len(cols) != 4:
-                    raise ParseError(
-                        f"{path}:{lineno}: expected 4 columns (index token pos label), "
-                        f"got {len(cols)}"
-                    )
-                index_str, text, pos, label = cols
-                try:
-                    index = int(index_str)
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: token index {index_str!r} is not an integer")
-                if index != len(rows) + 1:
-                    raise ParseError(
-                        f"{path}:{lineno}: token index {index} out of sequence "
-                        f"(expected {len(rows) + 1})"
-                    )
-                if label not in BIO_LABELS:
-                    raise ParseError(f"{path}:{lineno}: unknown BIO label {label!r}")
-                rows.append((text, None if pos == "_" else pos, label))
-    except OSError as err:
-        raise ParseError(f"{path}: cannot read: {err}") from err
-    return blocks
 
 
 # ---------------------------------------------------------------------------

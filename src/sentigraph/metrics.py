@@ -14,10 +14,10 @@ from enum import Enum
 from typing import Dict, Mapping, Optional, Sequence
 
 from .aggregator import SentimentGraph, gold_graph
-from .corpus import BIO_LABELS, Dataset, Role, Sentence, label_role
+from .corpus import Dataset, Role, Sentence
 from .errors import ValidationError
 from .relation import RelationInstance, gold_instances, linked_pairs
-from .span_codec import TagSequence, encode
+from .span_codec import BIO_LABELS, TagSequence, encode, label_role
 
 
 class Stratum(Enum):

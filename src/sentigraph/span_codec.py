@@ -1,13 +1,25 @@
-"""Conversion between opinion spans and per-token BIO tag sequences.
+"""BIO labels: their alphabet, their spans and their CoNLL format.
+
+The label alphabet is fixed: ``O, B-HOLDER, I-HOLDER, B-TARG, I-TARG,
+B-EXP, I-EXP`` (BIO tagging after Ramshaw & Marcus 1995). An ``I-X``
+continues the label before it when that label is ``B-X`` or ``I-X``
+(``continues``); the taggers and ``decode`` share that one rule.
 
 ``encode`` turns a sentence's spans into one label per token; ``decode``
 recovers spans from any label sequence, repairing ill-formed input: an
-``I-X`` without a valid predecessor is treated as ``B-X``. Same-role spans
+``I-X`` that continues nothing is treated as ``B-X``. Same-role spans
 that overlap or touch are unioned before encoding, since BIO cannot keep
 them apart; cross-role overlaps are an error (filter them first).
 
-``load_conll`` and ``save_conll`` read and write a whole dataset as a
-CoNLL file (format in ``corpus``) through ``decode`` and ``encode``.
+CoNLL format: one token per line, blank line between sentences, a
+``# sent_id = <id>`` comment before each sentence, and four columns::
+
+    index   token   pos   bio_label
+
+POS is ``_`` when absent. CoNLL is a lossy projection: how spans group
+into opinion tuples is not representable, so a round trip through
+``save_conll`` and ``load_conll`` preserves span sets but flattens each
+sentence's opinions into a single tuple.
 """
 
 from __future__ import annotations
@@ -15,9 +27,29 @@ from __future__ import annotations
 import re
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .corpus import (BIO_LABELS, Dataset, OpinionTuple, Role, Sentence, Span, Token, bio_label,
-                     label_role, read_conll_blocks, write_conll)
-from .errors import CodecError, ValidationError
+from .corpus import Dataset, OpinionTuple, Role, Sentence, Span, Token, replacing
+from .errors import CodecError, ParseError, ValidationError
+
+_ROLE_SUFFIX = {Role.HOLDER: "HOLDER", Role.TARGET: "TARG", Role.EXPRESSION: "EXP"}
+# Each label's role, None for O; its keys are the alphabet, in order.
+_LABEL_ROLE = {"O": None, **{f"{prefix}-{suffix}": role
+                             for role, suffix in _ROLE_SUFFIX.items() for prefix in "BI"}}
+BIO_LABELS = tuple(_LABEL_ROLE)
+
+
+def bio_label(prefix: str, role: Role) -> str:
+    return f"{prefix}-{_ROLE_SUFFIX[role]}"
+
+
+def label_role(label: str) -> Optional[Role]:
+    """Role of a BIO label, or None for ``O``."""
+    return _LABEL_ROLE[label]
+
+
+def continues(prev: str, label: str) -> bool:
+    """Whether ``label`` is an ``I-X`` after a ``B-X`` or ``I-X``."""
+    return label.startswith("I-") and prev in ("B" + label[1:], label)
+
 
 # One label per token, drawn from BIO_LABELS.
 TagSequence = Tuple[str, ...]
@@ -78,25 +110,110 @@ def encode(sentence: Sentence) -> TagSequence:
 def decode(labels: Sequence[str]) -> Set[Span]:
     """Spans for a label sequence; total over the 7-label alphabet.
 
-    Maximal ``B-X (I-X)*`` runs become spans. An orphan ``I-X`` (no same-role
-    predecessor) starts a new span, which preserves recall from imperfect
-    taggers at the cost of inventing a boundary.
+    A label that does not continue the one before it ends the open span, and
+    any label but ``O`` starts one. So maximal ``B-X (I-X)*`` runs become
+    spans, and an orphan ``I-X`` starts a new span, which preserves recall
+    from imperfect taggers at the cost of inventing a boundary.
     """
     validate_tags(labels)
     spans: Set[Span] = set()
-    open_role: Optional[Role] = None
-    open_start = 0
-    for i, label in enumerate(labels):
-        role = label_role(label)
-        starts = label.startswith("B-")
-        if open_role is not None and (role is not open_role or starts or role is None):
-            spans.add(Span(open_role, open_start, i))
-            open_role = None
-        if role is not None and open_role is None:
-            open_role, open_start = role, i
-    if open_role is not None:
-        spans.add(Span(open_role, open_start, len(labels)))
+    start, prev = 0, "O"
+    for i, label in enumerate((*labels, "O")):
+        if not continues(prev, label):
+            if prev != "O":
+                spans.add(Span(_LABEL_ROLE[prev], start, i))
+            start = i
+        prev = label
     return spans
+
+
+# ---------------------------------------------------------------------------
+# CoNLL serialization
+# ---------------------------------------------------------------------------
+
+_SENT_ID_RE = re.compile(r"#\s*sent_id\s*=\s*(.+?)\s*$")
+# A tab splits a row; a newline or carriage return ends a line.
+_CONLL_BREAK = re.compile("[\t\n\r]")
+
+# (sent_id, [(token_text, pos_or_None, bio_label), ...])
+ConllBlock = Tuple[str, List[Tuple[str, Optional[str], str]]]
+
+
+def write_conll(path: str, labelled: Iterable[Tuple[Sentence, Sequence[str]]]) -> None:
+    """Write each sentence as a CoNLL block, with one label per token.
+
+    Only what ``read_conll_blocks`` reads back is written: a tab, newline or
+    carriage return in a sentence id, token text or POS raises
+    ``ValidationError``, and so does a sentence id with leading or trailing
+    whitespace, which the header reader strips.
+    """
+    with replacing(path) as fh:
+        for sentence, labels in labelled:
+            sent_id = sentence.id
+            if _CONLL_BREAK.search(sent_id) or sent_id != sent_id.strip():
+                raise ValidationError(
+                    f"sentence id {sent_id!r} contains a tab or line break, or starts or "
+                    f"ends with whitespace, and cannot be written to CoNLL"
+                )
+            fh.write(f"# sent_id = {sent_id}\n")
+            for i, (tok, label) in enumerate(zip(sentence.tokens, labels)):
+                text, pos = tok.text, tok.pos
+                if _CONLL_BREAK.search(text) or (pos is not None and _CONLL_BREAK.search(pos)):
+                    raise ValidationError(
+                        f"sentence '{sent_id}', token {i} {text!r}: text/pos contains a tab "
+                        f"or line break and cannot be written to CoNLL"
+                    )
+                fh.write(f"{i + 1}\t{text}\t{pos if pos is not None else '_'}\t{label}\n")
+            fh.write("\n")
+
+
+def read_conll_blocks(path: str) -> List[ConllBlock]:
+    blocks: List[ConllBlock] = []
+    rows: Optional[List[Tuple[str, Optional[str], str]]] = None  # of the open block
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.rstrip("\n")
+                if not line.strip():
+                    rows = None
+                    continue
+                if line.startswith("#"):
+                    match = _SENT_ID_RE.match(line)
+                    if match:
+                        if rows is not None:
+                            raise ParseError(
+                                f"{path}:{lineno}: new '# sent_id' header without a blank "
+                                f"line after sentence '{blocks[-1][0]}'"
+                            )
+                        rows = []
+                        blocks.append((match.group(1), rows))
+                    continue
+                if rows is None:
+                    raise ParseError(
+                        f"{path}:{lineno}: token row before a '# sent_id =' header"
+                    )
+                cols = line.split("\t") if "\t" in line else line.split()
+                if len(cols) != 4:
+                    raise ParseError(
+                        f"{path}:{lineno}: expected 4 columns (index token pos label), "
+                        f"got {len(cols)}"
+                    )
+                index_str, text, pos, label = cols
+                try:
+                    index = int(index_str)
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: token index {index_str!r} is not an integer")
+                if index != len(rows) + 1:
+                    raise ParseError(
+                        f"{path}:{lineno}: token index {index} out of sequence "
+                        f"(expected {len(rows) + 1})"
+                    )
+                if label not in BIO_LABELS:
+                    raise ParseError(f"{path}:{lineno}: unknown BIO label {label!r}")
+                rows.append((text, None if pos == "_" else pos, label))
+    except OSError as err:
+        raise ParseError(f"{path}: cannot read: {err}") from err
+    return blocks
 
 
 def _sentence_from_conll(sent_id: str, rows: Sequence[Tuple[str, Optional[str], str]]) -> Sentence:

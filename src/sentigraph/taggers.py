@@ -17,20 +17,10 @@ from enum import Enum
 from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .corpus import (
-    BIO_LABELS,
-    Dataset,
-    Sentence,
-    Token,
-    finite_number,
-    label_role,
-    read_conll_blocks,
-    read_json_object,
-    write_conll,
-    write_json_object,
-)
+from .corpus import Dataset, Sentence, Token, finite_number, read_json_object, write_json_object
 from .errors import ModelError, ParseError, ValidationError
-from .span_codec import TagSequence, encode, validate_tags
+from .span_codec import (BIO_LABELS, TagSequence, bio_label, continues, encode, label_role,
+                         read_conll_blocks, validate_tags, write_conll)
 
 
 class TaggerKind(Enum):
@@ -162,21 +152,17 @@ def token_features(tokens: Sequence[Token], i: int, prev_label: str) -> List[str
     return static[:n_word] + _prev_features(prev_label, tokens[i].text.lower()) + static[n_word:]
 
 
-def _legal(label: str, prev: str) -> bool:
-    # I-X may only continue a B-X/I-X of the same role.
-    if not label.startswith("I-"):
-        return True
-    return prev == "B" + label[1:] or prev == label
-
-
 _LABEL_INDEX = {label: k for k, label in enumerate(TIE_ORDER)}
 # Previous-label contexts: the 7 labels, then the sentence start.
 _PREV_LABELS = TIE_ORDER + (_BOS,)
 _BOS_INDEX = len(TIE_ORDER)
 _ZERO_SCORES = (0.0,) * len(TIE_ORDER)
-# Indices of the labels that may follow each previous-label context.
+# Indices of the labels that may follow each previous-label context: an
+# I-X only where it continues.
 _LEGAL_AFTER = tuple(
-    tuple(k for k, label in enumerate(TIE_ORDER) if _legal(label, prev)) for prev in _PREV_LABELS
+    tuple(k for k, label in enumerate(TIE_ORDER)
+          if not label.startswith("I-") or continues(prev, label))
+    for prev in _PREV_LABELS
 )
 
 
@@ -376,15 +362,9 @@ def _tag_pos_chunk(model: TaggerModel, sentence: Sentence) -> TagSequence:
     labels = []
     prev_role = None
     for tok in sentence.tokens:
-        raw = model.pos_map.get(tok.pos) if tok.pos is not None else None
-        role = label_role(raw) if raw is not None else None
-        if role is None:
-            labels.append("O")
-            prev_role = None
-        else:
-            prefix = "I" if prev_role is role else "B"
-            labels.append(f"{prefix}{raw[1:]}" if raw[0] in "BI" else raw)
-            prev_role = role
+        role = label_role(model.pos_map.get(tok.pos, "O")) if tok.pos is not None else None
+        labels.append("O" if role is None else bio_label("I" if role is prev_role else "B", role))
+        prev_role = role
     return tuple(labels)
 
 

@@ -9,7 +9,8 @@ import sentigraph
 from helpers import opinion, sent, span
 from sentigraph import Dataset, load_conll, load_dataset, save_conll, save_dataset, taggers
 from sentigraph.cli import main
-from sentigraph.corpus import read_conll_blocks
+from sentigraph.corpus import dataset_to_dict
+from sentigraph.span_codec import read_conll_blocks
 from sentigraph.synth import generate_corpus
 
 
@@ -424,6 +425,62 @@ def test_predict_rejects_an_id_that_conll_cannot_hold(tmp_path, capsys):
     assert main(["--output-dir", str(tmp_path / "out"), "predict", "--data", str(data),
                  "--tagger-model", str(tagger)]) == 2
     assert "'x '" in capsys.readouterr().err
+
+
+def _run_cli(*argv, **env):
+    """The CLI in a child process: (exit code, stderr)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sentigraph.__file__)))
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "sentigraph.cli", *argv], env=env,
+                          capture_output=True, encoding="utf-8", errors="backslashreplace")
+    return done.returncode, done.stderr
+
+
+def test_a_lone_surrogate_exits_2_naming_the_output(tmp_path):
+    # JSON's "\ud800" escape loads as a lone surrogate, which UTF-8 cannot encode.
+    data, tagger = tmp_path / "data.json", tmp_path / "tagger.json"
+    data.write_text(json.dumps(dataset_to_dict(Dataset("d", [sent("a\ud800", ["a"])]))),
+                    encoding="utf-8")
+    tagger.write_text('{"kind": "MOST_COMMON"}', encoding="utf-8")
+    out = tmp_path / "out"
+    for argv, output in (
+        (["convert", str(data), str(tmp_path / "o.conll"), "--from", "json", "--to", "conll"],
+         tmp_path / "o.conll"),
+        (["convert", str(data), str(tmp_path / "o.json"), "--from", "json", "--to", "json"],
+         tmp_path / "o.json"),
+        (["--output-dir", str(out), "predict", "--data", str(data), "--tagger-model", str(tagger)],
+         out / "predictions.conll"),
+    ):
+        code, err = _run_cli(*argv)
+        assert code == 2
+        assert f"{output}: cannot write '\\ud800'" in err
+        assert "Traceback" not in err
+        assert not output.exists()
+    assert sorted(os.listdir(tmp_path)) == ["data.json", "out", "tagger.json"]
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_stdout_that_cannot_encode_a_name_exits_2(tmp_path, fmt):
+    gold = tmp_path / "gold.json"
+    save_dataset(generate_corpus(3, seed=3, name="café"), str(gold))
+    code, err = _run_cli("--format", fmt, "stats", str(gold), PYTHONIOENCODING="ascii")
+    assert code == 2
+    assert "encoding ascii" in err and "PYTHONIOENCODING=utf-8" in err
+    assert "Traceback" not in err
+
+
+def test_an_invalid_pred_graph_names_the_file(tmp_path):
+    # A gold file keeps polarities, which a predicted graph cannot carry.
+    gold = tmp_path / "gold.json"
+    opinions = [opinion(targets=[span("t", 0, 1)], expressions=[span("e", 1, 2)],
+                        polarity="positive")]
+    save_dataset(Dataset("g", [sent("s1", ["a", "b"], opinions=opinions)]), str(gold))
+    code, err = _run_cli("evaluate", "--gold", str(gold), "--pred-graphs", str(gold))
+    assert code == 2
+    assert f"error: {gold}: graph for sentence 's1': tuples carry no polarity" in err
+    assert "Traceback" not in err
 
 
 def test_convert_json_to_conll_and_back(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import love_school, opinion, random_overlap_free_sentence, sent, span
-from sentigraph import BIO_LABELS, CodecError, Role, ValidationError, decode, encode, union_same_role
+from sentigraph import (BIO_LABELS, CodecError, Role, Span, ValidationError, decode, encode,
+                        union_same_role)
 
 
 def test_encode_love_school():
@@ -139,6 +141,36 @@ def test_round_trip_on_random_sentences():
     for k in range(300):
         s = random_overlap_free_sentence(rng, f"s{k}")
         assert decode(encode(s)) == s.spans()
+
+
+_SUFFIX_ROLE = {"HOLDER": Role.HOLDER, "TARG": Role.TARGET, "EXP": Role.EXPRESSION}
+
+
+def reference_decode(labels):
+    """decode written as a role-tracking scan, kept as an independent
+    reference: a B- label, an O or a change of role closes the open span,
+    and any label but O opens one when none is open."""
+    spans = set()
+    open_role = None
+    open_start = 0
+    for i, label in enumerate(labels):
+        role = None if label == "O" else _SUFFIX_ROLE[label.split("-", 1)[1]]
+        starts = label.startswith("B-")
+        if open_role is not None and (role is not open_role or starts or role is None):
+            spans.add(Span(open_role, open_start, i))
+            open_role = None
+        if role is not None and open_role is None:
+            open_role, open_start = role, i
+    if open_role is not None:
+        spans.add(Span(open_role, open_start, len(labels)))
+    return spans
+
+
+def test_decode_equals_reference_on_every_short_sequence():
+    sequences = [seq for n in range(5) for seq in itertools.product(BIO_LABELS, repeat=n)]
+    assert len(sequences) == 2801
+    for labels in sequences:
+        assert decode(labels) == reference_decode(labels), labels
 
 
 @settings(max_examples=200, deadline=None)

@@ -22,6 +22,8 @@ from sentigraph import (
 from sentigraph.span_codec import save_conll
 from sentigraph.synth import generate_corpus
 from sentigraph.taggers import (
+    _LEGAL_AFTER,
+    _PREV_LABELS,
     TIE_ORDER,
     TaggerModel,
     load_model,
@@ -59,6 +61,31 @@ def test_pos_chunk_missing_pos_is_o():
 def test_pos_chunk_rejects_bad_label():
     with pytest.raises(ValidationError):
         pos_chunk_tagger({"NOUN": "B-THING"})
+
+
+def test_pos_chunk_same_role_continues_and_role_change_begins():
+    # Adjacent same-role tokens continue one span, whichever prefix the map
+    # gives; a role change, an O or a missing POS starts afresh.
+    model = pos_chunk_tagger({"NOUN": "I-TARG", "PROPN": "B-TARG", "VERB": "I-EXP",
+                              "ADJ": "B-EXP", "PRON": "B-HOLDER", "DET": "O"})
+    pos = ["NOUN", "PROPN", "VERB", "ADJ", "PRON", "NOUN", "DET", "NOUN", None]
+    s = sent("c", [f"w{i}" for i in range(len(pos))], pos=pos)
+    assert tag(model, s) == (
+        "B-TARG", "I-TARG", "B-EXP", "I-EXP", "B-HOLDER", "B-TARG", "O", "B-TARG", "O")
+
+
+def test_legal_after_admits_inside_labels_only_where_they_continue():
+    assert {prev: tuple(TIE_ORDER[k] for k in allowed)
+            for prev, allowed in zip(_PREV_LABELS, _LEGAL_AFTER)} == {
+        "O": ("O", "B-EXP", "B-HOLDER", "B-TARG"),
+        "B-EXP": ("O", "B-EXP", "B-HOLDER", "B-TARG", "I-EXP"),
+        "B-HOLDER": ("O", "B-EXP", "B-HOLDER", "B-TARG", "I-HOLDER"),
+        "B-TARG": ("O", "B-EXP", "B-HOLDER", "B-TARG", "I-TARG"),
+        "I-EXP": ("O", "B-EXP", "B-HOLDER", "B-TARG", "I-EXP"),
+        "I-HOLDER": ("O", "B-EXP", "B-HOLDER", "B-TARG", "I-HOLDER"),
+        "I-TARG": ("O", "B-EXP", "B-HOLDER", "B-TARG", "I-TARG"),
+        "<s>": ("O", "B-EXP", "B-HOLDER", "B-TARG"),
+    }
 
 
 def test_pos_chunk_custom_map_with_explicit_o():
