@@ -198,19 +198,14 @@ def _predict(
     return tags, graphs, rows
 
 
-def _write_predictions(out_dir: str, ds: Dataset, tags, graphs, rows) -> Dict[str, str]:
+def _write_predictions(out_dir: str, ds: Dataset, tags, graphs, rows) -> None:
     """Write a split's predicted tags, graphs, triples and scored instances."""
-    paths = {
-        "predictions_conll": os.path.join(out_dir, "predictions.conll"),
-        "graphs": os.path.join(out_dir, "graphs.json"),
-        "triples": os.path.join(out_dir, "triples.jsonl"),
-        "instances": os.path.join(out_dir, "instances.jsonl"),
-    }
-    taggers.save_predictions_conll(paths["predictions_conll"], ds, tags)
-    corpus.save_dataset(aggregator.graphs_to_dataset(ds, graphs), paths["graphs"])
-    aggregator.write_triples(paths["triples"], [graphs[s.id] for s in ds.sentences])
-    relation.dump_instances(paths["instances"], rows)
-    return paths
+    taggers.save_predictions_conll(os.path.join(out_dir, "predictions.conll"), ds, tags)
+    corpus.save_dataset(aggregator.graphs_to_dataset(ds, graphs),
+                        os.path.join(out_dir, "graphs.json"))
+    aggregator.write_triples(os.path.join(out_dir, "triples.jsonl"),
+                             [graphs[s.id] for s in ds.sentences])
+    relation.dump_instances(os.path.join(out_dir, "instances.jsonl"), rows)
 
 
 def _reports(
@@ -231,8 +226,8 @@ def _report_payload(reports: Sequence[metrics.EvalReport]) -> dict:
     return {"reports": [r.to_dict() for r in reports]}
 
 
-def run_pipeline(cfg: PipelineConfig) -> Dict[str, str]:
-    """Execute the full pipeline; returns the artifact paths that were written."""
+def run_pipeline(cfg: PipelineConfig) -> None:
+    """Execute the full pipeline, writing every artifact under ``cfg.output_dir``."""
     train_ds = corpus.load_dataset(cfg.train)
     test_ds = corpus.load_dataset(cfg.test)
     train_f = _filter_overlaps(train_ds, cfg.overlap_policy, "training sentence(s)")
@@ -243,40 +238,31 @@ def run_pipeline(cfg: PipelineConfig) -> Dict[str, str]:
     tagger_model = _train_tagger(cfg.tagger, train_f)
     relation_model = _train_relation(cfg.relation, train_f)
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    paths = {
-        "tagger_model": os.path.join(cfg.output_dir, "tagger_model.json"),
-        "relation_model": os.path.join(cfg.output_dir, "relation_model.json"),
-        "report": os.path.join(cfg.output_dir, "report.json"),
-        "report_txt": os.path.join(cfg.output_dir, "report.txt"),
-    }
-    taggers.save_model(tagger_model, paths["tagger_model"])
-    relation.save_model(relation_model, paths["relation_model"])
+    out = cfg.output_dir
+    os.makedirs(out, exist_ok=True)
+    taggers.save_model(tagger_model, os.path.join(out, "tagger_model.json"))
+    relation.save_model(relation_model, os.path.join(out, "relation_model.json"))
 
     tags, graphs, rows = _predict(test_f, tagger_model, relation_model)
-    paths.update(_write_predictions(cfg.output_dir, test_f, tags, graphs, rows))
+    _write_predictions(out, test_f, tags, graphs, rows)
 
     reports = _reports(test_f, tags, graphs, True)
-    corpus.write_json_object(paths["report"], _report_payload(reports))
+    corpus.write_json_object(os.path.join(out, "report.json"), _report_payload(reports))
     table = metrics.format_report_table(reports)
-    with corpus.replacing(paths["report_txt"]) as fh:
+    with corpus.replacing(os.path.join(out, "report.txt")) as fh:
         fh.write(table + "\n")
     print(table)
 
     if cfg.dev is not None:
         dev_ds = corpus.load_dataset(cfg.dev)
         dev_f = _filter_overlaps(dev_ds, cfg.overlap_policy, "dev sentence(s)")
-        paths["dev_predictions_conll"] = os.path.join(cfg.output_dir, "dev_predictions.conll")
-        paths["dev_graphs"] = os.path.join(cfg.output_dir, "dev_graphs.json")
-        paths["dev_report"] = os.path.join(cfg.output_dir, "dev_report.json")
         dev_tags, dev_graphs, _rows = _predict(dev_f, tagger_model, relation_model)
-        taggers.save_predictions_conll(paths["dev_predictions_conll"], dev_f, dev_tags)
-        corpus.save_dataset(
-            aggregator.graphs_to_dataset(dev_f, dev_graphs), paths["dev_graphs"]
-        )
+        taggers.save_predictions_conll(os.path.join(out, "dev_predictions.conll"), dev_f, dev_tags)
+        corpus.save_dataset(aggregator.graphs_to_dataset(dev_f, dev_graphs),
+                            os.path.join(out, "dev_graphs.json"))
         dev_reports = _reports(dev_f, dev_tags, dev_graphs, True)
-        corpus.write_json_object(paths["dev_report"], _report_payload(dev_reports))
-    return paths
+        corpus.write_json_object(os.path.join(out, "dev_report.json"),
+                                 _report_payload(dev_reports))
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +379,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    cfg = load_config(args.config)
-    run_pipeline(cfg)
+    run_pipeline(load_config(args.config))
     return 0
 
 
@@ -482,8 +467,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except UnicodeEncodeError as err:  # every file writer raises ValidationError instead
-        print(f"error: standard output's encoding {err.encoding} cannot print "
-              f"{err.object[err.start:err.end]!r}; try PYTHONIOENCODING=utf-8", file=sys.stderr)
+        bad = err.object[err.start:err.end]
+        # No encoding can print a lone surrogate, so only other characters get the hint.
+        surrogate = any("\ud800" <= ch <= "\udfff" for ch in bad)
+        hint = "" if surrogate else "; try PYTHONIOENCODING=utf-8"
+        print(f"error: standard output's encoding {err.encoding} cannot print {bad!r}{hint}",
+              file=sys.stderr)
         return 2
     except SentigraphError as err:
         print(f"error: {err}", file=sys.stderr)

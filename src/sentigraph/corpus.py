@@ -545,6 +545,8 @@ def read_json_object(path: str) -> dict:
         raise ParseError(f"{path}: line {err.lineno}: {err.msg}") from err
     except ValueError as err:  # bytes that are not UTF-8, over-long integers
         raise ParseError(f"{path}: {err}") from err
+    except RecursionError as err:
+        raise ParseError(f"{path}: values nested too deeply") from err
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: top-level value must be an object")
     return obj

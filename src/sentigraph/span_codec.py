@@ -213,6 +213,8 @@ def read_conll_blocks(path: str) -> List[ConllBlock]:
                 rows.append((text, None if pos == "_" else pos, label))
     except OSError as err:
         raise ParseError(f"{path}: cannot read: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: {err}") from err
     return blocks
 
 
@@ -237,9 +239,12 @@ def load_conll(path: str) -> Dataset:
     """Load a CoNLL file as a dataset named after the file. A sentence's
     spans form one opinion tuple, which needs an expression span."""
     blocks = read_conll_blocks(path)
-    sentences = [_sentence_from_conll(sent_id, rows) for sent_id, rows in blocks]
     name = re.sub(r"\.[^.]*$", "", path.replace("\\", "/").rsplit("/", 1)[-1]) or "dataset"
-    return Dataset(name=name, sentences=sentences)
+    try:
+        sentences = [_sentence_from_conll(sent_id, rows) for sent_id, rows in blocks]
+        return Dataset(name=name, sentences=sentences)
+    except ValidationError as err:
+        raise ValidationError(f"{path}: {err}") from err
 
 
 def save_conll(ds: Dataset, path: str) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import add
@@ -98,46 +99,28 @@ def _word_shape(word: str) -> str:
 # The feature templates, in the order token_features lists them: nine that
 # read the words around the token, two that read the previous label, then up
 # to three that read POS tags. A feature is the string "<template>=<value>".
-# Training, token_features and a model's compiled weights name them from here.
+# _static_values is the one place that reads the values of the word and POS
+# templates; training, tag(), token_features and a model's compiled weights
+# name the templates from here.
 WORD_TEMPLATES = ("w", "lw", "suf3", "pre2", "shape", "w-1", "w+1", "w-2", "w+2")
 PREV_TEMPLATES = ("t-1", "t-1w")
 POS_TEMPLATES = ("p0", "p-1", "p+1")
+STATIC_TEMPLATES = WORD_TEMPLATES + POS_TEMPLATES
+_N_WORD = len(WORD_TEMPLATES)
 
 
-def _text_values(text: str) -> Tuple[str, ...]:
-    """The values of the first five WORD_TEMPLATES for a token's text."""
-    lower = text.lower()
-    return (text, lower, lower[-3:], lower[:2], _word_shape(text))
-
-
-def _word_values(tokens: Sequence[Token], i: int) -> Tuple[str, ...]:
-    """The values of WORD_TEMPLATES at position ``i``."""
-
-    def word(j: int) -> str:
-        if j < 0:
-            return _BOS
-        if j >= len(tokens):
-            return _EOS
-        return tokens[j].text.lower()
-
-    return _text_values(tokens[i].text) + (word(i - 1), word(i + 1), word(i - 2), word(i + 2))
-
-
-def _pos_values(tokens: Sequence[Token], i: int) -> Tuple[Optional[str], ...]:
-    """The values of POS_TEMPLATES at position ``i``; None where a template is absent."""
-    return (
-        tokens[i].pos,
-        tokens[i - 1].pos if i > 0 else None,
-        tokens[i + 1].pos if i + 1 < len(tokens) else None,
-    )
-
-
-def _static_features(tokens: Sequence[Token], i: int) -> List[str]:
-    """The feature templates of position ``i`` that do not depend on the
-    previous label: 9 word templates, then up to 3 POS templates."""
-    feats = [f"{t}={v}" for t, v in zip(WORD_TEMPLATES, _word_values(tokens, i))]
-    feats += [f"{t}={v}" for t, v in zip(POS_TEMPLATES, _pos_values(tokens, i)) if v is not None]
-    return feats
+def _static_values(tokens: Sequence[Token]) -> List[Tuple[Optional[str], ...]]:
+    """Per position, the values of ``STATIC_TEMPLATES``, the templates that do
+    not depend on the previous label; None where a POS template is absent."""
+    words = [_BOS, _BOS] + [tok.text.lower() for tok in tokens] + [_EOS, _EOS]
+    poses = [None] + [tok.pos for tok in tokens] + [None]
+    return [
+        (tok.text, lower, lower[-3:], lower[:2], _word_shape(tok.text),
+         w_m1, w_p1, w_m2, w_p2, pos, pos_m1, pos_p1)
+        for tok, w_m2, w_m1, lower, w_p1, w_p2, pos_m1, pos, pos_p1 in zip(
+            tokens, words, words[1:], words[2:], words[3:], words[4:],
+            poses, poses[1:], poses[2:])
+    ]
 
 
 def _prev_features(prev_label: str, lower: str) -> List[str]:
@@ -147,9 +130,9 @@ def _prev_features(prev_label: str, lower: str) -> List[str]:
 
 def token_features(tokens: Sequence[Token], i: int, prev_label: str) -> List[str]:
     """Feature strings for one token position (all implicit weight 1)."""
-    static = _static_features(tokens, i)
-    n_word = len(WORD_TEMPLATES)
-    return static[:n_word] + _prev_features(prev_label, tokens[i].text.lower()) + static[n_word:]
+    values = _static_values(tokens)[i]
+    static = [f"{t}={v}" for t, v in zip(STATIC_TEMPLATES, values) if v is not None]
+    return static[:_N_WORD] + _prev_features(prev_label, values[1]) + static[_N_WORD:]
 
 
 _LABEL_INDEX = {label: k for k, label in enumerate(TIE_ORDER)}
@@ -202,7 +185,7 @@ def train_perceptron(train: Dataset, epochs: int, seed: int) -> TaggerModel:
     if not train.sentences:
         raise ValidationError("cannot train a perceptron on an empty dataset")
 
-    rows: Dict[str, tuple] = {}  # static feature -> row
+    rows: Dict[str, tuple] = defaultdict(_new_row)  # static feature -> row
     # The t-1 and t-1w rows, per previous-label context; t-1w rows keyed by lower-cased word.
     prev_rows = [_new_row() for _ in _PREV_LABELS]
     prev_word_rows: List[Dict[str, tuple]] = [{} for _ in _PREV_LABELS]
@@ -214,14 +197,10 @@ def train_perceptron(train: Dataset, epochs: int, seed: int) -> TaggerModel:
         steps = cache.get(tokens)
         if steps is None:
             steps = []
-            for i in range(len(tokens)):
-                static = []
-                for feat in _static_features(tokens, i):
-                    row = rows.get(feat)
-                    if row is None:
-                        row = rows[feat] = _new_row()
-                    static.append(row)
-                steps.append((tuple(static), tuple(r[0] for r in static), tokens[i].text.lower()))
+            for values in _static_values(tokens):
+                static = tuple(rows[f"{t}={v}"] for t, v in zip(STATIC_TEMPLATES, values)
+                               if v is not None)
+                steps.append((static, tuple(r[0] for r in static), values[1]))
             cache[tokens] = steps
         data.append((steps, [_LABEL_INDEX[label] for label in encode(sentence)]))
 
@@ -291,11 +270,10 @@ class _CompiledWeights:
     """
 
     def __init__(self, weights: Mapping[str, Mapping[str, float]]):
-        self.word: List[Dict[str, tuple]] = [{} for _ in WORD_TEMPLATES]
-        self.pos: List[Dict[str, tuple]] = [{} for _ in POS_TEMPLATES]
+        self.static: List[Dict[str, tuple]] = [{} for _ in STATIC_TEMPLATES]
         self.prev: List[tuple] = [() for _ in _PREV_LABELS]
         self.prev_word: List[Dict[str, tuple]] = [{} for _ in _PREV_LABELS]
-        tables = dict(zip(WORD_TEMPLATES + POS_TEMPLATES, self.word + self.pos))
+        tables = dict(zip(STATIC_TEMPLATES, self.static))
         contexts = {label: p for p, label in enumerate(_PREV_LABELS)}
         for feat, labels in weights.items():
             template, sep, value = feat.partition("=")
@@ -322,17 +300,14 @@ def tag(model: TaggerModel, sentence: Sentence) -> TagSequence:
     index = model.compiled
     if index is None:
         raise ModelError("perceptron model has no weights; train or load it first")
-    lowers = [tok.text.lower() for tok in tokens]
-    words = [_BOS, _BOS] + lowers + [_EOS, _EOS]  # word i at i + 2
-    poses = [None] + [tok.pos for tok in tokens] + [None]  # POS i at i + 1
-    w_0, w_lw, w_suf3, w_pre2, w_shape, w_m1, w_p1, w_m2, w_p2 = (
-        table.get for table in index.word
+    w_0, w_lw, w_suf3, w_pre2, w_shape, w_m1, w_p1, w_m2, w_p2, p_0, p_m1, p_p1 = (
+        table.get for table in index.static
     )
-    p_0, p_m1, p_p1 = (table.get for table in index.pos)
     labels = []
     prev = _BOS_INDEX
-    for i, tok in enumerate(tokens):
-        text, lower, suf3, pre2, shape = _text_values(tok.text)
+    for i, (text, lower, suf3, pre2, shape, m1, p1, m2, p2, pos, pos_m1, pos_p1) in enumerate(
+        _static_values(tokens)
+    ):
         scores = _ZERO_SCORES
         # The templates in token_features order; get(None) finds no row for
         # an absent POS. Each row wraps the sum so far in one more lazy map,
@@ -340,9 +315,9 @@ def tag(model: TaggerModel, sentence: Sentence) -> TagSequence:
         # order, without a tuple per row.
         for row in (
             w_0(text), w_lw(lower), w_suf3(suf3), w_pre2(pre2), w_shape(shape),
-            w_m1(words[i + 1]), w_p1(words[i + 3]), w_m2(words[i]), w_p2(words[i + 4]),
-            index.prev[prev], index.prev_word[prev].get(lowers[i]),
-            p_0(poses[i + 1]), p_m1(poses[i]), p_p1(poses[i + 2]),
+            w_m1(m1), w_p1(p1), w_m2(m2), w_p2(p2),
+            index.prev[prev], index.prev_word[prev].get(lower),
+            p_0(pos), p_m1(pos_m1), p_p1(pos_p1),
         ):
             if row:
                 scores = map(add, scores, row)
@@ -381,11 +356,11 @@ def load_predictions_conll(path: str, ds: Dataset) -> Dict[str, TagSequence]:
         if sent_id in predictions:
             raise ParseError(f"{path}: duplicate sentence id '{sent_id}'")
         if sent_id not in sentences:
-            raise ValidationError(f"predictions file contains unknown sentence id '{sent_id}'")
+            raise ValidationError(f"{path}: unknown sentence id '{sent_id}'")
         expected = len(sentences[sent_id].tokens)
         if len(rows) != expected:
             raise ValidationError(
-                f"sentence '{sent_id}': dataset has {expected} tokens "
+                f"{path}: sentence '{sent_id}': dataset has {expected} tokens "
                 f"but predictions file has {len(rows)}"
             )
         predictions[sent_id] = tuple(label for _, _, label in rows)
@@ -394,12 +369,12 @@ def load_predictions_conll(path: str, ds: Dataset) -> Dict[str, TagSequence]:
 
 def load_external_predictions(path: str, ds: Dataset) -> Dict[str, TagSequence]:
     """``load_predictions_conll`` for a file that must hold every sentence
-    of the dataset; the result is in dataset order."""
+    of the dataset."""
     predictions = load_predictions_conll(path, ds)
     for sentence in ds.sentences:
         if sentence.id not in predictions:
-            raise ValidationError(f"predictions file is missing sentence '{sentence.id}'")
-    return {s.id: predictions[s.id] for s in ds.sentences}
+            raise ValidationError(f"{path}: missing sentence '{sentence.id}'")
+    return predictions
 
 
 def save_predictions_conll(

@@ -325,7 +325,7 @@ def test_evaluate_scores_predict_and_pipeline_conll_when_gold_has_overlap(tmp_pa
     ghost.write_text(predicted.read_text(encoding="utf-8") + "# sent_id = ghost\n1\tb\t_\tO\n\n",
                      encoding="utf-8")
     assert main(["evaluate", "--gold", str(gold), "--pred-conll", str(ghost)]) == 2
-    assert "ghost" in capsys.readouterr().err
+    assert f"{ghost}: unknown sentence id 'ghost'" in capsys.readouterr().err
 
 
 def test_evaluate_pred_graphs_rejects_unknown_ids(tmp_path, capsys):
@@ -469,6 +469,61 @@ def test_stdout_that_cannot_encode_a_name_exits_2(tmp_path, fmt):
     assert code == 2
     assert "encoding ascii" in err and "PYTHONIOENCODING=utf-8" in err
     assert "Traceback" not in err
+    # No encoding prints a lone surrogate, so no encoding is suggested for one.
+    surrogate = tmp_path / "surrogate.json"
+    surrogate.write_text(json.dumps(dataset_to_dict(Dataset("a\ud800", [sent("s", ["a"])]))),
+                         encoding="utf-8")
+    code, err = _run_cli("--format", fmt, "stats", str(surrogate), PYTHONIOENCODING="utf-8")
+    assert code == 2
+    assert "encoding utf-8 cannot print '\\ud800'" in err
+    assert "PYTHONIOENCODING" not in err and "Traceback" not in err
+
+
+def test_undecodable_or_over_nested_input_exits_2_naming_the_file(tmp_path):
+    gold = tmp_path / "gold.json"
+    save_dataset(Dataset("g", [sent("a", ["caf"])]), str(gold))
+    latin1 = tmp_path / "latin1.conll"  # byte 0xE9 is not UTF-8
+    latin1.write_bytes(b"# sent_id = a\n1\tcaf\xe9\t_\tO\n\n")
+    deep = tmp_path / "deep.json"
+    depth = 100 * sys.getrecursionlimit()
+    deep.write_text('{"name": "d", "sentences": ' + "[" * depth + "]" * depth + "}",
+                    encoding="utf-8")
+    for argv, path in (
+        (["convert", str(latin1), str(tmp_path / "o.json"), "--from", "conll", "--to", "json"],
+         latin1),
+        (["--output-dir", str(tmp_path / "out"), "predict", "--data", str(gold),
+          "--external-conll", str(latin1)], latin1),
+        (["evaluate", "--gold", str(gold), "--pred-conll", str(latin1)], latin1),
+        (["stats", str(deep)], deep),
+    ):
+        code, err = _run_cli(*argv)
+        assert code == 2
+        assert f"error: {path}: " in err
+        assert "Traceback" not in err
+
+
+def test_a_conll_input_error_names_the_file(tmp_path, capsys):
+    gold = tmp_path / "gold.json"
+    save_dataset(Dataset("g", [sent("a", ["x"]), sent("b", ["y", "z"])]), str(gold))
+    short, partial, twice = (tmp_path / f"{name}.conll" for name in ("short", "partial", "twice"))
+    short.write_text("# sent_id = a\n1\tx\t_\tO\n\n# sent_id = b\n1\ty\t_\tO\n\n",
+                     encoding="utf-8")
+    partial.write_text("# sent_id = a\n1\tx\t_\tO\n\n", encoding="utf-8")
+    twice.write_text("# sent_id = a\n1\tx\t_\tO\n\n# sent_id = a\n1\tx\t_\tO\n\n",
+                     encoding="utf-8")
+    out = str(tmp_path / "out")
+    for argv, message in (
+        (["evaluate", "--gold", str(gold), "--pred-conll", str(short)],
+         f"{short}: sentence 'b': dataset has 2 tokens"),
+        (["--output-dir", out, "predict", "--data", str(gold), "--external-conll", str(short)],
+         f"{short}: sentence 'b': dataset has 2 tokens"),
+        (["--output-dir", out, "predict", "--data", str(gold), "--external-conll", str(partial)],
+         f"{partial}: missing sentence 'b'"),
+        (["convert", str(twice), str(tmp_path / "o.json"), "--from", "conll", "--to", "json"],
+         f"{twice}: duplicate sentence id 'a'"),
+    ):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_an_invalid_pred_graph_names_the_file(tmp_path):

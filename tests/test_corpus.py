@@ -289,7 +289,7 @@ def test_conll_load_entity_without_expression_rejected(tmp_path):
     path.write_text("# sent_id = lonely\n1\the\t_\tB-HOLDER\n\n", encoding="utf-8")
     with pytest.raises(ValidationError) as err:
         load_conll(str(path))
-    assert "lonely" in str(err.value)
+    assert f"{path}: sentence 'lonely'" in str(err.value)
 
 
 def test_conll_load_bad_label_has_line_number(tmp_path):

@@ -24,6 +24,7 @@ from sentigraph.synth import generate_corpus
 from sentigraph.taggers import (
     _LEGAL_AFTER,
     _PREV_LABELS,
+    _static_values,
     TIE_ORDER,
     TaggerModel,
     load_model,
@@ -230,6 +231,15 @@ def test_token_features_fixed_templates():
     assert "shape=Xx" in cap
 
 
+def test_static_values_read_the_window_around_each_token():
+    s = sent("v", ["The", "Desk"], pos=["DET", None])
+    assert _static_values(s.tokens) == [
+        ("The", "the", "the", "th", "Xx", "<s>", "desk", "<s>", "</s>", "DET", None, None),
+        ("Desk", "desk", "esk", "de", "Xx", "the", "</s>", "<s>", "</s>", None, "DET", None),
+    ]
+    assert _static_values(()) == []
+
+
 def _reference_tag(weights, sentence):
     """Greedy decoding straight from token_features and {feature: {label: w}}."""
     labels, prev = [], "<s>"
@@ -356,6 +366,7 @@ def test_external_predictions_missing_sentence(tmp_path):
     with pytest.raises(ValidationError) as err:
         load_external_predictions(str(path), ds)
     assert "plain" in str(err.value)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_external_predictions_length_mismatch(tmp_path):
@@ -365,6 +376,7 @@ def test_external_predictions_length_mismatch(tmp_path):
     with pytest.raises(ValidationError) as err:
         load_external_predictions(str(path), ds)
     assert "s1" in str(err.value)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_external_predictions_accept_ill_formed(tmp_path):
@@ -386,6 +398,7 @@ def test_external_predictions_reject_unknown_id(tmp_path):
     with pytest.raises(ValidationError) as err:
         load_external_predictions(str(path), ds)
     assert "ghost" in str(err.value)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_save_predictions_conll_round_trip(tmp_path):
