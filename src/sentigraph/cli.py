@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from . import aggregator, corpus, metrics, relation, span_codec, taggers
 from .corpus import Dataset, OverlapPolicy
@@ -198,40 +198,43 @@ def _predict(
     return tags, graphs, rows
 
 
-def _write_predictions(out_dir: str, ds: Dataset, tags, graphs, rows) -> None:
-    """Write a split's predicted tags, graphs, triples and scored instances."""
-    taggers.save_predictions_conll(os.path.join(out_dir, "predictions.conll"), ds, tags)
-    corpus.save_dataset(aggregator.graphs_to_dataset(ds, graphs),
-                        os.path.join(out_dir, "graphs.json"))
-    aggregator.write_triples(os.path.join(out_dir, "triples.jsonl"),
-                             [graphs[s.id] for s in ds.sentences])
-    relation.dump_instances(os.path.join(out_dir, "instances.jsonl"), rows)
+def _write_predictions(out_dir: str, prefix: str, ds: Dataset, tags, graphs, rows) -> None:
+    """Write a split's predicted tags, graphs, triples and scored instances
+    under ``out_dir``, each file name starting with ``prefix``."""
+    out = os.path.join(out_dir, prefix)
+    taggers.save_predictions_conll(out + "predictions.conll", ds, tags)
+    corpus.save_dataset(aggregator.graphs_to_dataset(ds, graphs), out + "graphs.json")
+    aggregator.write_triples(out + "triples.jsonl", [graphs[s.id] for s in ds.sentences])
+    relation.dump_instances(out + "instances.jsonl", rows)
 
 
-def _reports(
-    ds: Dataset,
-    tags: Optional[Mapping[str, Sequence[str]]],
-    graphs: Optional[Mapping[str, aggregator.SentimentGraph]],
-    strata: bool,
-) -> List[metrics.EvalReport]:
+def _score(ds: Dataset, tags, graphs, strata: bool, as_json: bool = False,
+           output: Optional[str] = None) -> str:
+    """Report on predictions per stratum (all, then single/multi-target with ``strata``):
+    write the report JSON to ``output`` if given, print it or the table; return the table."""
     wanted = [Stratum.ALL] + ([Stratum.SINGLE_TARGET, Stratum.MULTI_TARGET] if strata else [])
-    return [
-        metrics.stratified_report(ds, pred_tags=tags, pred_graphs=graphs, stratum=stratum)
-        for stratum in wanted
-    ]
-
-
-def _report_payload(reports: Sequence[metrics.EvalReport]) -> dict:
-    """The report file format: ``{"reports": [...]}``, one entry per stratum."""
-    return {"reports": [r.to_dict() for r in reports]}
+    reports = [metrics.stratified_report(ds, pred_tags=tags, pred_graphs=graphs, stratum=stratum)
+               for stratum in wanted]
+    payload = {"reports": [r.to_dict() for r in reports]}
+    if output:
+        corpus.write_json_object(output, payload)
+    table = metrics.format_report_table(reports)
+    print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) if as_json else table)
+    return table
 
 
 def run_pipeline(cfg: PipelineConfig) -> None:
-    """Execute the full pipeline, writing every artifact under ``cfg.output_dir``."""
-    train_ds = corpus.load_dataset(cfg.train)
-    test_ds = corpus.load_dataset(cfg.test)
-    train_f = _filter_overlaps(train_ds, cfg.overlap_policy, "training sentence(s)")
-    test_f = _filter_overlaps(test_ds, cfg.overlap_policy, "test sentence(s)")
+    """Execute the full pipeline, writing every artifact under ``cfg.output_dir``.
+    The test split and the optional dev split (its files prefixed ``dev_``)
+    are each predicted, written and scored the same way."""
+    def load(path: str, what: str) -> Dataset:
+        ds = corpus.load_dataset(path)
+        return _filter_overlaps(ds, cfg.overlap_policy, f"{what} sentence(s)")
+
+    train_f = load(cfg.train, "training")
+    splits = [("", load(cfg.test, "test"))]
+    if cfg.dev is not None:
+        splits.append(("dev_", load(cfg.dev, "dev")))
     if cfg.upsample:
         train_f = corpus.upsample(train_f, cfg.upsample_seed)
 
@@ -243,26 +246,12 @@ def run_pipeline(cfg: PipelineConfig) -> None:
     taggers.save_model(tagger_model, os.path.join(out, "tagger_model.json"))
     relation.save_model(relation_model, os.path.join(out, "relation_model.json"))
 
-    tags, graphs, rows = _predict(test_f, tagger_model, relation_model)
-    _write_predictions(out, test_f, tags, graphs, rows)
-
-    reports = _reports(test_f, tags, graphs, True)
-    corpus.write_json_object(os.path.join(out, "report.json"), _report_payload(reports))
-    table = metrics.format_report_table(reports)
-    with corpus.replacing(os.path.join(out, "report.txt")) as fh:
-        fh.write(table + "\n")
-    print(table)
-
-    if cfg.dev is not None:
-        dev_ds = corpus.load_dataset(cfg.dev)
-        dev_f = _filter_overlaps(dev_ds, cfg.overlap_policy, "dev sentence(s)")
-        dev_tags, dev_graphs, _rows = _predict(dev_f, tagger_model, relation_model)
-        taggers.save_predictions_conll(os.path.join(out, "dev_predictions.conll"), dev_f, dev_tags)
-        corpus.save_dataset(aggregator.graphs_to_dataset(dev_f, dev_graphs),
-                            os.path.join(out, "dev_graphs.json"))
-        dev_reports = _reports(dev_f, dev_tags, dev_graphs, True)
-        corpus.write_json_object(os.path.join(out, "dev_report.json"),
-                                 _report_payload(dev_reports))
+    for prefix, ds in splits:
+        tags, graphs, rows = _predict(ds, tagger_model, relation_model)
+        _write_predictions(out, prefix, ds, tags, graphs, rows)
+        table = _score(ds, tags, graphs, True, output=os.path.join(out, prefix + "report.json"))
+        with corpus.replacing(os.path.join(out, prefix + "report.txt")) as fh:
+            fh.write(table + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +324,12 @@ def _cmd_predict(args) -> int:
         external = taggers.load_external_predictions(args.external_conll, ds)
     else:
         tagger_model = taggers.load_model(args.tagger_model)
-    relation_model = (
-        relation.load_model(args.relation_model)
-        if args.relation_model
-        else relation.always_true_model()
-    )
+    relation_model = (relation.load_model(args.relation_model) if args.relation_model
+                      else relation.always_true_model())
     out_dir = args.output_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     tags, graphs, rows = _predict(ds, tagger_model, relation_model, external)
-    _write_predictions(out_dir, ds, tags, graphs, rows)
+    _write_predictions(out_dir, "", ds, tags, graphs, rows)
     return 0
 
 
@@ -360,21 +346,17 @@ def _cmd_evaluate(args) -> int:
         tags = taggers.load_predictions_conll(args.pred_conll, gold)
     if args.pred_graphs:
         predicted = corpus.load_dataset(args.pred_graphs).sentences
-        unknown = ", ".join(sorted({s.id for s in predicted} - gold.by_id().keys()))
+        by_id = gold.by_id()
+        unknown = ", ".join(sorted({s.id for s in predicted} - by_id.keys()))
         if unknown:
             raise InputError(f"{args.pred_graphs}: unknown sentence id(s): {unknown}")
+        for s in predicted:
+            by_id[s.id].check_token_texts([tok.text for tok in s.tokens], args.pred_graphs)
         try:
             graphs = {s.id: aggregator.SentimentGraph(s.id, s.opinions) for s in predicted}
         except ValidationError as err:
             raise ValidationError(f"{args.pred_graphs}: {err}") from err
-    reports = _reports(ds, tags, graphs, args.strata)
-    payload = _report_payload(reports)
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
-    else:
-        print(metrics.format_report_table(reports))
-    if args.output:
-        corpus.write_json_object(args.output, payload)
+    _score(ds, tags, graphs, args.strata, args.format == "json", args.output)
     return 0
 
 

@@ -39,7 +39,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from json.encoder import encode_basestring
-from typing import IO, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import IO, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ParseError, ValidationError
 
@@ -173,6 +173,19 @@ class Sentence:
                     f"sentence '{self.id}': span [{span.start}, {span.end}) "
                     f"exceeds token count {n}"
                 )
+
+    def check_token_texts(self, texts: Sequence[str], path: str) -> None:
+        """Raise ``ValidationError``, naming ``path``, unless ``texts`` (the
+        tokens that a predictions file gives this sentence) are this
+        sentence's token texts, in order."""
+        n = len(self.tokens)
+        if len(texts) != n:
+            raise ValidationError(f"{path}: sentence '{self.id}': dataset has {n} tokens "
+                                  f"but predictions file has {len(texts)}")
+        for i, (tok, text) in enumerate(zip(self.tokens, texts)):
+            if tok.text != text:
+                raise ValidationError(f"{path}: sentence '{self.id}', token {i}: dataset has "
+                                      f"{tok.text!r} but predictions file has {text!r}")
 
     def spans(self, role: Optional[Role] = None) -> set:
         """Distinct spans across all opinions, optionally filtered by role."""

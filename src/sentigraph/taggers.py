@@ -185,9 +185,9 @@ def train_perceptron(train: Dataset, epochs: int, seed: int) -> TaggerModel:
     if not train.sentences:
         raise ValidationError("cannot train a perceptron on an empty dataset")
 
-    rows: Dict[str, tuple] = defaultdict(_new_row)  # static feature -> row
+    rows: Dict[str, tuple] = defaultdict(_new_row)  # feature -> row, every row named once
     # The t-1 and t-1w rows, per previous-label context; t-1w rows keyed by lower-cased word.
-    prev_rows = [_new_row() for _ in _PREV_LABELS]
+    prev_rows = [rows[_prev_features(label, "")[0]] for label in _PREV_LABELS]
     prev_word_rows: List[Dict[str, tuple]] = [{} for _ in _PREV_LABELS]
     # tokens tuple -> per token: (static rows, their weight lists, lower-cased word)
     cache: Dict[tuple, list] = {}
@@ -224,7 +224,8 @@ def train_perceptron(train: Dataset, epochs: int, seed: int) -> TaggerModel:
                 if guess != truth:
                     mistakes += 1
                     if word_row is None:
-                        word_row = prev_word_rows[prev][lower] = _new_row()
+                        feat = _prev_features(_PREV_LABELS[prev], lower)[1]
+                        word_row = prev_word_rows[prev][lower] = rows[feat]
                     active = static + (prev_rows[prev], word_row)
                     for w, u in active:
                         w[truth] += 1.0
@@ -240,14 +241,8 @@ def train_perceptron(train: Dataset, epochs: int, seed: int) -> TaggerModel:
 
     if not step:
         return TaggerModel(kind=TaggerKind.PERCEPTRON, weights={})
-    named = list(rows.items())
-    for p, prev_label in enumerate(_PREV_LABELS):
-        named.append((_prev_features(prev_label, "")[0], prev_rows[p]))
-        named.extend(
-            (_prev_features(prev_label, lower)[1], row) for lower, row in prev_word_rows[p].items()
-        )
     averaged: Dict[str, Dict[str, float]] = {}
-    for feat, (w, u) in named:
+    for feat, (w, u) in rows.items():
         out = {}
         for k, label in enumerate(TIE_ORDER):
             avg = (w[k] * step - u[k]) / step
@@ -347,7 +342,7 @@ def load_predictions_conll(path: str, ds: Dataset) -> Dict[str, TagSequence]:
     """Read per-sentence tag sequences from a CoNLL file, keyed by id.
 
     The file may hold any of the dataset's sentences, each with its token
-    count; a repeated id or one the dataset lacks raises. Ill-formed BIO
+    texts; a repeated id or one the dataset lacks raises. Ill-formed BIO
     runs are accepted; they are repaired later at decode time.
     """
     sentences = ds.by_id()
@@ -357,12 +352,7 @@ def load_predictions_conll(path: str, ds: Dataset) -> Dict[str, TagSequence]:
             raise ParseError(f"{path}: duplicate sentence id '{sent_id}'")
         if sent_id not in sentences:
             raise ValidationError(f"{path}: unknown sentence id '{sent_id}'")
-        expected = len(sentences[sent_id].tokens)
-        if len(rows) != expected:
-            raise ValidationError(
-                f"{path}: sentence '{sent_id}': dataset has {expected} tokens "
-                f"but predictions file has {len(rows)}"
-            )
+        sentences[sent_id].check_token_texts([text for text, _, _ in rows], path)
         predictions[sent_id] = tuple(label for _, _, label in rows)
     return predictions
 

@@ -526,6 +526,35 @@ def test_a_conll_input_error_names_the_file(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_prediction_files_must_have_the_gold_token_texts(tmp_path, capsys):
+    # Both prediction files are matched to the gold sentences by id and by
+    # every token's text, so a file made for another tokenization or another
+    # dataset exits 2 and names the file, the sentence and the token.
+    gold = tmp_path / "gold.json"
+    save_dataset(Dataset("g", [sent("a", ["I", "love", "it"])]), str(gold))
+    words = tmp_path / "words.conll"
+    words.write_text("# sent_id = a\n1\tzzz\t_\tO\n2\tzzz\t_\tO\n3\tzzz\t_\tO\n\n",
+                     encoding="utf-8")
+    renamed, longer = tmp_path / "renamed.json", tmp_path / "longer.json"
+    save_dataset(Dataset("p", [sent("a", ["I", "like", "it"])]), str(renamed))
+    save_dataset(Dataset("p", [sent("a", ["I", "love", "it", "x", "y", "z"], opinions=[
+        opinion(targets=[span("t", 3, 4)], expressions=[span("e", 4, 6)])])]), str(longer))
+    out = str(tmp_path / "out")
+    for argv, message in (
+        (["evaluate", "--gold", str(gold), "--pred-conll", str(words)],
+         f"{words}: sentence 'a', token 0: dataset has 'I' but predictions file has 'zzz'"),
+        (["--output-dir", out, "predict", "--data", str(gold), "--external-conll", str(words)],
+         f"{words}: sentence 'a', token 0: dataset has 'I' but predictions file has 'zzz'"),
+        (["evaluate", "--gold", str(gold), "--pred-graphs", str(renamed)],
+         f"{renamed}: sentence 'a', token 1: dataset has 'love' but predictions file has 'like'"),
+        (["evaluate", "--gold", str(gold), "--pred-graphs", str(longer)],
+         f"{longer}: sentence 'a': dataset has 3 tokens but predictions file has 6"),
+    ):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_an_invalid_pred_graph_names_the_file(tmp_path):
     # A gold file keeps polarities, which a predicted graph cannot carry.
     gold = tmp_path / "gold.json"
@@ -674,6 +703,42 @@ def test_pipeline_with_dev_split(tmp_path, capsys, synth_paths):
         assert (run_dir / name).exists(), name
     payload = json.loads((run_dir / "dev_report.json").read_text(encoding="utf-8"))
     assert payload["reports"][0]["dataset"] == "synth-dev"
+
+
+def test_pipeline_dev_split_equals_predict_and_evaluate(tmp_path, capsys, synth_paths):
+    # Every split goes through the same predict, write and score steps as the
+    # predict and evaluate commands, so each of the pipeline's dev files has
+    # the bytes that those commands write for the same split and models.
+    train_path, test_path = synth_paths
+    dev_path = tmp_path / "dev.json"
+    save_dataset(generate_corpus(40, seed=103, name="synth-dev"), str(dev_path))
+    assert main(["pipeline", _write_config(tmp_path, train_path, test_path,
+                                           dev=str(dev_path))]) == 0
+    run_dir, out_dir = tmp_path / "run", tmp_path / "preds"
+    test_table, dev_table = (run_dir / "report.txt", run_dir / "dev_report.txt")
+    assert capsys.readouterr().out == (test_table.read_text(encoding="utf-8")
+                                       + dev_table.read_text(encoding="utf-8"))
+    assert main(["--output-dir", str(out_dir), "predict", "--data", str(dev_path),
+                 "--tagger-model", str(run_dir / "tagger_model.json"),
+                 "--relation-model", str(run_dir / "relation_model.json")]) == 0
+    assert main(["evaluate", "--gold", str(dev_path),
+                 "--pred-conll", str(out_dir / "predictions.conll"),
+                 "--pred-graphs", str(out_dir / "graphs.json"),
+                 "--strata", "--output", str(out_dir / "report.json")]) == 0
+    assert capsys.readouterr().out == dev_table.read_text(encoding="utf-8")
+    for name in ("predictions.conll", "graphs.json", "triples.jsonl", "instances.jsonl",
+                 "report.json"):
+        assert (run_dir / f"dev_{name}").read_bytes() == (out_dir / name).read_bytes(), name
+
+
+def test_pipeline_malformed_dev_exits_2_before_training(tmp_path, capsys, synth_paths):
+    train_path, test_path = synth_paths
+    dev_path = tmp_path / "dev.json"
+    dev_path.write_text("{", encoding="utf-8")
+    assert main(["pipeline", _write_config(tmp_path, train_path, test_path,
+                                           dev=str(dev_path))]) == 2
+    assert str(dev_path) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_pipeline_invalid_epochs_names_field(tmp_path, capsys, synth_paths):

@@ -1,7 +1,7 @@
 """Pinned sha256 digests of every CLI artifact on small generated data.
 
 Three runs share one working directory: ``pipeline`` with a dev split
-(11 files), ``predict --external-conll`` on the dev split's predicted tags,
+(14 files), ``predict --external-conll`` on the dev split's predicted tags,
 and ``evaluate --strata --output`` on the pipeline's test predictions. The
 training and test splits each hold one sentence with a cross-role overlap,
 so the overlap filter takes part. The digests were computed before the
@@ -27,8 +27,11 @@ from sentigraph.synth import generate_corpus
 
 PIPELINE = {
     "dev_graphs.json": "100a5818123325b437329b674287b01b31c7b111919b8e2e94a3cd870e3ada0e",
+    "dev_instances.jsonl": "acbf23c7c243ffd59cfa02a85a244eefc7d32a7ef0b3ec2fa0379f92b4641231",
     "dev_predictions.conll": "29e488c8a9cedfacd2437af8cde45dc796d78b6457d182014b9b5ad28a02e3ba",
     "dev_report.json": "2cf9861e96113c7d59c62bb34fba2d6828b269c941a589b9c605a2fe7911fb59",
+    "dev_report.txt": "6061d23428bb9a7a467e3a98d820a95cca6d5542ea51513e035a71289ae430c2",
+    "dev_triples.jsonl": "6bcffbbc8504620124a2d944ccb698555e6b64d94a1da85e5798112b6166e9d7",
     "graphs.json": "979c4ba96f44131af0a160d733e296f7d9a6d7ccb6bdef9db07f3631c8d640d7",
     "instances.jsonl": "c5e5cd000550d39bc39e0188ac48ca39513aabc239f0c2c533159b72d551612a",
     "predictions.conll": "08d89f9d57dac97c3a5636d9fed67380f10c36d3f6a2b83d2da9723d61211d1c",
