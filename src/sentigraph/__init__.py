@@ -37,7 +37,6 @@ from .errors import (
     ModelError,
     ParseError,
     SentigraphError,
-    StageError,
     ValidationError,
 )
 from .metrics import (
@@ -81,7 +80,7 @@ __all__ = [
     "Dataset", "EvalReport", "InputError",
     "ModelError", "OpinionTuple", "OverlapPolicy", "PRF", "ParseError",
     "RelationInstance", "RelationKind", "RelationModel", "Role",
-    "Sentence", "SentigraphError", "SentimentGraph", "Span", "StageError",
+    "Sentence", "SentigraphError", "SentimentGraph", "Span",
     "Stratum", "TagSequence", "TaggerKind", "TaggerModel", "Token",
     "ValidationError", "aggregate", "always_true_model", "classify",
     "compute_stats", "decode", "encode", "end_to_end", "featurize",

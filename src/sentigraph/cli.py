@@ -3,7 +3,8 @@
 Subcommands: ``stats``, ``convert``, ``train``, ``predict``, ``evaluate``,
 and ``pipeline`` (filter, optionally up-sample, train both stages, predict,
 aggregate, evaluate, all driven by a JSON config). Exit codes: 0 success,
-1 runtime stage failure, 2 input or configuration validation failure.
+2 bad input (any ``InputError``, a flag the subcommand does not read
+included), 1 an output that could not be written.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Dict, Mapping, Optional, Sequence
 
 from . import aggregator, corpus, metrics, relation, span_codec, taggers
 from .corpus import Dataset, OverlapPolicy
-from .errors import ConfigError, InputError, SentigraphError, ValidationError
+from .errors import ConfigError, InputError, ValidationError
 from .metrics import Stratum
 # Not called here; benchmark/test_benchmark.py checks that its tracer restores cli.decode.
 from .span_codec import decode  # noqa: F401
@@ -48,8 +49,13 @@ class TaggerConfig:
         _check("tagger.kind", self.kind in taggers.TaggerKind.__members__,
                f"unknown kind {self.kind!r}")
         _check("tagger.epochs", self.epochs >= 0, "must be >= 0")
-        _check("tagger.pos_map", self.pos_map is None or isinstance(self.pos_map, dict),
-               "expected an object")
+        if self.pos_map is not None:
+            _check("tagger.pos_map", self.kind == "POS_CHUNK", "applies only to kind POS_CHUNK")
+            _check("tagger.pos_map", isinstance(self.pos_map, dict), "expected an object")
+            try:
+                taggers.pos_chunk_tagger(self.pos_map)
+            except ValidationError as err:
+                raise ConfigError(f"config field 'tagger.pos_map': {err}") from None
 
 
 @dataclass
@@ -326,9 +332,9 @@ def _cmd_predict(args) -> int:
         tagger_model = taggers.load_model(args.tagger_model)
     relation_model = (relation.load_model(args.relation_model) if args.relation_model
                       else relation.always_true_model())
+    tags, graphs, rows = _predict(ds, tagger_model, relation_model, external)
     out_dir = args.output_dir or "."
     os.makedirs(out_dir, exist_ok=True)
-    tags, graphs, rows = _predict(ds, tagger_model, relation_model, external)
     _write_predictions(out_dir, "", ds, tags, graphs, rows)
     return 0
 
@@ -339,21 +345,16 @@ def _cmd_evaluate(args) -> int:
     gold = corpus.load_dataset(args.gold)
     ds = _filter_overlaps(gold, args.overlap_policy, "gold sentence(s)")
     # A predictions file may hold any gold sentence (predict tags every one,
-    # pipeline those the overlap filter keeps); stratified_report requires
-    # each kept one.
+    # pipeline those the overlap filter keeps) and must hold each kept one.
     tags = graphs = None
     if args.pred_conll:
-        tags = taggers.load_predictions_conll(args.pred_conll, gold)
+        tags = taggers.load_predictions_conll(args.pred_conll, gold, ds.sentences)
     if args.pred_graphs:
-        predicted = corpus.load_dataset(args.pred_graphs).sentences
-        by_id = gold.by_id()
-        unknown = ", ".join(sorted({s.id for s in predicted} - by_id.keys()))
-        if unknown:
-            raise InputError(f"{args.pred_graphs}: unknown sentence id(s): {unknown}")
-        for s in predicted:
-            by_id[s.id].check_token_texts([tok.text for tok in s.tokens], args.pred_graphs)
+        predicted = gold.predictions(args.pred_graphs, (
+            (s.id, [tok.text for tok in s.tokens], s.opinions)
+            for s in corpus.load_dataset(args.pred_graphs)), ds.sentences)
         try:
-            graphs = {s.id: aggregator.SentimentGraph(s.id, s.opinions) for s in predicted}
+            graphs = {i: aggregator.SentimentGraph(i, ops) for i, ops in predicted.items()}
         except ValidationError as err:
             raise ValidationError(f"{args.pred_graphs}: {err}") from err
     _score(ds, tags, graphs, args.strata, args.format == "json", args.output)
@@ -370,13 +371,18 @@ def _cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_overlap_policy(p: argparse.ArgumentParser, default: str) -> None:
+    p.add_argument("--overlap-policy", default=default, help="default: %(default)s",
+                   choices=["none"] + [name.lower() for name in OverlapPolicy.__members__])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sentigraph",
         description="Opinion extraction pipeline: span tagging, relation "
         "classification, sentiment-graph aggregation, and evaluation.",
     )
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("--format", choices=("text", "json"), default=None)
     parser.add_argument("--output-dir", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -389,12 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.add_argument("--from", dest="from_format", choices=("json", "conll"), required=True)
     p.add_argument("--to", dest="to_format", choices=("json", "conll"), required=True)
-    p.add_argument(
-        "--overlap-policy",
-        choices=("none", "drop_sentence", "priority_keep"),
-        default="none",
-        help="how to resolve cross-role overlaps before a CoNLL write",
-    )
+    _add_overlap_policy(p, "none")
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("train", help="train a tagger or relation model")
@@ -406,11 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--train-seed", type=int, default=None, dest="train_seed")
-    p.add_argument(
-        "--overlap-policy",
-        choices=("none", "drop_sentence", "priority_keep"),
-        default="drop_sentence",
-    )
+    _add_overlap_policy(p, "drop_sentence")
     p.add_argument("--out", required=True, help="model JSON output path")
     p.set_defaults(func=_cmd_train)
 
@@ -426,11 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred-conll", default=None, help="stage-1 predictions (CoNLL)")
     p.add_argument("--pred-graphs", default=None, help="stage-3 predictions (dataset JSON)")
     p.add_argument("--strata", action="store_true", help="also report single/multi-target strata")
-    p.add_argument(
-        "--overlap-policy",
-        choices=("none", "drop_sentence", "priority_keep"),
-        default="drop_sentence",
-    )
+    _add_overlap_policy(p, "drop_sentence")
     p.add_argument("--output", default=None, help="write the report JSON here")
     p.set_defaults(func=_cmd_evaluate)
 
@@ -443,7 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
+    try:  # first refuse a global flag that the subcommand would not read
+        for flag, value, readers in (("--format", args.format, ("stats", "evaluate")),
+                                     ("--output-dir", args.output_dir, ("stats", "predict"))):
+            if value is not None and args.command not in readers:
+                raise ConfigError(f"{flag} applies only to '{readers[0]}' and '{readers[1]}', "
+                                  f"not '{args.command}'")
         return args.func(args)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -456,9 +454,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: standard output's encoding {err.encoding} cannot print {bad!r}{hint}",
               file=sys.stderr)
         return 2
-    except SentigraphError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except OSError as err:
         print(f"I/O error: {err}", file=sys.stderr)
         return 1

@@ -174,19 +174,6 @@ class Sentence:
                     f"exceeds token count {n}"
                 )
 
-    def check_token_texts(self, texts: Sequence[str], path: str) -> None:
-        """Raise ``ValidationError``, naming ``path``, unless ``texts`` (the
-        tokens that a predictions file gives this sentence) are this
-        sentence's token texts, in order."""
-        n = len(self.tokens)
-        if len(texts) != n:
-            raise ValidationError(f"{path}: sentence '{self.id}': dataset has {n} tokens "
-                                  f"but predictions file has {len(texts)}")
-        for i, (tok, text) in enumerate(zip(self.tokens, texts)):
-            if tok.text != text:
-                raise ValidationError(f"{path}: sentence '{self.id}', token {i}: dataset has "
-                                      f"{tok.text!r} but predictions file has {text!r}")
-
     def spans(self, role: Optional[Role] = None) -> set:
         """Distinct spans across all opinions, optionally filtered by role."""
         fields = _ROLE_FIELDS if role is None else (_ROLE_FIELD[role],)
@@ -221,6 +208,31 @@ class Dataset:
 
     def by_id(self) -> dict:
         return {s.id: s for s in self.sentences}
+
+    def predictions(self, path: str, rows: Iterable[Tuple[str, Sequence[str], object]],
+                    required: Iterable[Sentence] = ()) -> dict:
+        """By id, the value of each (sentence id, token texts, value) row of predictions
+        file ``path``. Raise ``ValidationError``, naming ``path``, for a repeated or unknown
+        id, token texts not the sentence's, or a sentence of ``required`` that no row gives."""
+        sentences, values = self.by_id(), {}
+        for sent_id, texts, value in rows:
+            if sent_id in values:
+                raise ValidationError(f"{path}: duplicate sentence id '{sent_id}'")
+            if sent_id not in sentences:
+                raise ValidationError(f"{path}: unknown sentence id '{sent_id}'")
+            tokens = sentences[sent_id].tokens
+            if len(texts) != len(tokens):
+                raise ValidationError(f"{path}: sentence '{sent_id}': dataset has {len(tokens)} "
+                                      f"tokens but predictions file has {len(texts)}")
+            for i, (tok, text) in enumerate(zip(tokens, texts)):
+                if tok.text != text:
+                    raise ValidationError(f"{path}: sentence '{sent_id}', token {i}: dataset "
+                                          f"has {tok.text!r} but predictions file has {text!r}")
+            values[sent_id] = value
+        for sentence in required:
+            if sentence.id not in values:
+                raise ValidationError(f"{path}: missing sentence '{sentence.id}'")
+        return values
 
 
 def compute_stats(sentences: Iterable[Sentence]) -> dict:

@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
-Two families matter to callers: ``InputError`` covers everything the user
-can fix (malformed files, invalid spans, bad configuration), ``StageError``
-covers runtime failures inside a pipeline stage. The CLI maps them to exit
-codes 2 and 1 respectively.
+Every error the package raises is an ``InputError``: something the user can
+fix (malformed files, invalid spans, spans that CoNLL cannot hold, unusable
+models, bad configuration). The CLI prints it and exits 2; exit code 1 is
+left to an output that could not be written (``OSError``).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ class SentigraphError(Exception):
 
 
 class InputError(SentigraphError):
-    """Invalid user-supplied input: data files, spans, or configuration."""
+    """Invalid user-supplied input: data files, spans, models, or configuration."""
 
 
 class ParseError(InputError):
@@ -29,13 +29,9 @@ class ConfigError(InputError):
     """Pipeline configuration problem; the message names the offending field."""
 
 
-class StageError(SentigraphError):
-    """Runtime failure inside a pipeline stage."""
-
-
-class CodecError(StageError):
+class CodecError(InputError):
     """Spans cannot be represented as a BIO tag sequence."""
 
 
-class ModelError(StageError):
+class ModelError(InputError):
     """A model is of the wrong kind or in an unusable state."""

@@ -4,8 +4,8 @@ Three tagger kinds share one ``tag()`` interface: the all-O majority
 baseline, a POS-to-label chunking baseline and a trainable averaged
 perceptron. Tags produced by an external model are read from a CoNLL
 file with ``load_external_predictions`` (every sentence of a dataset, for
-``predict``) or ``load_predictions_conll`` (any of them, for ``evaluate``)
-instead.
+``predict``) or ``load_predictions_conll`` (any of them and every kept one,
+for ``evaluate``) instead.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import add
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .corpus import Dataset, Sentence, Token, finite_number, read_json_object, write_json_object
-from .errors import ModelError, ParseError, ValidationError
+from .errors import ModelError, ValidationError
 from .span_codec import (BIO_LABELS, TagSequence, bio_label, continues, encode, label_role,
                          read_conll_blocks, validate_tags, write_conll)
 
@@ -338,33 +338,19 @@ def _tag_pos_chunk(model: TaggerModel, sentence: Sentence) -> TagSequence:
     return tuple(labels)
 
 
-def load_predictions_conll(path: str, ds: Dataset) -> Dict[str, TagSequence]:
-    """Read per-sentence tag sequences from a CoNLL file, keyed by id.
-
-    The file may hold any of the dataset's sentences, each with its token
-    texts; a repeated id or one the dataset lacks raises. Ill-formed BIO
-    runs are accepted; they are repaired later at decode time.
-    """
-    sentences = ds.by_id()
-    predictions: Dict[str, TagSequence] = {}
-    for sent_id, rows in read_conll_blocks(path):
-        if sent_id in predictions:
-            raise ParseError(f"{path}: duplicate sentence id '{sent_id}'")
-        if sent_id not in sentences:
-            raise ValidationError(f"{path}: unknown sentence id '{sent_id}'")
-        sentences[sent_id].check_token_texts([text for text, _, _ in rows], path)
-        predictions[sent_id] = tuple(label for _, _, label in rows)
-    return predictions
+def load_predictions_conll(path: str, ds: Dataset,
+                           required: Iterable[Sentence] = ()) -> Dict[str, TagSequence]:
+    """Per-sentence tag sequences of a CoNLL file by id, under ``Dataset.predictions``'
+    rule. Ill-formed BIO runs are accepted; they are repaired later at decode time."""
+    return ds.predictions(path, ((sent_id, [text for text, _, _ in rows],
+                                  tuple(label for _, _, label in rows))
+                                 for sent_id, rows in read_conll_blocks(path)), required)
 
 
 def load_external_predictions(path: str, ds: Dataset) -> Dict[str, TagSequence]:
     """``load_predictions_conll`` for a file that must hold every sentence
     of the dataset."""
-    predictions = load_predictions_conll(path, ds)
-    for sentence in ds.sentences:
-        if sentence.id not in predictions:
-            raise ValidationError(f"{path}: missing sentence '{sentence.id}'")
-    return predictions
+    return load_predictions_conll(path, ds, ds.sentences)
 
 
 def save_predictions_conll(

@@ -192,7 +192,8 @@ def test_convert_overlap_without_policy_fails(tmp_path, capsys):
     src = tmp_path / "o.json"
     save_dataset(Dataset(name="o", sentences=[clash]), str(src))
     rc = main(["convert", str(src), str(tmp_path / "o.conll"), "--from", "json", "--to", "conll"])
-    assert rc == 1
+    assert rc == 2
+    assert "sentence 'clash': cross-role overlap" in capsys.readouterr().err
 
 
 def test_failed_convert_keeps_the_earlier_output(tmp_path, capsys):
@@ -398,7 +399,9 @@ def test_evaluate_missing_kept_sentence_exits_2_for_both_files(tmp_path, capsys)
     capsys.readouterr()
     for flag, path in (("--pred-conll", conll), ("--pred-graphs", graphs)):
         assert main(["evaluate", "--gold", str(gold), flag, str(path)]) == 2
-        assert f"'{kept.sentences[0].id}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"'{kept.sentences[0].id}'" in err
+        assert f"{path}: missing sentence" in err
 
 
 def test_json_stdout_equals_the_written_file(tmp_path, capsys):
@@ -565,6 +568,72 @@ def test_an_invalid_pred_graph_names_the_file(tmp_path):
     assert code == 2
     assert f"error: {gold}: graph for sentence 's1': tuples carry no polarity" in err
     assert "Traceback" not in err
+
+
+_REFUSED = "applies only to '{}' and '{}', not '{}'"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "tagger", "--train", "{clash}", "--overlap-policy", "none", "--out", "{tmp}/m.json"],
+     "sentence 'clash': cross-role overlap at token 1"),
+    (["--output-dir", "{tmp}/d", "predict", "--data", "{data}", "--tagger-model", "{inf}"],
+     "sentence 'a', token 0: no label scores above -inf"),
+    (["--format", "json", "convert", "{data}", "{tmp}/o.conll", "--from", "json", "--to", "conll"],
+     "--format " + _REFUSED.format("stats", "evaluate", "convert")),
+    (["--format", "json", "train", "tagger", "--train", "{data}", "--out", "{tmp}/m.json"],
+     "--format " + _REFUSED.format("stats", "evaluate", "train")),
+    (["--format", "text", "--output-dir", "{tmp}/d", "predict", "--data", "{data}",
+      "--tagger-model", "{most}"],
+     "--format " + _REFUSED.format("stats", "evaluate", "predict")),
+    (["--format", "json", "pipeline", "{config}"],
+     "--format " + _REFUSED.format("stats", "evaluate", "pipeline")),
+    (["--output-dir", "{tmp}/d", "convert", "{data}", "{tmp}/o.json", "--from", "json",
+      "--to", "json"], "--output-dir " + _REFUSED.format("stats", "predict", "convert")),
+    (["--output-dir", "{tmp}/d", "train", "tagger", "--train", "{data}", "--out", "{tmp}/m.json"],
+     "--output-dir " + _REFUSED.format("stats", "predict", "train")),
+    (["--output-dir", "{tmp}/d", "evaluate", "--gold", "{data}", "--pred-graphs", "{data}"],
+     "--output-dir " + _REFUSED.format("stats", "predict", "evaluate")),
+    (["--output-dir", "{tmp}/elsewhere", "pipeline", "{config}"],
+     "--output-dir " + _REFUSED.format("stats", "predict", "pipeline")),
+    (["pipeline", "{perceptron_map}"],
+     "config field 'tagger.pos_map': applies only to kind POS_CHUNK"),
+    (["pipeline", "{unknown_label}"],
+     "config field 'tagger.pos_map': POS map entry 'NOUN': label 'B-THING' is not in the BIO"),
+], ids=["train_overlap_without_policy", "tagger_scores_overflow", "format_convert",
+        "format_train", "format_predict", "format_pipeline", "output_dir_convert",
+        "output_dir_train", "output_dir_evaluate", "output_dir_pipeline",
+        "pos_map_for_perceptron", "pos_map_label_outside_bio"])
+def test_an_input_fault_exits_2_and_writes_nothing(tmp_path, argv, message):
+    clash = sent("clash", ["w0", "w1", "w2"],
+                 opinions=[opinion(targets=[span("t", 0, 2)], expressions=[span("e", 1, 3)])])
+    paths = {name: tmp_path / f"{name}.json" for name in (
+        "clash", "data", "inf", "most", "train", "test", "config", "perceptron_map",
+        "unknown_label")}
+    save_dataset(Dataset("c", [clash]), str(paths["clash"]))
+    save_dataset(Dataset("d", [sent("a", ["a"])]), str(paths["data"]))
+    # Finite weights whose sums overflow to -inf for every label that may start a sentence.
+    paths["inf"].write_text(json.dumps({"kind": "PERCEPTRON", "weights": {
+        f"{feat}\t{label}": -1e308 for feat in ("w=a", "lw=a") for label in taggers.TIE_ORDER
+    }}), encoding="utf-8")
+    paths["most"].write_text('{"kind": "MOST_COMMON"}', encoding="utf-8")
+    save_dataset(generate_corpus(8, seed=1, name="train"), str(paths["train"]))
+    save_dataset(generate_corpus(4, seed=2, name="test"), str(paths["test"]))
+    _write_config(tmp_path, str(paths["train"]), str(paths["test"]))
+    _write_config(tmp_path, str(paths["train"]), str(paths["test"]),
+                  tagger={"kind": "PERCEPTRON", "pos_map": {"NOUN": "B-TARG"}})
+    os.replace(tmp_path / "config.json", paths["perceptron_map"])
+    # The map is refused before any dataset is read, so an unreadable one is not reached.
+    paths["train"].with_name("broken.json").write_text("{", encoding="utf-8")
+    _write_config(tmp_path, str(tmp_path / "broken.json"), str(paths["test"]),
+                  tagger={"kind": "POS_CHUNK", "pos_map": {"NOUN": "B-THING"}})
+    os.replace(tmp_path / "config.json", paths["unknown_label"])
+    _write_config(tmp_path, str(paths["train"]), str(paths["test"]))
+    before = sorted(os.listdir(tmp_path))
+    code, err = _run_cli(*(arg.format(tmp=tmp_path, **paths) for arg in argv))
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_convert_json_to_conll_and_back(tmp_path, capsys):

@@ -78,6 +78,24 @@ def test_dataset_rejects_duplicate_ids():
     assert "dup" in str(err.value)
 
 
+def test_predictions_rule_names_the_file():
+    ds = Dataset(name="d", sentences=[sent("a", ["x", "y"]), sent("b", ["z"])])
+    assert ds.predictions("p", [("b", ["z"], 1)]) == {"b": 1}
+    assert ds.predictions("p", [("b", ["z"], 1), ("a", ("x", "y"), 2)], ds.sentences) == {
+        "b": 1, "a": 2}
+    for rows, required, message in (
+        ([("b", ["z"], 1), ("b", ["z"], 2)], (), "p: duplicate sentence id 'b'"),
+        ([("ghost", ["z"], 1)], (), "p: unknown sentence id 'ghost'"),
+        ([("a", ["x"], 1)], (), "p: sentence 'a': dataset has 2 tokens but predictions file has 1"),
+        ([("a", ["x", "q"], 1)], (),
+         "p: sentence 'a', token 1: dataset has 'y' but predictions file has 'q'"),
+        ([("b", ["z"], 1)], ds.sentences, "p: missing sentence 'a'"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            ds.predictions("p", rows, required)
+        assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # JSON load/save
 # ---------------------------------------------------------------------------
