@@ -348,7 +348,7 @@ def _cmd_evaluate(args) -> int:
     # pipeline those the overlap filter keeps) and must hold each kept one.
     tags = graphs = None
     if args.pred_conll:
-        tags = taggers.load_predictions_conll(args.pred_conll, gold, ds.sentences)
+        tags = taggers.load_external_predictions(args.pred_conll, gold, ds.sentences)
     if args.pred_graphs:
         predicted = gold.predictions(args.pred_graphs, (
             (s.id, [tok.text for tok in s.tokens], s.opinions)

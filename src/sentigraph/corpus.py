@@ -562,7 +562,7 @@ def read_json_object(path: str) -> dict:
     value, raises ``ParseError`` with the path (and line, if known).
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             obj = json.load(fh)
     except OSError as err:
         raise ParseError(f"{path}: cannot read: {err}") from err

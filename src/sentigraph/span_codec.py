@@ -55,17 +55,6 @@ def continues(prev: str, label: str) -> bool:
 TagSequence = Tuple[str, ...]
 
 
-def validate_tags(labels: Sequence[str], n_tokens: Optional[int] = None) -> TagSequence:
-    for i, label in enumerate(labels):
-        if label not in BIO_LABELS:
-            raise ValidationError(f"position {i}: unknown BIO label {label!r}")
-    if n_tokens is not None and len(labels) != n_tokens:
-        raise ValidationError(
-            f"tag sequence length {len(labels)} does not match token count {n_tokens}"
-        )
-    return tuple(labels)
-
-
 def union_same_role(spans: Iterable[Span]) -> Set[Span]:
     """Merge overlapping or adjacent spans of the same role."""
     by_role: Dict[Role, List[Span]] = {}
@@ -113,12 +102,14 @@ def decode(labels: Sequence[str]) -> Set[Span]:
     A label that does not continue the one before it ends the open span, and
     any label but ``O`` starts one. So maximal ``B-X (I-X)*`` runs become
     spans, and an orphan ``I-X`` starts a new span, which preserves recall
-    from imperfect taggers at the cost of inventing a boundary.
+    from imperfect taggers at the cost of inventing a boundary. A label
+    outside the alphabet raises ``ValidationError``.
     """
-    validate_tags(labels)
     spans: Set[Span] = set()
     start, prev = 0, "O"
     for i, label in enumerate((*labels, "O")):
+        if label not in BIO_LABELS:
+            raise ValidationError(f"position {i}: unknown BIO label {label!r}")
         if not continues(prev, label):
             if prev != "O":
                 spans.add(Span(_LABEL_ROLE[prev], start, i))
@@ -140,7 +131,8 @@ ConllBlock = Tuple[str, List[Tuple[str, Optional[str], str]]]
 
 
 def write_conll(path: str, labelled: Iterable[Tuple[Sentence, Sequence[str]]]) -> None:
-    """Write each sentence as a CoNLL block, with one label per token.
+    """Write each sentence as a CoNLL block, with one label per token; a
+    label count that differs from the token count raises ``ValidationError``.
 
     Only what ``read_conll_blocks`` reads back is written: a tab, newline or
     carriage return in a sentence id, token text or POS raises
@@ -155,6 +147,9 @@ def write_conll(path: str, labelled: Iterable[Tuple[Sentence, Sequence[str]]]) -
                     f"sentence id {sent_id!r} contains a tab or line break, or starts or "
                     f"ends with whitespace, and cannot be written to CoNLL"
                 )
+            if len(labels) != len(sentence.tokens):
+                raise ValidationError(f"sentence '{sent_id}': {len(labels)} labels for "
+                                      f"{len(sentence.tokens)} tokens")
             fh.write(f"# sent_id = {sent_id}\n")
             for i, (tok, label) in enumerate(zip(sentence.tokens, labels)):
                 text, pos = tok.text, tok.pos
@@ -171,7 +166,7 @@ def read_conll_blocks(path: str) -> List[ConllBlock]:
     blocks: List[ConllBlock] = []
     rows: Optional[List[Tuple[str, Optional[str], str]]] = None  # of the open block
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.rstrip("\n")
                 if not line.strip():

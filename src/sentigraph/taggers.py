@@ -3,9 +3,7 @@
 Three tagger kinds share one ``tag()`` interface: the all-O majority
 baseline, a POS-to-label chunking baseline and a trainable averaged
 perceptron. Tags produced by an external model are read from a CoNLL
-file with ``load_external_predictions`` (every sentence of a dataset, for
-``predict``) or ``load_predictions_conll`` (any of them and every kept one,
-for ``evaluate``) instead.
+file with ``load_external_predictions`` instead.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from .corpus import Dataset, Sentence, Token, finite_number, read_json_object, write_json_object
 from .errors import ModelError, ValidationError
 from .span_codec import (BIO_LABELS, TagSequence, bio_label, continues, encode, label_role,
-                         read_conll_blocks, validate_tags, write_conll)
+                         read_conll_blocks, write_conll)
 
 
 class TaggerKind(Enum):
@@ -338,33 +336,23 @@ def _tag_pos_chunk(model: TaggerModel, sentence: Sentence) -> TagSequence:
     return tuple(labels)
 
 
-def load_predictions_conll(path: str, ds: Dataset,
-                           required: Iterable[Sentence] = ()) -> Dict[str, TagSequence]:
+def load_external_predictions(path: str, ds: Dataset,
+                              required: Optional[Iterable[Sentence]] = None
+                              ) -> Dict[str, TagSequence]:
     """Per-sentence tag sequences of a CoNLL file by id, under ``Dataset.predictions``'
-    rule. Ill-formed BIO runs are accepted; they are repaired later at decode time."""
+    rule; ``required`` defaults to every sentence of ``ds``. Ill-formed BIO runs are
+    accepted; they are repaired later at decode time."""
     return ds.predictions(path, ((sent_id, [text for text, _, _ in rows],
                                   tuple(label for _, _, label in rows))
-                                 for sent_id, rows in read_conll_blocks(path)), required)
-
-
-def load_external_predictions(path: str, ds: Dataset) -> Dict[str, TagSequence]:
-    """``load_predictions_conll`` for a file that must hold every sentence
-    of the dataset."""
-    return load_predictions_conll(path, ds, ds.sentences)
+                                 for sent_id, rows in read_conll_blocks(path)),
+                          ds.sentences if required is None else required)
 
 
 def save_predictions_conll(
     path: str, ds: Dataset, tags: Mapping[str, Sequence[str]]
 ) -> None:
-    """Write predicted tag sequences for a dataset in CoNLL format."""
-    labelled = []
-    for sentence in ds.sentences:
-        if sentence.id not in tags:
-            raise ValidationError(f"no predicted tags for sentence '{sentence.id}'")
-        labelled.append(
-            (sentence, validate_tags(tags[sentence.id], n_tokens=len(sentence.tokens)))
-        )
-    write_conll(path, labelled)
+    """Write the predicted tag sequence of each sentence of a dataset in CoNLL format."""
+    write_conll(path, ((sentence, tags[sentence.id]) for sentence in ds.sentences))
 
 
 # ---------------------------------------------------------------------------

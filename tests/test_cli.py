@@ -505,6 +505,16 @@ def test_undecodable_or_over_nested_input_exits_2_naming_the_file(tmp_path):
         assert "Traceback" not in err
 
 
+def test_evaluate_a_malformed_pred_conll_exits_2_naming_the_file(tmp_path):
+    gold, pred = tmp_path / "gold.json", tmp_path / "pred.conll"
+    save_dataset(Dataset("g", [sent("a", ["x"])]), str(gold))
+    pred.write_text("# sent_id = a\n2\tx\t_\tO\n\n", encoding="utf-8")
+    code, err = _run_cli("evaluate", "--gold", str(gold), "--pred-conll", str(pred))
+    assert code == 2
+    assert f"error: {pred}:2: token index 2 out of sequence (expected 1)" in err
+    assert "Traceback" not in err
+
+
 def test_a_conll_input_error_names_the_file(tmp_path, capsys):
     gold = tmp_path / "gold.json"
     save_dataset(Dataset("g", [sent("a", ["x"]), sent("b", ["y", "z"])]), str(gold))

@@ -1,3 +1,4 @@
+import codecs
 import json
 import random
 from dataclasses import replace
@@ -374,6 +375,29 @@ def test_write_conll_rejects_what_does_not_read_back(tmp_path, sentence, named):
         save_conll(Dataset(name="x", sentences=[sentence]), str(path))
     assert named in str(err.value)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("labels", [["O"], ["O", "O", "O"]])
+def test_write_conll_rejects_a_label_count_unlike_the_token_count(tmp_path, labels):
+    path = tmp_path / "x.conll"
+    with pytest.raises(ValidationError) as err:
+        write_conll(str(path), [(sent("s", ["a", "b"]), labels)])
+    assert str(err.value) == f"sentence 's': {len(labels)} labels for 2 tokens"
+    assert not path.exists()
+
+
+def test_a_leading_byte_order_mark_is_skipped(tmp_path):
+    # A mark inside a token is content and keeps its place.
+    ds = Dataset(name="d", sentences=[love_school(), sent("b", ["\ufeffx", "y"])])
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.mkdir()
+    marked.mkdir()
+    for name, save in (("d.json", save_dataset), ("d.conll", save_conll)):
+        save(ds, str(plain / name))
+        (marked / name).write_bytes(codecs.BOM_UTF8 + (plain / name).read_bytes())
+    assert load_dataset(str(marked / "d.json")) == load_dataset(str(plain / "d.json")) == ds
+    assert load_conll(str(marked / "d.conll")) == load_conll(str(plain / "d.conll"))
+    assert load_conll(str(marked / "d.conll")).sentences[1].tokens[0].text == "\ufeffx"
 
 
 # ---------------------------------------------------------------------------

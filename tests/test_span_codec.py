@@ -131,6 +131,13 @@ def test_decode_rejects_unknown_label():
         decode(["B-THING"])
 
 
+def test_decode_names_the_position_of_an_unknown_label():
+    with pytest.raises(ValidationError, match="position 0"):
+        decode(["B-THING"])
+    with pytest.raises(ValidationError, match="position 2: unknown BIO label 'X'"):
+        decode(["B-EXP", "I-EXP", "X"])
+
+
 def test_union_same_role_keeps_disjoint():
     spans = {span("t", 0, 1), span("t", 2, 3), span("e", 1, 2)}
     assert union_same_role(spans) == spans

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -7,11 +8,13 @@ from helpers import love_school, opinion, reference_perceptron, sent, span
 from sentigraph import (
     Dataset,
     ModelError,
+    ParseError,
     TaggerKind,
     ValidationError,
     decode,
     encode,
     filter_overlapping,
+    load_conll,
     load_external_predictions,
     most_common_tagger,
     pos_chunk_tagger,
@@ -399,6 +402,50 @@ def test_external_predictions_reject_unknown_id(tmp_path):
         load_external_predictions(str(path), ds)
     assert "ghost" in str(err.value)
     assert str(err.value).startswith(f"{path}: ")
+
+
+def test_external_predictions_require_only_the_required_sentences(tmp_path):
+    ds = Dataset(name="g", sentences=[love_school(), sent("plain", ["ok"])])
+    path = tmp_path / "partial.conll"
+    save_conll(Dataset(name="g", sentences=[love_school()]), str(path))
+    assert load_external_predictions(str(path), ds, ds.sentences[:1]) == {
+        "s-love": encode(love_school())}
+    with pytest.raises(ValidationError) as err:
+        load_external_predictions(str(path), ds, ds.sentences[1:])
+    assert str(err.value) == f"{path}: missing sentence 'plain'"
+
+
+# Each reader fault as (file name, content, readers, error, message after the
+# path): CoNLL faults go through both CoNLL readers, model faults through
+# load_model.
+_FAULT_GOLD = Dataset(name="g", sentences=[sent("a", ["x"]), sent("b", ["y"])])
+_CONLL_READERS = (load_conll, lambda path: load_external_predictions(path, _FAULT_GOLD))
+
+
+@pytest.mark.parametrize("name, content, readers, error, message", [
+    ("index.conll", "# sent_id = a\nI\tx\t_\tO\n\n", _CONLL_READERS, ParseError,
+     ":2: token index 'I' is not an integer"),
+    ("sequence.conll", "# sent_id = a\n2\tx\t_\tO\n\n", _CONLL_READERS, ParseError,
+     ":2: token index 2 out of sequence (expected 1)"),
+    ("columns.conll", "# sent_id = a\n1\tx\tO\n\n", _CONLL_READERS, ParseError,
+     ":2: expected 4 columns (index token pos label), got 3"),
+    ("orphan.conll", "\n1\tx\t_\tO\n", _CONLL_READERS, ParseError,
+     ":2: token row before a '# sent_id =' header"),
+    ("header.conll", "# sent_id = a\n1\tx\t_\tO\n# sent_id = b\n1\ty\t_\tO\n\n",
+     _CONLL_READERS, ParseError,
+     ":3: new '# sent_id' header without a blank line after sentence 'a'"),
+    ("key.json", json.dumps({"kind": "PERCEPTRON", "weights": {"w=x": 1.0}}),
+     (load_model,), ValidationError, ": malformed weight key 'w=x'"),
+    ("label.json", json.dumps({"kind": "PERCEPTRON", "weights": {"w=x\tB-THING": 1.0}}),
+     (load_model,), ValidationError, ": weight key has unknown label 'B-THING'"),
+])
+def test_a_reader_fault_names_the_file(tmp_path, name, content, readers, error, message):
+    path = tmp_path / name
+    path.write_text(content, encoding="utf-8")
+    for read in readers:
+        with pytest.raises(error) as err:
+            read(str(path))
+        assert str(err.value) == f"{path}{message}"
 
 
 def test_save_predictions_conll_round_trip(tmp_path):
