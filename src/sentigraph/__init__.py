@@ -30,15 +30,7 @@ from .corpus import (
     save_dataset,
     upsample,
 )
-from .errors import (
-    CodecError,
-    ConfigError,
-    InputError,
-    ModelError,
-    ParseError,
-    SentigraphError,
-    ValidationError,
-)
+from .errors import InputError, ParseError, ValidationError
 from .metrics import (
     PRF,
     EvalReport,
@@ -76,11 +68,10 @@ from .taggers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BIO_LABELS", "CodecError", "ConfigError", "DEFAULT_POS_MAP",
-    "Dataset", "EvalReport", "InputError",
-    "ModelError", "OpinionTuple", "OverlapPolicy", "PRF", "ParseError",
+    "BIO_LABELS", "DEFAULT_POS_MAP", "Dataset", "EvalReport", "InputError",
+    "OpinionTuple", "OverlapPolicy", "PRF", "ParseError",
     "RelationInstance", "RelationKind", "RelationModel", "Role",
-    "Sentence", "SentigraphError", "SentimentGraph", "Span",
+    "Sentence", "SentimentGraph", "Span",
     "Stratum", "TagSequence", "TaggerKind", "TaggerModel", "Token",
     "ValidationError", "aggregate", "always_true_model", "classify",
     "compute_stats", "decode", "encode", "end_to_end", "featurize",

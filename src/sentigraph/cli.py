@@ -18,7 +18,7 @@ from typing import Dict, Mapping, Optional, Sequence
 
 from . import aggregator, corpus, metrics, relation, span_codec, taggers
 from .corpus import Dataset, OverlapPolicy
-from .errors import ConfigError, InputError, ValidationError
+from .errors import InputError, ValidationError
 from .metrics import Stratum
 # Not called here; benchmark/test_benchmark.py checks that its tracer restores cli.decode.
 from .span_codec import decode  # noqa: F401
@@ -31,7 +31,7 @@ from .span_codec import decode  # noqa: F401
 
 def _check(name: str, ok: bool, problem: str) -> None:
     if not ok:
-        raise ConfigError(f"config field '{name}': {problem}")
+        raise ValidationError(f"config field '{name}': {problem}")
 
 
 # The options of both stages are checked when they are built, so a config
@@ -55,7 +55,7 @@ class TaggerConfig:
             try:
                 taggers.pos_chunk_tagger(self.pos_map)
             except ValidationError as err:
-                raise ConfigError(f"config field 'tagger.pos_map': {err}") from None
+                raise ValidationError(f"config field 'tagger.pos_map': {err}") from None
 
 
 @dataclass
@@ -100,7 +100,7 @@ def _present(obj: Mapping, types: Mapping[str, type], where: str) -> dict:
     silently ignored."""
     for key in obj:
         if key not in types:
-            raise ConfigError(f"config field '{where}{key}': unknown field")
+            raise ValidationError(f"config field '{where}{key}': unknown field")
     out = {}
     for key, kind in types.items():
         if key not in obj:
@@ -109,7 +109,7 @@ def _present(obj: Mapping, types: Mapping[str, type], where: str) -> dict:
         if kind is float:
             value = corpus.finite_number(value, f"config field '{where}{key}'")
         if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-            raise ConfigError(
+            raise ValidationError(
                 f"config field '{where}{key}': expected {kind.__name__}, got {value!r}"
             )
         out[key] = value
@@ -120,7 +120,7 @@ def load_config(path: str) -> PipelineConfig:
     obj = corpus.read_json_object(path)
     for key in ("train", "test", "output_dir"):
         if key not in obj:
-            raise ConfigError(f"config field '{key}': missing")
+            raise ValidationError(f"config field '{key}': missing")
     top = _present(obj, {
         "train": str, "test": str, "output_dir": str, "dev": str, "overlap_policy": str,
         "upsample": bool, "upsample_seed": int, "tagger": dict, "relation": dict,
@@ -136,7 +136,7 @@ def load_config(path: str) -> PipelineConfig:
     )
     for key, value in (("train", cfg.train), ("test", cfg.test), ("dev", cfg.dev)):
         if value is not None and not os.path.isfile(value):
-            raise ConfigError(f"config field '{key}': file not found: {value}")
+            raise ValidationError(f"config field '{key}': file not found: {value}")
     return cfg
 
 
@@ -309,7 +309,8 @@ def _cmd_train(args) -> int:
         for flag, value in (("--learning-rate", args.learning_rate),
                             ("--threshold", args.threshold)):
             if value is not None:
-                raise ConfigError(f"{flag} applies only to 'train relation', not 'train tagger'")
+                raise ValidationError(
+                    f"{flag} applies only to 'train relation', not 'train tagger'")
         config, train, save = TaggerConfig, _train_tagger, taggers.save_model
     else:
         given.update(learning_rate=args.learning_rate, threshold=args.threshold)
@@ -323,7 +324,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     if bool(args.tagger_model) == bool(args.external_conll):
-        raise ConfigError("predict needs exactly one of --tagger-model and --external-conll")
+        raise ValidationError("predict needs exactly one of --tagger-model and --external-conll")
     ds = corpus.load_dataset(args.data)
     tagger_model = external = None
     if args.external_conll:
@@ -341,7 +342,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     if not (args.pred_conll or args.pred_graphs):
-        raise ConfigError("evaluate needs --pred-conll and/or --pred-graphs")
+        raise ValidationError("evaluate needs --pred-conll and/or --pred-graphs")
     gold = corpus.load_dataset(args.gold)
     ds = _filter_overlaps(gold, args.overlap_policy, "gold sentence(s)")
     # A predictions file may hold any gold sentence (predict tags every one,
@@ -440,8 +441,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for flag, value, readers in (("--format", args.format, ("stats", "evaluate")),
                                      ("--output-dir", args.output_dir, ("stats", "predict"))):
             if value is not None and args.command not in readers:
-                raise ConfigError(f"{flag} applies only to '{readers[0]}' and '{readers[1]}', "
-                                  f"not '{args.command}'")
+                raise ValidationError(f"{flag} applies only to '{readers[0]}' and "
+                                      f"'{readers[1]}', not '{args.command}'")
         return args.func(args)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)

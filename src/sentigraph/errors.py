@@ -1,19 +1,20 @@
 """Exception types shared across the package.
 
 Every error the package raises is an ``InputError``: something the user can
-fix (malformed files, invalid spans, spans that CoNLL cannot hold, unusable
-models, bad configuration). The CLI prints it and exits 2; exit code 1 is
-left to an output that could not be written (``OSError``).
+fix. The CLI prints it and exits 2; exit code 1 is left to an output that
+could not be written (``OSError``). It comes in two kinds:
+
+- ``ParseError``: a file cannot be read or parsed. Its message carries a
+  line or record locator.
+- ``ValidationError``: a parsed value breaks an invariant, such as an
+  invalid span, spans that CoNLL cannot hold, an unusable model, or a bad
+  configuration field or flag.
 """
 
 from __future__ import annotations
 
 
-class SentigraphError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class InputError(SentigraphError):
+class InputError(Exception):
     """Invalid user-supplied input: data files, spans, models, or configuration."""
 
 
@@ -23,15 +24,3 @@ class ParseError(InputError):
 
 class ValidationError(InputError):
     """Parseable input that violates a domain invariant."""
-
-
-class ConfigError(InputError):
-    """Pipeline configuration problem; the message names the offending field."""
-
-
-class CodecError(InputError):
-    """Spans cannot be represented as a BIO tag sequence."""
-
-
-class ModelError(InputError):
-    """A model is of the wrong kind or in an unusable state."""

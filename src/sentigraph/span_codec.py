@@ -28,7 +28,7 @@ import re
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .corpus import Dataset, OpinionTuple, Role, Sentence, Span, Token, replacing
-from .errors import CodecError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 
 _ROLE_SUFFIX = {Role.HOLDER: "HOLDER", Role.TARGET: "TARG", Role.EXPRESSION: "EXP"}
 # Each label's role, None for O; its keys are the alphabet, in order.
@@ -77,7 +77,7 @@ def union_same_role(spans: Iterable[Span]) -> Set[Span]:
 def encode(sentence: Sentence) -> TagSequence:
     """BIO labels for a sentence's spans (same-role spans pre-unioned).
 
-    Raises CodecError on a cross-role token overlap, naming the token and
+    Raises ValidationError on a cross-role token overlap, naming the token and
     the two roles involved.
     """
     labels = ["O"] * len(sentence.tokens)
@@ -87,7 +87,7 @@ def encode(sentence: Sentence) -> TagSequence:
         label, inside = bio_label("B", span.role), bio_label("I", span.role)
         for i in range(span.start, span.end):
             if labels[i] != "O":
-                raise CodecError(
+                raise ValidationError(
                     f"sentence '{sentence.id}': cross-role overlap at token {i} "
                     f"({label_role(labels[i]).value} vs {span.role.value})"
                 )
@@ -243,5 +243,5 @@ def load_conll(path: str) -> Dataset:
 
 
 def save_conll(ds: Dataset, path: str) -> None:
-    """Write a dataset as CoNLL; a cross-role overlap raises ``CodecError``."""
+    """Write a dataset as CoNLL; a cross-role overlap raises ``ValidationError``."""
     write_conll(path, [(sentence, encode(sentence)) for sentence in ds.sentences])

@@ -17,7 +17,7 @@ from operator import add
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .corpus import Dataset, Sentence, Token, finite_number, read_json_object, write_json_object
-from .errors import ModelError, ValidationError
+from .errors import ValidationError
 from .span_codec import (BIO_LABELS, TagSequence, bio_label, continues, encode, label_role,
                          read_conll_blocks, write_conll)
 
@@ -292,7 +292,7 @@ def tag(model: TaggerModel, sentence: Sentence) -> TagSequence:
         return _tag_pos_chunk(model, sentence)
     index = model.compiled
     if index is None:
-        raise ModelError("perceptron model has no weights; train or load it first")
+        raise ValidationError("perceptron model has no weights; train or load it first")
     w_0, w_lw, w_suf3, w_pre2, w_shape, w_m1, w_p1, w_m2, w_p2, p_0, p_m1, p_p1 = (
         table.get for table in index.static
     )
@@ -320,7 +320,8 @@ def tag(model: TaggerModel, sentence: Sentence) -> TagSequence:
             if scores[k] > best_score:
                 best, best_score = k, scores[k]
         if best < 0:
-            raise ModelError(f"sentence '{sentence.id}', token {i}: no label scores above -inf")
+            raise ValidationError(
+                f"sentence '{sentence.id}', token {i}: no label scores above -inf")
         labels.append(TIE_ORDER[best])
         prev = best
     return tuple(labels)

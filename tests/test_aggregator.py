@@ -233,6 +233,13 @@ def test_graphs_to_dataset_round_trip():
         assert SentimentGraph(sentence.id, sentence.opinions) == graphs[sentence.id]
 
 
+def test_graphs_to_dataset_missing_graph_names_sentence():
+    ds = generate_corpus(2, seed=71)
+    graphs = {ds.sentences[0].id: gold_graph(ds.sentences[0])}
+    with pytest.raises(ValidationError, match=f"no graph for sentence '{ds.sentences[1].id}'"):
+        graphs_to_dataset(ds, graphs)
+
+
 def test_write_triples_format(tmp_path):
     s = love_school()
     path = tmp_path / "triples.jsonl"

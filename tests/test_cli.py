@@ -515,6 +515,17 @@ def test_evaluate_a_malformed_pred_conll_exits_2_naming_the_file(tmp_path):
     assert "Traceback" not in err
 
 
+def test_stats_on_a_malformed_token_record_exits_2_naming_the_record(tmp_path):
+    path = tmp_path / "token.json"
+    path.write_text(json.dumps({"name": "t", "sentences": [{
+        "id": "a", "text": "x", "tokens": ["x"], "opinions": [],
+    }]}), encoding="utf-8")
+    code, err = _run_cli("stats", str(path))
+    assert code == 2
+    assert f"error: {path}: sentence record 0 (id='a'), token 0: expected an object" in err
+    assert "Traceback" not in err
+
+
 def test_a_conll_input_error_names_the_file(tmp_path, capsys):
     gold = tmp_path / "gold.json"
     save_dataset(Dataset("g", [sent("a", ["x"]), sent("b", ["y", "z"])]), str(gold))

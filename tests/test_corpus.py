@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from helpers import love_school, opinion, random_dataset, sent, span
 from sentigraph import (
-    CodecError,
     Dataset,
     OpinionTuple,
     OverlapPolicy,
@@ -185,6 +184,66 @@ def test_load_json_missing_key_names_record(tmp_path):
     assert "tokens" in str(err.value) and "id='b'" in str(err.value)
 
 
+def _set(*keys_and_value):
+    """A mutation of the payload that sets the value at the path of keys."""
+    *keys, last, value = keys_and_value
+
+    def mutate(payload):
+        obj = payload
+        for key in keys:
+            obj = obj[key]
+        obj[last] = value
+    return mutate
+
+
+_RECORD = "sentence record 0 (id='a')"
+_TOKEN, _OPINION = f"{_RECORD}, token 0", f"{_RECORD}, opinion 0"
+
+
+@pytest.mark.parametrize(
+    "mutate, error, message",
+    [
+        (_set("sentences", 0, "opinions", 0, "holders", "x"), ParseError,
+         f"{_OPINION}: expected a list of [start, end] pairs"),
+        (_set("sentences", 0, "tokens", 0, "x"), ParseError, f"{_TOKEN}: expected an object"),
+        (_set("sentences", 0, "tokens", 0, "text", 1), ParseError,
+         f"{_TOKEN}: 'text' must be a string"),
+        (_set("sentences", 0, "tokens", 0, "start", "0"), ParseError,
+         f"{_TOKEN}: 'start'/'end' must be integers"),
+        (_set("sentences", 0, "tokens", 0, "pos", 1), ParseError,
+         f"{_TOKEN}: 'pos' must be a string or null"),
+        (_set("sentences", 0, "opinions", 0, "x"), ParseError, f"{_OPINION}: expected an object"),
+        (_set("sentences", 0, "opinions", 0, "polarity", 1), ParseError,
+         f"{_OPINION}: 'polarity' must be a string or null"),
+        (_set("sentences", 0, "opinions", 0, "expressions", []), ValidationError,
+         "sentence 'a': opinion tuple has no expression span"),
+        (_set("sentences", 0, "x"), ParseError, "sentence record 0: expected an object"),
+        (_set("sentences", 0, "text", 1), ParseError, f"{_RECORD}: 'id' and 'text' must be strings"),
+        (_set("sentences", 0, "tokens", {}), ParseError,
+         f"{_RECORD}: 'tokens' and 'opinions' must be lists"),
+        (_set("sentences", {}), ParseError, "'sentences' must be a list"),
+    ],
+    ids=["span_list", "token_object", "token_text", "token_offsets", "token_pos",
+         "opinion_object", "polarity", "no_expression", "sentence_object", "id_text",
+         "tokens_opinions", "sentences_list"],
+)
+def test_load_json_malformed_record_names_file_and_record(tmp_path, mutate, error, message):
+    payload = _two_sentence_payload()
+    mutate(payload)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(error) as err:
+        load_dataset(str(path))
+    assert type(err.value) is error
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_dataset_from_dict_rejects_a_top_level_non_object():
+    with pytest.raises(ParseError) as err:
+        dataset_from_dict([], "list.json")
+    assert str(err.value) == "list.json: top-level value must be an object"
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -299,7 +358,7 @@ def _overlapping_sentence():
 
 def test_conll_save_overlap_errors_without_policy(tmp_path):
     ds = Dataset(name="x", sentences=[_overlapping_sentence()])
-    with pytest.raises(CodecError):
+    with pytest.raises(ValidationError, match="cross-role overlap"):
         save_conll(ds, str(tmp_path / "x.conll"))
 
 

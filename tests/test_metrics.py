@@ -73,6 +73,13 @@ def test_token_f1_count_mismatch():
         token_f1([("O",)], [])
 
 
+def test_token_f1_unknown_label_names_its_side():
+    with pytest.raises(ValidationError, match="sequence 0: unknown gold label 'B-X'"):
+        token_f1([("B-X",)], [("O",)])
+    with pytest.raises(ValidationError, match="sequence 0: unknown pred label 'B-X'"):
+        token_f1([("O",)], [("B-X",)])
+
+
 # ---------------------------------------------------------------------------
 # graph_f1
 # ---------------------------------------------------------------------------
@@ -125,6 +132,11 @@ def test_graph_f1_alignment_error():
     with pytest.raises(ValidationError) as err:
         graph_f1([_graph("a")], [_graph("b")])
     assert "a" in str(err.value) and "b" in str(err.value)
+
+
+def test_graph_f1_repeated_gold_id():
+    with pytest.raises(ValidationError, match="duplicate sentence id 'a' in gold graphs"):
+        graph_f1([_graph("a"), _graph("a")], [_graph("a")])
 
 
 def test_graph_f1_partial_match_counts():
@@ -288,6 +300,14 @@ def test_stratified_missing_prediction_names_sentence():
     with pytest.raises(ValidationError) as err:
         stratified_report(ds, tags, graphs, stratum=Stratum.ALL)
     assert "two" in str(err.value)
+
+
+def test_stratified_missing_graph_names_sentence():
+    ds = _mixed_fixture()
+    tags, graphs = _gold_predictions(ds)
+    del graphs["two"]
+    with pytest.raises(ValidationError, match="no predicted graph for sentence 'two'"):
+        stratified_report(ds, tags, graphs, stratum=Stratum.ALL)
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,16 @@ def test_logistic_rejects_unlabeled_instances():
         train_logistic(unlabeled, ds, epochs=1, learning_rate=0.1, seed=0)
 
 
+def test_logistic_rejects_an_instance_of_an_unknown_sentence():
+    s = _pair_sentence()
+    instances = generate_instances(
+        s, {span("t", 0, 1), span("t", 3, 4)}, {span("e", 1, 2)}, gold=s.opinions
+    )
+    other = Dataset(name="o", sentences=[sent("q", ["x"])])
+    with pytest.raises(ValidationError, match="instance references unknown sentence 'p'"):
+        train_logistic(instances, other, epochs=1, learning_rate=0.1, seed=0)
+
+
 def _mean_log_loss(model, ds, instances):
     by_id = ds.by_id()
     total = 0.0
@@ -280,6 +290,13 @@ def test_relation_model_threshold_validation():
         RelationModel(kind=RelationKind.LOGISTIC, threshold=1.0)
 
 
+def test_relation_model_rejects_a_non_finite_weight_or_bias():
+    with pytest.raises(ValidationError, match="non-finite weight for feature 'f'"):
+        RelationModel(kind=RelationKind.LOGISTIC, weights={"f": math.inf})
+    with pytest.raises(ValidationError, match="non-finite bias"):
+        RelationModel(kind=RelationKind.LOGISTIC, bias=math.nan)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -292,6 +309,13 @@ def test_relation_model_round_trip(tmp_path):
     save_model(model, str(path))
     loaded = load_model(str(path))
     assert loaded == model
+
+
+def test_load_model_rejects_weights_that_are_not_an_object(tmp_path):
+    path = tmp_path / "rel.json"
+    path.write_text('{"kind": "LOGISTIC", "weights": []}', encoding="utf-8")
+    with pytest.raises(ValidationError, match="'weights' must map features to numbers"):
+        load_model(str(path))
 
 
 def test_instance_dump_round_trip(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import love_school, opinion, random_overlap_free_sentence, sent, span
-from sentigraph import (BIO_LABELS, CodecError, Role, Span, ValidationError, decode, encode,
+from sentigraph import (BIO_LABELS, Role, Span, ValidationError, decode, encode,
                         union_same_role)
 
 
@@ -54,7 +54,7 @@ def test_encode_cross_role_overlap_names_token_and_roles():
         "x", ["w0", "w1", "w2"],
         opinions=[opinion(targets=[span("t", 0, 2)], expressions=[span("e", 1, 3)])],
     )
-    with pytest.raises(CodecError) as err:
+    with pytest.raises(ValidationError) as err:
         encode(s)
     message = str(err.value)
     assert "token 1" in message
@@ -105,7 +105,7 @@ def test_encode_cross_role_overlap_names_token_and_roles():
 )
 def test_encode_cross_role_overlap_exact_message(opinions, message):
     s = sent("x", [f"w{i}" for i in range(7)], opinions=opinions)
-    with pytest.raises(CodecError) as err:
+    with pytest.raises(ValidationError) as err:
         encode(s)
     assert str(err.value) == f"sentence 'x': {message}"
 

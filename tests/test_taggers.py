@@ -7,7 +7,6 @@ import pytest
 from helpers import love_school, opinion, reference_perceptron, sent, span
 from sentigraph import (
     Dataset,
-    ModelError,
     ParseError,
     TaggerKind,
     ValidationError,
@@ -335,16 +334,16 @@ def test_tag_adds_previous_label_rows_before_pos_rows():
     assert tag(model, sentence) == _reference_tag(weights, sentence) == ("O", "B-HOLDER")
 
 
-def test_tag_without_weights_is_a_model_error():
-    with pytest.raises(ModelError):
+def test_tag_without_weights_is_rejected():
+    with pytest.raises(ValidationError, match="has no weights"):
         tag(TaggerModel(kind=TaggerKind.PERCEPTRON), love_school())
 
 
-def test_tag_with_no_finite_score_is_a_model_error():
+def test_tag_with_no_finite_score_names_the_token():
     # Finite weights whose sums overflow to -inf leave no label to choose.
     row = {label: -1e308 for label in TIE_ORDER}
     model = TaggerModel(kind=TaggerKind.PERCEPTRON, weights={"w=Great": row, "lw=great": row})
-    with pytest.raises(ModelError, match="token 0"):
+    with pytest.raises(ValidationError, match="token 0"):
         tag(model, sent("s", ["Great"]))
 
 
