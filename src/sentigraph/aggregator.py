@@ -9,9 +9,10 @@ recall errors stay visible in graph metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .corpus import Dataset, OpinionTuple, Role, Sentence, Span, write_json_lines
+from .corpus import Dataset, OpinionTuple, Role, Sentence, Span, replacing
 from .errors import ValidationError
 from .relation import RelationInstance, RelationModel, classify, generate_instances, linked_pairs
 from .span_codec import TagSequence, decode
@@ -125,15 +126,17 @@ def graphs_to_dataset(ds: Dataset, graphs: Mapping[str, SentimentGraph]) -> Data
 
 
 def write_triples(path: str, graphs: Iterable[SentimentGraph]) -> None:
-    """Flat JSON-lines dump: one row per tuple, for diffing."""
-    write_json_lines(path, (
-        {
-            "sentence_id": graph.sentence_id,
-            "holders": sorted([s.start, s.end] for s in t.holders),
-            "targets": sorted([s.start, s.end] for s in t.targets),
-            "expression": [e.start, e.end],
-        }
-        for graph in graphs
-        for t in graph.tuples
-        for e in t.expressions  # exactly one: SentimentGraph checks it
-    ))
+    """Flat JSON-lines dump, for diffing: per tuple the text of ``json.dumps(row,
+    sort_keys=True, ensure_ascii=False)``, where ``row`` has ``expression``,
+    ``holders``, ``sentence_id`` and ``targets``, spans as sorted [start, end]."""
+    def pairs(spans) -> str:
+        return ", ".join(f"[{start}, {end}]" for start, end in sorted(
+            (s.start, s.end) for s in spans))
+
+    with replacing(path) as fh:
+        for graph in graphs:
+            sent_id = encode_basestring(graph.sentence_id)
+            for t in graph.tuples:
+                (e,) = t.expressions  # SentimentGraph checks that there is one
+                fh.write(f'{{"expression": [{e.start}, {e.end}], "holders": [{pairs(t.holders)}], '
+                         f'"sentence_id": {sent_id}, "targets": [{pairs(t.targets)}]}}\n')

@@ -20,10 +20,12 @@ Span pairs are half-open token-index ranges. Token ``start``/``end`` are
 character offsets (Unicode code points) into the sentence text, and
 ``text[start:end]`` must equal the token's own ``text``.
 
-Every JSON artifact (datasets, models, reports) goes through
-``write_json_object``. It streams the document to the file in bounded
-chunks and writes exactly the bytes of ``json.dump(obj, fh, indent=2,
-sort_keys=True, ensure_ascii=False)`` followed by a newline.
+Every JSON artifact has the bytes of ``json.dump(obj, fh, indent=2,
+sort_keys=True, ensure_ascii=False)`` plus a newline. ``write_json_object``
+streams models, reports and stats; ``save_dataset`` formats one sentence
+at a time from fixed templates. Each JSON-lines row (``relation``,
+``aggregator``) is formatted as ``json.dumps(row, sort_keys=True,
+ensure_ascii=False)`` writes it.
 
 Every writer goes through ``replacing``: a write that fails part-way
 leaves any earlier file at the target path as it was.
@@ -39,7 +41,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from json.encoder import encode_basestring
-from typing import IO, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import IO, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ParseError, ValidationError
 
@@ -579,13 +581,13 @@ def read_json_object(path: str) -> dict:
 
 # Pieces the JSON writer buffers before it writes them out.
 _WRITE_CHUNK = 1 << 12
-# One compact encoder for every JSON-lines row.
-_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 
 def write_json_object(path: str, obj) -> None:
-    """Write ``obj`` as the package's one JSON artifact format: sorted keys,
-    indent 2, non-ASCII characters kept, and a final newline.
+    """Write ``obj`` in the package's JSON artifact format (sorted keys,
+    indent 2, non-ASCII characters kept, a final newline), as models,
+    reports and stats are written; ``save_dataset`` writes datasets in the
+    same format from fixed templates.
 
     For any JSON value built from dicts with string keys, lists, tuples and
     scalars of exact type ``str``, ``int``, ``float``, ``bool`` or ``None``,
@@ -621,6 +623,13 @@ _LEAF_TEXT = {
     bool: lambda value: "true" if value else "false",
     type(None): lambda value: "null",
 }
+
+
+def json_scalar(value) -> str:
+    """The JSON text of a ``str``, ``int``, ``float``, ``bool`` or ``None``
+    (by exact type; any other type raises ``KeyError``), as
+    ``write_json_object`` and ``json.dumps`` write it."""
+    return _LEAF_TEXT[type(value)](value)
 
 
 def _encode_json(value, newline: str, parts: List[str], fh) -> None:
@@ -664,13 +673,6 @@ def _encode_json(value, newline: str, parts: List[str], fh) -> None:
     parts.append(newline + brackets[1])
 
 
-def write_json_lines(path: str, rows: Iterable[Mapping]) -> None:
-    """Write one compact JSON object per line, keys sorted, non-ASCII kept."""
-    with replacing(path) as fh:
-        for row in rows:
-            fh.write(_LINE_ENCODER.encode(row) + "\n")
-
-
 def finite_number(value, what: str) -> float:
     """A JSON number as a finite float; anything else raises ``ValidationError``."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -688,6 +690,49 @@ def load_dataset(path: str) -> Dataset:
     return dataset_from_dict(read_json_object(path), source=path)
 
 
+def _json_list(items: List[str], indent: str) -> str:
+    """The JSON list of encoded ``items`` as ``write_json_object`` indents it
+    on a line that starts with ``indent``."""
+    if not items:
+        return "[]"
+    inner = "\n  " + indent
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def _span_list_json(spans: Iterable[Span]) -> str:
+    return _json_list([f"[\n              {s.start},\n              {s.end}\n            ]"
+                       for s in sorted(spans, key=Span.sort_key)], "          ")
+
+
+def _sentence_json(s: Sentence) -> str:
+    """One item of a dataset file's ``sentences`` list, keys in sorted order."""
+    opinions = [
+        f'{{\n          "expressions": {_span_list_json(o.expressions)},'
+        f'\n          "holders": {_span_list_json(o.holders)},'
+        f'\n          "polarity": {json_scalar(o.polarity)},'
+        f'\n          "targets": {_span_list_json(o.targets)}\n        }}'
+        for o in s.opinions
+    ]
+    tokens = [
+        f'{{\n          "end": {t.char_end},\n          "pos": {json_scalar(t.pos)},'
+        f'\n          "start": {t.char_start},'
+        f'\n          "text": {encode_basestring(t.text)}\n        }}'
+        for t in s.tokens
+    ]
+    return (f'{{\n      "id": {encode_basestring(s.id)},'
+            f'\n      "opinions": {_json_list(opinions, "      ")},'
+            f'\n      "text": {encode_basestring(s.text)},'
+            f'\n      "tokens": {_json_list(tokens, "      ")}\n    }}')
+
+
 def save_dataset(ds: Dataset, path: str) -> None:
-    """Write a JSON dataset file; JSON keeps everything a ``Dataset`` holds."""
-    write_json_object(path, dataset_to_dict(ds))
+    """Write a JSON dataset file; JSON keeps everything a ``Dataset`` holds.
+    The bytes are those of ``write_json_object(path, dataset_to_dict(ds))``,
+    written one sentence at a time."""
+    with replacing(path) as fh:
+        fh.write(f'{{\n  "name": {encode_basestring(ds.name)},\n  "sentences": ')
+        sep = "["
+        for sentence in ds.sentences:
+            fh.write(f"{sep}\n    {_sentence_json(sentence)}")
+            sep = ","
+        fh.write("\n  ]\n}\n" if ds.sentences else "[]\n}\n")

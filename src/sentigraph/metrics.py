@@ -11,12 +11,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Dict, Mapping, Optional, Sequence
+from itertools import product
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .aggregator import SentimentGraph, gold_graph
 from .corpus import Dataset, Role, Sentence
 from .errors import ValidationError
-from .relation import RelationInstance, gold_instances, linked_pairs
+from .relation import RelationInstance, linked_pairs
 from .span_codec import BIO_LABELS, TagSequence, encode, label_role
 
 
@@ -147,7 +148,11 @@ def relation_prf(
     labels = [inst.label for inst in gold]
     if None in labels:
         raise ValidationError(f"instance {labels.index(None)}: gold label missing")
-    n = Counter(zip(map(bool, labels), map(bool, pred)))  # (truth, guess) -> count
+    return _relation_section(Counter(zip(map(bool, labels), map(bool, pred))))
+
+
+def _relation_section(n: Mapping[Tuple[bool, bool], int]) -> Dict[str, PRF]:
+    """Positive- and negative-class PRF from the count of each (truth, guess)."""
     return {
         "positive": PRF.from_counts(n[True, True], n[False, True], n[True, False]),
         "negative": PRF.from_counts(n[False, False], n[True, False], n[False, True]),
@@ -229,18 +234,20 @@ def stratified_report(
         token = token_f1(gold_seqs, pred_seqs, collapse_bio=False)
         token_collapsed = token_f1(gold_seqs, pred_seqs, collapse_bio=True)
     if pred_graphs is not None:
-        gold_graphs, predicted, gold_insts, decisions = [], [], [], []
+        gold_graphs, predicted = [], []
+        outcomes: Counter = Counter()  # (gold links it, prediction links it) -> pairs
         for sentence in selected:
             if sentence.id not in pred_graphs:
                 raise ValidationError(f"no predicted graph for sentence '{sentence.id}'")
             gold_graphs.append(gold_graph(sentence))
             predicted.append(pred_graphs[sentence.id])
+            gold_links = linked_pairs(sentence.opinions)
             connected = linked_pairs(predicted[-1].tuples)
-            instances = gold_instances(sentence)
-            gold_insts.extend(instances)
-            decisions.extend((i.entity, i.expression) in connected for i in instances)
+            entities = sentence.spans(Role.HOLDER) | sentence.spans(Role.TARGET)
+            for pair in product(entities, sentence.spans(Role.EXPRESSION)):
+                outcomes[pair in gold_links, pair in connected] += 1
         graph = graph_f1(gold_graphs, predicted)
-        rel = relation_prf(gold_insts, decisions)
+        rel = _relation_section(outcomes)
     return EvalReport(
         dataset=gold_ds.name,
         stratum=stratum,

@@ -12,18 +12,11 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .corpus import (
-    Dataset,
-    Role,
-    Sentence,
-    Span,
-    finite_number,
-    read_json_object,
-    write_json_lines,
-    write_json_object,
-)
+from .corpus import (Dataset, Role, Sentence, Span, finite_number, json_scalar, read_json_object,
+                     replacing, write_json_object)
 from .errors import ValidationError
 
 # Sparse features in sorted order, so weight sums do not depend on the
@@ -313,14 +306,14 @@ def load_model(path: str) -> RelationModel:
 def dump_instances(
     path: str, records: Iterable[Tuple[RelationInstance, Optional[float]]]
 ) -> None:
-    """Write scored instances as JSON lines, for debugging."""
-    write_json_lines(path, (
-        {
-            "sentence_id": inst.sentence_id,
-            "entity": [inst.entity.start, inst.entity.end, inst.entity.role.value],
-            "expression": [inst.expression.start, inst.expression.end],
-            "label": inst.label,
-            "score": score,
-        }
-        for inst, score in records
-    ))
+    """Write scored instances as JSON lines, for debugging: per instance the
+    text of ``json.dumps(row, sort_keys=True, ensure_ascii=False)``, where
+    ``row`` has ``entity`` ([start, end, role]), ``expression``, ``label``,
+    ``score`` and ``sentence_id``."""
+    with replacing(path) as fh:
+        for inst, score in records:
+            ent, exp = inst.entity, inst.expression
+            fh.write(f'{{"entity": [{ent.start}, {ent.end}, "{ent.role._value_}"], '
+                     f'"expression": [{exp.start}, {exp.end}], '
+                     f'"label": {json_scalar(inst.label)}, "score": {json_scalar(score)}, '
+                     f'"sentence_id": {encode_basestring(inst.sentence_id)}}}\n')

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import json
 import random
+from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from sentigraph import Dataset, OpinionTuple, Role, Sentence, Span, Token, encode
+from sentigraph import Dataset, OpinionTuple, Role, Sentence, Span, Token, encode, save_dataset
+from sentigraph.cli import main
+from sentigraph.synth import generate_corpus
 from sentigraph.taggers import TIE_ORDER, token_features
 
 ROLES = (Role.HOLDER, Role.TARGET, Role.EXPRESSION)
@@ -165,3 +172,78 @@ def reference_perceptron(
         if out:
             averaged[feat] = out
     return averaged, mistakes
+
+
+# ---------------------------------------------------------------------------
+# The pinned digest runs (tests/test_pipeline_digests.py). They import only
+# the standard library and the package, so another interpreter can run them.
+# ---------------------------------------------------------------------------
+
+
+def _with_clash(ds: Dataset, sent_id: str) -> Dataset:
+    """``ds`` plus one sentence whose holder and expression share a token."""
+    clash = sent(
+        sent_id, ["bob", "hates", "the", "pizza"],
+        opinions=[opinion(holders=[span("h", 0, 2)], targets=[span("t", 3, 4)],
+                          expressions=[span("e", 1, 2)])],
+    )
+    return Dataset(name=ds.name, sentences=ds.sentences + (clash,))
+
+
+def digest_runs(root: Path) -> List[List[str]]:
+    """Write the inputs of the pinned CLI runs under ``root`` and return their
+    argv lists, to run in order: ``pipeline`` with a dev split (into
+    ``root/run``), ``predict --external-conll`` on the dev split's predicted
+    tags (into ``root/ext``) and ``evaluate --strata --output`` on the test
+    predictions (into ``root/eval``)."""
+    save_dataset(_with_clash(generate_corpus(80, seed=71, name="train"), "clash-train"),
+                 str(root / "train.json"))
+    save_dataset(generate_corpus(30, seed=72, name="dev"), str(root / "dev.json"))
+    save_dataset(_with_clash(generate_corpus(40, seed=73, name="test"), "clash-test"),
+                 str(root / "test.json"))
+    config = root / "config.json"
+    config.write_text(json.dumps({
+        "train": str(root / "train.json"),
+        "dev": str(root / "dev.json"),
+        "test": str(root / "test.json"),
+        "output_dir": str(root / "run"),
+        "upsample": True,
+        "upsample_seed": 5,
+        "tagger": {"kind": "PERCEPTRON", "epochs": 1, "seed": 3},
+        "relation": {"kind": "LOGISTIC", "epochs": 4, "learning_rate": 0.3, "seed": 4,
+                     "threshold": 0.6},
+    }), encoding="utf-8")
+    run = root / "run"
+    (root / "eval").mkdir()
+    return [
+        ["pipeline", str(config)],
+        ["--output-dir", str(root / "ext"), "predict", "--data", str(root / "dev.json"),
+         "--external-conll", str(run / "dev_predictions.conll"),
+         "--relation-model", str(run / "relation_model.json")],
+        ["evaluate", "--gold", str(root / "test.json"),
+         "--pred-conll", str(run / "predictions.conll"),
+         "--pred-graphs", str(run / "graphs.json"),
+         "--strata", "--output", str(root / "eval" / "report.json")],
+    ]
+
+
+def stats_digests(root: Path) -> Dict[str, str]:
+    """Run ``stats`` over two generated datasets written under ``root``, as
+    text and as JSON with ``--output-dir``; return the sha256 of each
+    standard output (``stdout_text``, ``stdout_json``) and of ``stats.json``."""
+    paths = [str(root / "first.json"), str(root / "second.json")]
+    save_dataset(generate_corpus(60, seed=81, name="first"), paths[0])
+    save_dataset(generate_corpus(25, seed=82, name="second"), paths[1])
+    out = {}
+    for key, argv in (
+        ("stdout_text", ["stats"]),
+        ("stdout_json", ["--format", "json", "--output-dir", str(root / "out"), "stats"]),
+    ):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv + paths)
+        if code != 0:
+            raise AssertionError(f"stats exited {code}")
+        out[key] = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    out["stats.json"] = hashlib.sha256((root / "out" / "stats.json").read_bytes()).hexdigest()
+    return out

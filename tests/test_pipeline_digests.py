@@ -13,17 +13,12 @@ pinned the same way: its text and JSON stdout and its ``stats.json``. Those
 digests were computed before the stats report was cut down to one function.
 """
 
-import contextlib
 import hashlib
-import io
-import json
 
 import pytest
 
-from helpers import opinion, sent, span
-from sentigraph import Dataset, save_dataset
+from helpers import digest_runs, stats_digests
 from sentigraph.cli import main
-from sentigraph.synth import generate_corpus
 
 PIPELINE = {
     "dev_graphs.json": "100a5818123325b437329b674287b01b31c7b111919b8e2e94a3cd870e3ada0e",
@@ -55,18 +50,6 @@ STATS = {
 }
 
 
-def _clash(sent_id: str):
-    return sent(
-        sent_id, ["bob", "hates", "the", "pizza"],
-        opinions=[opinion(holders=[span("h", 0, 2)], targets=[span("t", 3, 4)],
-                          expressions=[span("e", 1, 2)])],
-    )
-
-
-def _with_clash(ds: Dataset, sent_id: str) -> Dataset:
-    return Dataset(name=ds.name, sentences=ds.sentences + (_clash(sent_id),))
-
-
 def _digests(directory, names):
     return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in names}
 
@@ -74,33 +57,8 @@ def _digests(directory, names):
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     root = tmp_path_factory.mktemp("digests")
-    save_dataset(_with_clash(generate_corpus(80, seed=71, name="train"), "clash-train"),
-                 str(root / "train.json"))
-    save_dataset(generate_corpus(30, seed=72, name="dev"), str(root / "dev.json"))
-    save_dataset(_with_clash(generate_corpus(40, seed=73, name="test"), "clash-test"),
-                 str(root / "test.json"))
-    config = root / "config.json"
-    config.write_text(json.dumps({
-        "train": str(root / "train.json"),
-        "dev": str(root / "dev.json"),
-        "test": str(root / "test.json"),
-        "output_dir": str(root / "run"),
-        "upsample": True,
-        "upsample_seed": 5,
-        "tagger": {"kind": "PERCEPTRON", "epochs": 1, "seed": 3},
-        "relation": {"kind": "LOGISTIC", "epochs": 4, "learning_rate": 0.3, "seed": 4,
-                     "threshold": 0.6},
-    }), encoding="utf-8")
-    run = root / "run"
-    assert main(["pipeline", str(config)]) == 0
-    assert main(["--output-dir", str(root / "ext"), "predict", "--data", str(root / "dev.json"),
-                 "--external-conll", str(run / "dev_predictions.conll"),
-                 "--relation-model", str(run / "relation_model.json")]) == 0
-    (root / "eval").mkdir()
-    assert main(["evaluate", "--gold", str(root / "test.json"),
-                 "--pred-conll", str(run / "predictions.conll"),
-                 "--pred-graphs", str(run / "graphs.json"),
-                 "--strata", "--output", str(root / "eval" / "report.json")]) == 0
+    for argv in digest_runs(root):
+        assert main(argv) == 0
     return root
 
 
@@ -120,21 +78,7 @@ def test_evaluate_strata_output_is_pinned(runs):
 
 @pytest.fixture(scope="module")
 def stats_run(tmp_path_factory):
-    root = tmp_path_factory.mktemp("stats-digests")
-    paths = [str(root / "first.json"), str(root / "second.json")]
-    save_dataset(generate_corpus(60, seed=81, name="first"), paths[0])
-    save_dataset(generate_corpus(25, seed=82, name="second"), paths[1])
-    out = {}
-    for key, argv in (
-        ("stdout_text", ["stats"]),
-        ("stdout_json", ["--format", "json", "--output-dir", str(root / "out"), "stats"]),
-    ):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            assert main(argv + paths) == 0
-        out[key] = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
-    out.update(_digests(root / "out", ["stats.json"]))
-    return out
+    return stats_digests(tmp_path_factory.mktemp("stats-digests"))
 
 
 def test_stats_output_is_pinned(stats_run):
