@@ -226,7 +226,7 @@ def _score(ds: Dataset, tags, graphs, strata: bool, as_json: bool = False,
     if output:
         corpus.write_json_object(output, payload)
     table = metrics.format_report_table(reports)
-    print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) if as_json else table)
+    print(json.dumps(payload, **corpus.JSON_FORMAT) if as_json else table)
     return table
 
 
@@ -273,7 +273,7 @@ def _cmd_stats(args) -> int:
         pooled = corpus.compute_stats(sentence for ds in datasets for sentence in ds)
         payload.append({"dataset": "pooled", **pooled})
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
+        print(json.dumps(payload, **corpus.JSON_FORMAT))
     else:
         columns = [key for key in payload[0] if key != "label_group_counts"]
         table = [columns] + [

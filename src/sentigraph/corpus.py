@@ -20,12 +20,13 @@ Span pairs are half-open token-index ranges. Token ``start``/``end`` are
 character offsets (Unicode code points) into the sentence text, and
 ``text[start:end]`` must equal the token's own ``text``.
 
-Every JSON artifact has the bytes of ``json.dump(obj, fh, indent=2,
-sort_keys=True, ensure_ascii=False)`` plus a newline. ``write_json_object``
-streams models, reports and stats; ``save_dataset`` formats one sentence
-at a time from fixed templates. Each JSON-lines row (``relation``,
-``aggregator``) is formatted as ``json.dumps(row, sort_keys=True,
-ensure_ascii=False)`` writes it.
+``JSON_FORMAT`` states the artifact format once: every JSON file has the
+bytes of ``json.dump(obj, fh, **JSON_FORMAT)`` plus a newline, and the CLI
+prints reports and stats with the same arguments. ``write_json_object``
+writes models, reports and stats with ``json.dump``. Datasets (one
+sentence at a time) and the JSON-lines rows of ``relation`` and
+``aggregator`` (as ``json.dumps(row, sort_keys=True, ensure_ascii=False)``)
+are large, so they are formatted from fixed templates to the same bytes.
 
 Every writer goes through ``replacing``: a write that fails part-way
 leaves any earlier file at the target path as it was.
@@ -579,30 +580,16 @@ def read_json_object(path: str) -> dict:
     return obj
 
 
-# Pieces the JSON writer buffers before it writes them out.
-_WRITE_CHUNK = 1 << 12
+# The arguments of ``json.dump`` that give every JSON artifact its bytes.
+JSON_FORMAT = {"indent": 2, "sort_keys": True, "ensure_ascii": False}
 
 
 def write_json_object(path: str, obj) -> None:
-    """Write ``obj`` in the package's JSON artifact format (sorted keys,
-    indent 2, non-ASCII characters kept, a final newline), as models,
-    reports and stats are written; ``save_dataset`` writes datasets in the
-    same format from fixed templates.
-
-    For any JSON value built from dicts with string keys, lists, tuples and
-    scalars of exact type ``str``, ``int``, ``float``, ``bool`` or ``None``,
-    the bytes are those of
-    ``json.dump(obj, fh, indent=2, sort_keys=True, ensure_ascii=False)``
-    followed by a newline; anything else raises ``TypeError``. ``json.dump``
-    encodes indented output in pure Python, one generator step per value;
-    this encoder does less per value and writes in chunks of at most
-    ``_WRITE_CHUNK`` pieces, so the document is never held whole in memory.
-    """
+    """Write ``obj`` as ``json.dump(obj, fh, **JSON_FORMAT)`` writes it,
+    plus a final newline; models, reports and stats are written this way."""
     with replacing(path) as fh:
-        parts: List[str] = []
-        _encode_json(obj, "\n", parts, fh)
-        parts.append("\n")
-        fh.write("".join(parts))
+        json.dump(obj, fh, **JSON_FORMAT)
+        fh.write("\n")
 
 
 def _float_text(value: float) -> str:
@@ -630,47 +617,6 @@ def json_scalar(value) -> str:
     (by exact type; any other type raises ``KeyError``), as
     ``write_json_object`` and ``json.dumps`` write it."""
     return _LEAF_TEXT[type(value)](value)
-
-
-def _encode_json(value, newline: str, parts: List[str], fh) -> None:
-    """Append the indented JSON text of ``value`` to ``parts``, flushing full
-    chunks to ``fh``; ``newline`` starts the line that holds ``value``."""
-    leaf = _LEAF_TEXT.get(type(value))
-    if leaf is not None:
-        parts.append(leaf(value))
-        return
-    # An object's items are its (key, value) pairs in key order, and each
-    # value follows its key.
-    is_object = isinstance(value, dict)
-    if is_object:
-        brackets, items = "{}", sorted(value.items())
-    elif isinstance(value, (list, tuple)):
-        brackets, items = "[]", value
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not items:
-        parts.append(brackets)
-        return
-    inner = newline + "  "
-    comma = "," + inner
-    sep = brackets[0] + inner
-    for item in items:
-        if is_object:
-            key, item = item
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            sep = f"{sep}{encode_basestring(key)}: "
-        leaf = _LEAF_TEXT.get(type(item))
-        if leaf is not None:
-            parts.append(sep + leaf(item))
-        else:
-            parts.append(sep)
-            _encode_json(item, inner, parts, fh)
-        sep = comma
-        if len(parts) >= _WRITE_CHUNK:
-            fh.write("".join(parts))
-            parts.clear()
-    parts.append(newline + brackets[1])
 
 
 def finite_number(value, what: str) -> float:

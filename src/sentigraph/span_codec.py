@@ -8,8 +8,9 @@ continues the label before it when that label is ``B-X`` or ``I-X``
 ``encode`` turns a sentence's spans into one label per token; ``decode``
 recovers spans from any label sequence, repairing ill-formed input: an
 ``I-X`` that continues nothing is treated as ``B-X``. Same-role spans
-that overlap or touch are unioned before encoding, since BIO cannot keep
-them apart; cross-role overlaps are an error (filter them first).
+that overlap are unioned before encoding, and so, by a choice that loses
+spans, are those that only touch (``decode`` reads ``B-X B-X`` as two
+spans); cross-role overlaps are an error (filter them first).
 
 CoNLL format: one token per line, blank line between sentences, a
 ``# sent_id = <id>`` comment before each sentence, and four columns::
@@ -56,7 +57,7 @@ TagSequence = Tuple[str, ...]
 
 
 def union_same_role(spans: Iterable[Span]) -> Set[Span]:
-    """Merge overlapping or adjacent spans of the same role."""
+    """Merge overlapping or touching spans of the same role (merging touching spans loses one)."""
     by_role: Dict[Role, List[Span]] = {}
     for span in spans:
         by_role.setdefault(span.role, []).append(span)
@@ -137,7 +138,7 @@ def write_conll(path: str, labelled: Iterable[Tuple[Sentence, Sequence[str]]]) -
     Only what ``read_conll_blocks`` reads back is written: a tab, newline or
     carriage return in a sentence id, token text or POS raises
     ``ValidationError``, and so does a sentence id with leading or trailing
-    whitespace, which the header reader strips.
+    whitespace, which the header reader strips. A POS of ``_`` reads back as none.
     """
     with replacing(path) as fh:
         for sentence, labels in labelled:
@@ -243,5 +244,11 @@ def load_conll(path: str) -> Dataset:
 
 
 def save_conll(ds: Dataset, path: str) -> None:
-    """Write a dataset as CoNLL; a cross-role overlap raises ``ValidationError``."""
+    """Write a dataset as CoNLL; a cross-role overlap, or a POS of ``_``,
+    which ``load_conll`` would read back as no POS, raises ``ValidationError``."""
+    for sentence in ds.sentences:
+        for i, tok in enumerate(sentence.tokens):
+            if tok.pos == "_":
+                raise ValidationError(f"sentence '{sentence.id}', token {i} {tok.text!r}: "
+                                      f"a POS of '_' reads back as no POS")
     write_conll(path, [(sentence, encode(sentence)) for sentence in ds.sentences])

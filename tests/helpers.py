@@ -6,10 +6,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import sentigraph
 from sentigraph import Dataset, OpinionTuple, Role, Sentence, Span, Token, encode, save_dataset
 from sentigraph.cli import main
 from sentigraph.synth import generate_corpus
@@ -247,3 +251,14 @@ def stats_digests(root: Path) -> Dict[str, str]:
         out[key] = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
     out["stats.json"] = hashlib.sha256((root / "out" / "stats.json").read_bytes()).hexdigest()
     return out
+
+
+def cli_process(argv: Sequence[str], cwd: Optional[str] = None,
+                **env: str) -> subprocess.CompletedProcess:
+    """Run the CLI to its end in a child process, in ``cwd`` and with ``env``
+    added to the environment; its stdout and stderr are kept as bytes."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sentigraph.__file__)))
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "sentigraph.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True)

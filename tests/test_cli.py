@@ -1,12 +1,10 @@
 import json
 import os
-import subprocess
 import sys
 
 import pytest
 
-import sentigraph
-from helpers import opinion, sent, span
+from helpers import cli_process, opinion, sent, span
 from sentigraph import Dataset, load_conll, load_dataset, save_conll, save_dataset, taggers
 from sentigraph.cli import main
 from sentigraph.corpus import dataset_to_dict
@@ -430,14 +428,23 @@ def test_predict_rejects_an_id_that_conll_cannot_hold(tmp_path, capsys):
     assert "'x '" in capsys.readouterr().err
 
 
+def test_a_pos_of_underscore_is_refused_only_where_it_is_read_back(tmp_path, capsys):
+    # convert --from conll would read it back as no POS; predictions.conll's POS
+    # column is never read.
+    data, tagger = tmp_path / "data.json", tmp_path / "tagger.json"
+    save_dataset(Dataset(name="d", sentences=[sent("s", ["a"], pos=["_"])]), str(data))
+    tagger.write_text('{"kind": "MOST_COMMON"}', encoding="utf-8")
+    assert main(["convert", str(data), str(tmp_path / "o.conll"),
+                 "--from", "json", "--to", "conll"]) == 2
+    assert "sentence 's', token 0" in capsys.readouterr().err
+    assert main(["--output-dir", str(tmp_path / "out"), "predict", "--data", str(data),
+                 "--tagger-model", str(tagger)]) == 0
+
+
 def _run_cli(*argv, **env):
     """The CLI in a child process: (exit code, stderr)."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sentigraph.__file__)))
-    env = dict(os.environ, **env,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "sentigraph.cli", *argv], env=env,
-                          capture_output=True, encoding="utf-8", errors="backslashreplace")
-    return done.returncode, done.stderr
+    done = cli_process(argv, **env)
+    return done.returncode, done.stderr.decode("utf-8", errors="backslashreplace")
 
 
 def test_a_lone_surrogate_exits_2_naming_the_output(tmp_path):
@@ -883,15 +890,12 @@ def test_pipeline_missing_config_key_names_field(tmp_path, capsys, synth_paths):
 
 def test_pipeline_artifacts_do_not_depend_on_hash_seed(tmp_path, synth_paths):
     train_path, test_path = synth_paths
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sentigraph.__file__)))
     runs = {}
     for hash_seed in ("0", "1"):
         config = _write_config(tmp_path, train_path, test_path,
                                output_dir=str(tmp_path / f"run{hash_seed}"))
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-m", "sentigraph.cli", "pipeline", config],
-                       env=env, check=True, capture_output=True)
+        done = cli_process(["pipeline", config], PYTHONHASHSEED=hash_seed)
+        assert done.returncode == 0, done.stderr
         runs[hash_seed] = {
             name: (tmp_path / f"run{hash_seed}" / name).read_bytes()
             for name in ("relation_model.json", "instances.jsonl")

@@ -427,6 +427,7 @@ def test_write_conll_writes_only_what_reads_back(tmp_path_factory, blocks):
     (sent("a\rb", ["a"]), "'a\\rb'"),
     (sent("s", ["a\rb"]), "'a\\rb'"),
     (sent("s", ["a"], pos=["N\rN"]), "token 0"),
+    (sent("s", ["a"], pos=["_"]), "sentence 's', token 0"),
 ])
 def test_write_conll_rejects_what_does_not_read_back(tmp_path, sentence, named):
     path = tmp_path / "x.conll"
