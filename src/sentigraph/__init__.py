@@ -52,8 +52,7 @@ from .relation import (
     gold_instances,
     train_logistic,
 )
-from .span_codec import (BIO_LABELS, TagSequence, decode, encode, load_conll, save_conll,
-                         union_same_role)
+from .span_codec import BIO_LABELS, TagSequence, decode, encode, load_conll, save_conll
 from .taggers import (
     DEFAULT_POS_MAP,
     TaggerKind,
@@ -81,5 +80,5 @@ __all__ = [
     "most_common_tagger", "pos_chunk_tagger",
     "relation_prf", "save_conll", "save_dataset",
     "stratified_report", "tag", "token_f1", "train_logistic", "train_perceptron",
-    "union_same_role", "upsample", "write_triples",
+    "upsample", "write_triples",
 ]

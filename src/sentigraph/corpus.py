@@ -278,13 +278,17 @@ def compute_stats(sentences: Iterable[Sentence]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _has_cross_role_overlap(sentence: Sentence) -> bool:
-    role_at = {}  # token index -> role of the first span seen there
-    for span in sentence.spans():
+def token_roles(sentence: Sentence) -> List[Optional[Role]]:
+    """Each token's role, None where no span lies. Walking the spans in ``Span.sort_key``
+    order, raise ``ValidationError`` at the first token a span of another role holds."""
+    roles: List[Optional[Role]] = [None] * len(sentence.tokens)
+    for span in sorted(sentence.spans(), key=Span.sort_key):
         for i in range(span.start, span.end):
-            if role_at.setdefault(i, span.role) is not span.role:
-                return True
-    return False
+            if roles[i] is not None and roles[i] is not span.role:
+                raise ValidationError(f"sentence '{sentence.id}': cross-role overlap at token "
+                                      f"{i} ({roles[i].value} vs {span.role.value})")
+            roles[i] = span.role
+    return roles
 
 
 def filter_overlapping(
@@ -301,13 +305,14 @@ def filter_overlapping(
     kept: List[Sentence] = []
     report: List[str] = []
     for sentence in ds.sentences:
-        if not _has_cross_role_overlap(sentence):
+        try:
+            token_roles(sentence)
+        except ValidationError:
+            report.append(sentence.id)
+            if policy is OverlapPolicy.PRIORITY_KEEP:
+                kept.append(_truncate_sentence(sentence))
+        else:
             kept.append(sentence)
-            continue
-        report.append(sentence.id)
-        if policy is OverlapPolicy.DROP_SENTENCE:
-            continue
-        kept.append(_truncate_sentence(sentence))
     return Dataset(name=ds.name, sentences=tuple(kept)), report
 
 

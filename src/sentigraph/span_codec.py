@@ -5,12 +5,13 @@ B-EXP, I-EXP`` (BIO tagging after Ramshaw & Marcus 1995). An ``I-X``
 continues the label before it when that label is ``B-X`` or ``I-X``
 (``continues``); the taggers and ``decode`` share that one rule.
 
-``encode`` turns a sentence's spans into one label per token; ``decode``
-recovers spans from any label sequence, repairing ill-formed input: an
-``I-X`` that continues nothing is treated as ``B-X``. Same-role spans
-that overlap are unioned before encoding, and so, by a choice that loses
-spans, are those that only touch (``decode`` reads ``B-X B-X`` as two
-spans); cross-role overlaps are an error (filter them first).
+``encode`` turns a sentence's spans into one label per token, read off
+``corpus.token_roles``; ``decode`` recovers spans from any label sequence,
+repairing ill-formed input: an ``I-X`` that continues nothing is treated
+as ``B-X``. A run of tokens under one role is one span, so same-role spans
+that overlap merge, and so, by a choice that loses spans, do those that
+only touch (``decode`` reads ``B-X B-X`` as two spans); cross-role
+overlaps are an error (filter them first).
 
 CoNLL format: one token per line, blank line between sentences, a
 ``# sent_id = <id>`` comment before each sentence, and four columns::
@@ -26,9 +27,10 @@ sentence's opinions into a single tuple.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from .corpus import Dataset, OpinionTuple, Role, Sentence, Span, Token, replacing
+from .corpus import (Dataset, OpinionTuple, Role, Sentence, Span, Token, replacing,
+                     token_roles)
 from .errors import ParseError, ValidationError
 
 _ROLE_SUFFIX = {Role.HOLDER: "HOLDER", Role.TARGET: "TARG", Role.EXPRESSION: "EXP"}
@@ -56,44 +58,15 @@ def continues(prev: str, label: str) -> bool:
 TagSequence = Tuple[str, ...]
 
 
-def union_same_role(spans: Iterable[Span]) -> Set[Span]:
-    """Merge overlapping or touching spans of the same role (merging touching spans loses one)."""
-    by_role: Dict[Role, List[Span]] = {}
-    for span in spans:
-        by_role.setdefault(span.role, []).append(span)
-    merged: Set[Span] = set()
-    for role, group in by_role.items():
-        group.sort(key=Span.sort_key)
-        cur = group[0]
-        for span in group[1:]:
-            if span.start > cur.end:
-                merged.add(cur)
-                cur = span
-            elif span.end > cur.end:
-                cur = Span(role, cur.start, span.end)
-        merged.add(cur)
-    return merged
-
-
 def encode(sentence: Sentence) -> TagSequence:
-    """BIO labels for a sentence's spans (same-role spans pre-unioned).
-
-    Raises ValidationError on a cross-role token overlap, naming the token and
-    the two roles involved.
-    """
-    labels = ["O"] * len(sentence.tokens)
-    # Unioned spans of one role share no token, so a token that already has
-    # a label belongs to a span of another role.
-    for span in sorted(union_same_role(sentence.spans()), key=Span.sort_key):
-        label, inside = bio_label("B", span.role), bio_label("I", span.role)
-        for i in range(span.start, span.end):
-            if labels[i] != "O":
-                raise ValidationError(
-                    f"sentence '{sentence.id}': cross-role overlap at token {i} "
-                    f"({label_role(labels[i]).value} vs {span.role.value})"
-                )
-            labels[i] = label
-            label = inside
+    """BIO labels for a sentence's spans, read off ``token_roles``, which raises
+    ``ValidationError`` on a cross-role overlap. A run of tokens under one role
+    is one span, so same-role spans that overlap or touch merge (touching spans
+    merge by a choice that loses spans)."""
+    labels, prev = [], None
+    for role in token_roles(sentence):
+        labels.append("O" if role is None else bio_label("I" if role is prev else "B", role))
+        prev = role
     return tuple(labels)
 
 
@@ -135,10 +108,12 @@ def write_conll(path: str, labelled: Iterable[Tuple[Sentence, Sequence[str]]]) -
     """Write each sentence as a CoNLL block, with one label per token; a
     label count that differs from the token count raises ``ValidationError``.
 
-    Only what ``read_conll_blocks`` reads back is written: a tab, newline or
-    carriage return in a sentence id, token text or POS raises
+    A tab, newline or carriage return in a sentence id or token text raises
     ``ValidationError``, and so does a sentence id with leading or trailing
-    whitespace, which the header reader strips. A POS of ``_`` reads back as none.
+    whitespace, which the header reader strips. A POS holding one of those
+    characters is written as ``_``, which reads back as no POS; ``save_conll``
+    refuses such a POS, so only prediction files, whose POS column no reader
+    reads, can hold one.
     """
     with replacing(path) as fh:
         for sentence, labels in labelled:
@@ -154,12 +129,14 @@ def write_conll(path: str, labelled: Iterable[Tuple[Sentence, Sequence[str]]]) -
             fh.write(f"# sent_id = {sent_id}\n")
             for i, (tok, label) in enumerate(zip(sentence.tokens, labels)):
                 text, pos = tok.text, tok.pos
-                if _CONLL_BREAK.search(text) or (pos is not None and _CONLL_BREAK.search(pos)):
+                if _CONLL_BREAK.search(text):
                     raise ValidationError(
-                        f"sentence '{sent_id}', token {i} {text!r}: text/pos contains a tab "
+                        f"sentence '{sent_id}', token {i} {text!r}: text contains a tab "
                         f"or line break and cannot be written to CoNLL"
                     )
-                fh.write(f"{i + 1}\t{text}\t{pos if pos is not None else '_'}\t{label}\n")
+                if pos is None or _CONLL_BREAK.search(pos):
+                    pos = "_"
+                fh.write(f"{i + 1}\t{text}\t{pos}\t{label}\n")
             fh.write("\n")
 
 
@@ -244,11 +221,12 @@ def load_conll(path: str) -> Dataset:
 
 
 def save_conll(ds: Dataset, path: str) -> None:
-    """Write a dataset as CoNLL; a cross-role overlap, or a POS of ``_``,
-    which ``load_conll`` would read back as no POS, raises ``ValidationError``."""
+    """Write a dataset as CoNLL. A cross-role overlap raises ``ValidationError``,
+    and so does a POS that ``load_conll`` would not read back as written: ``_``,
+    which reads back as no POS, or one with a tab, newline or carriage return."""
     for sentence in ds.sentences:
         for i, tok in enumerate(sentence.tokens):
-            if tok.pos == "_":
+            if tok.pos is not None and (tok.pos == "_" or _CONLL_BREAK.search(tok.pos)):
                 raise ValidationError(f"sentence '{sentence.id}', token {i} {tok.text!r}: "
-                                      f"a POS of '_' reads back as no POS")
+                                      f"a POS of {tok.pos!r} does not read back from CoNLL")
     write_conll(path, [(sentence, encode(sentence)) for sentence in ds.sentences])

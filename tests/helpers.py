@@ -14,7 +14,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import sentigraph
-from sentigraph import Dataset, OpinionTuple, Role, Sentence, Span, Token, encode, save_dataset
+from sentigraph import (Dataset, OpinionTuple, Role, Sentence, Span, Token, ValidationError,
+                        encode, save_dataset)
 from sentigraph.cli import main
 from sentigraph.synth import generate_corpus
 from sentigraph.taggers import TIE_ORDER, token_features
@@ -105,6 +106,36 @@ def random_overlap_free_sentence(rng: random.Random, sent_id: str, max_tokens: i
             )
         )
     return sent(sent_id, [f"w{j}" for j in range(n)], opinions=opinions)
+
+
+def reference_encode(sentence: Sentence) -> Tuple[str, ...]:
+    """``encode`` written the other way, kept as an independent reference:
+    same-role spans that overlap or touch are first unioned into one span,
+    the unioned spans are then labelled in ``Span.sort_key`` order, and a
+    token that already has a label raises ``ValidationError`` naming the
+    sentence and token, not the roles."""
+    by_role: Dict[Role, List[Span]] = {}
+    for s in sentence.spans():
+        by_role.setdefault(s.role, []).append(s)
+    merged = []
+    for role, group in by_role.items():
+        group.sort(key=Span.sort_key)
+        cur = group[0]
+        for s in group[1:]:
+            if s.start > cur.end:
+                merged.append(cur)
+                cur = s
+            elif s.end > cur.end:
+                cur = Span(role, cur.start, s.end)
+        merged.append(cur)
+    suffix = {Role.HOLDER: "HOLDER", Role.TARGET: "TARG", Role.EXPRESSION: "EXP"}
+    labels = ["O"] * len(sentence.tokens)
+    for s in sorted(merged, key=Span.sort_key):
+        for i in range(s.start, s.end):
+            if labels[i] != "O":
+                raise ValidationError(f"sentence '{sentence.id}': cross-role overlap at token {i}")
+            labels[i] = ("B-" if i == s.start else "I-") + suffix[s.role]
+    return tuple(labels)
 
 
 def random_dataset(rng: random.Random, n_sentences: int, name: str = "rand") -> Dataset:

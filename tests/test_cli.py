@@ -237,6 +237,11 @@ def test_train_predict_evaluate_flow(tmp_path, capsys, synth_paths):
                  "--train-seed", "1", "--out", str(tagger_path)]) == 0
     assert main(["train", "relation", "--train", train_path, "--epochs", "15",
                  "--train-seed", "2", "--out", str(rel_path)]) == 0
+    most_common = tmp_path / "most_common.json"
+    assert main(["train", "tagger", "--train", train_path, "--kind", "most_common",
+                 "--out", str(most_common)]) == 0
+    model = taggers.load_model(str(most_common))
+    assert all(set(taggers.tag(model, s)) == {"O"} for s in load_dataset(test_path))
     out_dir = tmp_path / "preds"
     assert main(["--output-dir", str(out_dir), "predict", "--data", test_path,
                  "--tagger-model", str(tagger_path), "--relation-model", str(rel_path)]) == 0
@@ -429,16 +434,21 @@ def test_predict_rejects_an_id_that_conll_cannot_hold(tmp_path, capsys):
 
 
 def test_a_pos_of_underscore_is_refused_only_where_it_is_read_back(tmp_path, capsys):
-    # convert --from conll would read it back as no POS; predictions.conll's POS
-    # column is never read.
-    data, tagger = tmp_path / "data.json", tmp_path / "tagger.json"
-    save_dataset(Dataset(name="d", sentences=[sent("s", ["a"], pos=["_"])]), str(data))
+    # convert --from conll would read "_" back as no POS, and cannot read a POS
+    # with a tab at all; predictions.conll's POS column is never read.
+    tagger = tmp_path / "tagger.json"
     tagger.write_text('{"kind": "MOST_COMMON"}', encoding="utf-8")
-    assert main(["convert", str(data), str(tmp_path / "o.conll"),
-                 "--from", "json", "--to", "conll"]) == 2
-    assert "sentence 's', token 0" in capsys.readouterr().err
-    assert main(["--output-dir", str(tmp_path / "out"), "predict", "--data", str(data),
-                 "--tagger-model", str(tagger)]) == 0
+    for pos in ("_", "N\tN"):
+        data, out = tmp_path / "data.json", tmp_path / "out"
+        save_dataset(Dataset(name="d", sentences=[sent("s", ["a"], pos=[pos])]), str(data))
+        assert main(["convert", str(data), str(tmp_path / "o.conll"),
+                     "--from", "json", "--to", "conll"]) == 2
+        assert "sentence 's', token 0" in capsys.readouterr().err
+        assert not (tmp_path / "o.conll").exists()
+        assert main(["--output-dir", str(out), "predict", "--data", str(data),
+                     "--tagger-model", str(tagger)]) == 0
+        assert main(["evaluate", "--gold", str(data),
+                     "--pred-conll", str(out / "predictions.conll")]) == 0
 
 
 def _run_cli(*argv, **env):
@@ -627,10 +637,12 @@ _REFUSED = "applies only to '{}' and '{}', not '{}'"
      "config field 'tagger.pos_map': applies only to kind POS_CHUNK"),
     (["pipeline", "{unknown_label}"],
      "config field 'tagger.pos_map': POS map entry 'NOUN': label 'B-THING' is not in the BIO"),
+    (["evaluate", "--gold", "{data}", "--pred-conll", "{tmp}/missing.conll"],
+     "missing.conll: cannot read"),
 ], ids=["train_overlap_without_policy", "tagger_scores_overflow", "format_convert",
         "format_train", "format_predict", "format_pipeline", "output_dir_convert",
         "output_dir_train", "output_dir_evaluate", "output_dir_pipeline",
-        "pos_map_for_perceptron", "pos_map_label_outside_bio"])
+        "pos_map_for_perceptron", "pos_map_label_outside_bio", "missing_pred_conll"])
 def test_an_input_fault_exits_2_and_writes_nothing(tmp_path, argv, message):
     clash = sent("clash", ["w0", "w1", "w2"],
                  opinions=[opinion(targets=[span("t", 0, 2)], expressions=[span("e", 1, 3)])])

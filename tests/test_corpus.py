@@ -404,11 +404,15 @@ def test_write_conll_writes_only_what_reads_back(tmp_path_factory, blocks):
     sentences = [sent(sent_id, [text for text, _ in rows], pos=[pos for _, pos in rows])
                  for sent_id, rows in blocks]
     path = str(tmp_path_factory.mktemp("conll") / "out.conll")
-    fields = [s.id for s in sentences] + [
-        value for s in sentences for t in s.tokens for value in (t.text, t.pos or "")]
+
+    def read_back(pos):  # a POS with a tab or line break is written as "_"
+        return None if pos in (None, "_") or any(c in pos for c in "\t\n\r") else pos
+
+    fields = [s.id for s in sentences] + [t.text for s in sentences for t in s.tokens]
     writable = (not any(c in value for value in fields for c in "\t\n\r")
                 and all(s.id == s.id.strip() for s in sentences)
-                and all(_encodes_as_utf8(value) for value in fields))
+                and all(_encodes_as_utf8(value) for value in fields + [
+                    read_back(t.pos) or "" for s in sentences for t in s.tokens]))
     try:
         write_conll(path, [(s, ["O"] * len(s.tokens)) for s in sentences])
     except ValidationError:
@@ -416,7 +420,7 @@ def test_write_conll_writes_only_what_reads_back(tmp_path_factory, blocks):
         return
     assert writable
     assert read_conll_blocks(path) == [
-        (s.id, [(t.text, None if t.pos == "_" else t.pos, "O") for t in s.tokens])
+        (s.id, [(t.text, read_back(t.pos), "O") for t in s.tokens])
         for s in sentences
     ]
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import love_school, opinion, random_overlap_free_sentence, sent, span
-from sentigraph import (BIO_LABELS, Role, Span, ValidationError, decode, encode,
-                        union_same_role)
+from helpers import (ROLES, love_school, opinion, random_overlap_free_sentence, reference_encode,
+                     sent, span)
+from sentigraph import (BIO_LABELS, Dataset, Role, Span, ValidationError, decode, encode,
+                        filter_overlapping)
 
 
 def test_encode_love_school():
@@ -62,7 +63,7 @@ def test_encode_cross_role_overlap_names_token_and_roles():
 
 
 # Each layout's exact error: the first token, in span sort order, that a
-# span of another role already labelled, after same-role spans are unioned.
+# span of another role already holds.
 @pytest.mark.parametrize(
     "opinions, message",
     [
@@ -101,6 +102,10 @@ def test_encode_cross_role_overlap_names_token_and_roles():
              opinion(targets=[span("t", 5, 7)], expressions=[span("e", 2, 4)])],
             "cross-role overlap at token 6 (TARGET vs EXPRESSION)",
         ),
+        (  # touching targets hold token 3 before the expression that starts there
+            [opinion(targets=[span("t", 3, 4), span("t", 4, 6)], expressions=[span("e", 3, 5)])],
+            "cross-role overlap at token 3 (TARGET vs EXPRESSION)",
+        ),
     ],
 )
 def test_encode_cross_role_overlap_exact_message(opinions, message):
@@ -138,16 +143,52 @@ def test_decode_names_the_position_of_an_unknown_label():
         decode(["B-EXP", "I-EXP", "X"])
 
 
-def test_union_same_role_keeps_disjoint():
-    spans = {span("t", 0, 1), span("t", 2, 3), span("e", 1, 2)}
-    assert union_same_role(spans) == spans
-
-
 def test_round_trip_on_random_sentences():
     rng = random.Random(99)
     for k in range(300):
         s = random_overlap_free_sentence(rng, f"s{k}")
         assert decode(encode(s)) == s.spans()
+
+
+def _random_layout(rng, sent_id):
+    """A sentence of up to 8 tokens with up to 5 spans of any role, which may
+    overlap or touch; one opinion holds them, so at least one is an expression."""
+    n = rng.randint(1, 8)
+    spans = []
+    for _ in range(rng.randint(0, 5)):
+        start = rng.randrange(n)
+        spans.append(Span(rng.choice(ROLES), start, rng.randint(start + 1, n)))
+    if spans and not any(s.role is Role.EXPRESSION for s in spans):
+        spans[0] = Span(Role.EXPRESSION, spans[0].start, spans[0].end)
+    by_role = {role: [s for s in spans if s.role is role] for role in ROLES}
+    opinions = [opinion(*by_role.values())] if spans else []
+    return sent(sent_id, [f"w{i}" for i in range(n)], opinions=opinions)
+
+
+def _labels_or_refusal(encoder, sentence):
+    """The labels, or the refusal's message up to the roles that ``encode`` names."""
+    try:
+        return encoder(sentence)
+    except ValidationError as err:
+        return str(err).split(" (")[0]
+
+
+def test_encode_equals_the_union_reference_on_random_layouts():
+    # Labels agree where no roles overlap; elsewhere both refuse at the same
+    # sentence and token (the roles named may come in another order), and
+    # the overlap filter affects exactly the sentences the reference refuses.
+    rng = random.Random(25)
+    layouts = [_random_layout(rng, f"s{k}") for k in range(3000)]
+    refused = set()
+    for s in layouts:
+        expected = _labels_or_refusal(reference_encode, s)
+        assert _labels_or_refusal(encode, s) == expected, s
+        if isinstance(expected, str):
+            assert expected.startswith(f"sentence '{s.id}': cross-role overlap at token ")
+            refused.add(s.id)
+    assert 300 < len(refused) < 2700
+    _, affected = filter_overlapping(Dataset("layouts", layouts))
+    assert set(affected) == refused
 
 
 _SUFFIX_ROLE = {"HOLDER": Role.HOLDER, "TARG": Role.TARGET, "EXP": Role.EXPRESSION}
