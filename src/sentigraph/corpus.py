@@ -17,8 +17,9 @@ JSON dataset schema (one file per dataset)::
                        "polarity": str|null}, ...]}]}
 
 Span pairs are half-open token-index ranges. Token ``start``/``end`` are
-character offsets (Unicode code points) into the sentence text, and
-``text[start:end]`` must equal the token's own ``text``.
+character offsets (Unicode code points) into the sentence text; a token's
+range must be non-empty and in order, and ``text[start:end]`` must equal
+its ``text``. An error names the sentence, and the token or its offset.
 
 ``JSON_FORMAT`` states the artifact format once: every JSON file has the
 bytes of ``json.dump(obj, fh, **JSON_FORMAT)`` plus a newline, and the CLI
@@ -64,13 +65,6 @@ class Token:
     char_start: int
     char_end: int
     pos: Optional[str] = None
-
-    def __post_init__(self):
-        if self.char_start < 0 or self.char_start >= self.char_end:
-            raise ValidationError(
-                f"token {self.text!r}: invalid character range "
-                f"[{self.char_start}, {self.char_end})"
-            )
 
 
 @dataclass(frozen=True)
@@ -140,6 +134,8 @@ _ROLE_FIELDS = tuple(_ROLE_FIELD.values())
 
 @dataclass(frozen=True)
 class Sentence:
+    """A tokenized sentence and its opinions; it checks each token's range, order and text."""
+
     id: str
     text: str
     tokens: Tuple[Token, ...] = ()
@@ -150,9 +146,12 @@ class Sentence:
         object.__setattr__(self, "opinions", tuple(self.opinions))
         if not self.id:
             raise ValidationError("sentence id must be non-empty")
-        prev_end = None
+        prev_end = 0
         for i, tok in enumerate(self.tokens):
-            if prev_end is not None and tok.char_start < prev_end:
+            if not 0 <= tok.char_start < tok.char_end:
+                raise ValidationError(f"sentence '{self.id}', token {i}: invalid character "
+                                      f"range [{tok.char_start}, {tok.char_end})")
+            if tok.char_start < prev_end:
                 raise ValidationError(
                     f"sentence '{self.id}': tokens overlap or are out of order "
                     f"at character offset {tok.char_start}"
@@ -317,7 +316,7 @@ def filter_overlapping(
 
 
 def _truncate_sentence(sentence: Sentence) -> Sentence:
-    blocked = set()  # tokens of the expressions, then also of the kept targets
+    blocked = set()  # tokens of the kept spans of the roles truncated so far
 
     def truncate(span: Span) -> Optional[Span]:
         """The longest run of unblocked tokens in ``span`` (leftmost on ties), or None."""
@@ -330,27 +329,16 @@ def _truncate_sentence(sentence: Sentence) -> Sentence:
                 run_start = i + 1
         return Span(span.role, best_start, best_start + best_len) if best_len else None
 
-    for span in sentence.spans(Role.EXPRESSION):
-        blocked.update(range(span.start, span.end))
-    target_map = {t: truncate(t) for t in sentence.spans(Role.TARGET)}
-    for new in target_map.values():
-        if new is not None:
-            blocked.update(range(new.start, new.end))
-    holder_map = {h: truncate(h) for h in sentence.spans(Role.HOLDER)}
-
-    opinions = []
-    for opinion in sentence.opinions:
-        holders = {holder_map[h] for h in opinion.holders} - {None}
-        targets = {target_map[t] for t in opinion.targets} - {None}
-        opinions.append(
-            OpinionTuple(
-                holders=holders,
-                targets=targets,
-                expressions=opinion.expressions,
-                polarity=opinion.polarity,
-            )
-        )
-    return replace(sentence, opinions=tuple(opinions))
+    kept = {}  # span -> its truncated span, or None
+    for role in (Role.EXPRESSION, Role.TARGET, Role.HOLDER):
+        new = {span: truncate(span) for span in sentence.spans(role)}
+        for span in filter(None, new.values()):
+            blocked.update(range(span.start, span.end))
+        kept.update(new)
+    return replace(sentence, opinions=tuple(
+        replace(o, holders={kept[h] for h in o.holders} - {None},
+                targets={kept[t] for t in o.targets} - {None})
+        for o in sentence.opinions))
 
 
 def upsample(ds: Dataset, seed: int) -> Dataset:
@@ -390,36 +378,6 @@ def upsample(ds: Dataset, seed: int) -> Dataset:
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
-
-
-def _span_pairs(spans: Iterable[Span]) -> List[List[int]]:
-    return [[s.start, s.end] for s in sorted(spans, key=Span.sort_key)]
-
-
-def dataset_to_dict(ds: Dataset) -> dict:
-    return {
-        "name": ds.name,
-        "sentences": [
-            {
-                "id": s.id,
-                "text": s.text,
-                "tokens": [
-                    {"text": t.text, "start": t.char_start, "end": t.char_end, "pos": t.pos}
-                    for t in s.tokens
-                ],
-                "opinions": [
-                    {
-                        "holders": _span_pairs(o.holders),
-                        "targets": _span_pairs(o.targets),
-                        "expressions": _span_pairs(o.expressions),
-                        "polarity": o.polarity,
-                    }
-                    for o in s.opinions
-                ],
-            }
-            for s in ds.sentences
-        ],
-    }
 
 
 def _require(record: dict, key: str, where: str):
@@ -678,8 +636,8 @@ def _sentence_json(s: Sentence) -> str:
 
 def save_dataset(ds: Dataset, path: str) -> None:
     """Write a JSON dataset file; JSON keeps everything a ``Dataset`` holds.
-    The bytes are those of ``write_json_object(path, dataset_to_dict(ds))``,
-    written one sentence at a time."""
+    The bytes are those of ``write_json_object`` of the schema's dict (span
+    pairs in ``Span.sort_key`` order), written one sentence at a time."""
     with replacing(path) as fh:
         fh.write(f'{{\n  "name": {encode_basestring(ds.name)},\n  "sentences": ')
         sep = "["

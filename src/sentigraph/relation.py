@@ -167,7 +167,7 @@ def featurize(
     n_between = sum(
         1
         for s in set(expressions)
-        if s.start >= first.end and s.end <= second.start and s != exp
+        if s.start >= first.end and s.end <= second.start
     )
     feats.add(f"n_exp_between={n_between}")
     return tuple(sorted(feats))

@@ -94,17 +94,16 @@ def _word_shape(word: str) -> str:
     return "".join(shape)
 
 
-# The feature templates, in the order token_features lists them: nine that
-# read the words around the token, two that read the previous label, then up
-# to three that read POS tags. A feature is the string "<template>=<value>".
-# _static_values is the one place that reads the values of the word and POS
-# templates; training, tag(), token_features and a model's compiled weights
-# name the templates from here.
+# The feature templates: nine that read the words around the token, two that
+# read the previous label, then up to three that read POS tags. Scores add
+# their rows in this order, WORD_TEMPLATES, then PREV_TEMPLATES, then
+# POS_TEMPLATES. A feature is the string "<template>=<value>". _static_values
+# is the one place that reads the values of the word and POS templates;
+# training, tag() and a model's compiled weights name the templates from here.
 WORD_TEMPLATES = ("w", "lw", "suf3", "pre2", "shape", "w-1", "w+1", "w-2", "w+2")
 PREV_TEMPLATES = ("t-1", "t-1w")
 POS_TEMPLATES = ("p0", "p-1", "p+1")
 STATIC_TEMPLATES = WORD_TEMPLATES + POS_TEMPLATES
-_N_WORD = len(WORD_TEMPLATES)
 
 
 def _static_values(tokens: Sequence[Token]) -> List[Tuple[Optional[str], ...]]:
@@ -119,18 +118,6 @@ def _static_values(tokens: Sequence[Token]) -> List[Tuple[Optional[str], ...]]:
             tokens, words, words[1:], words[2:], words[3:], words[4:],
             poses, poses[1:], poses[2:])
     ]
-
-
-def _prev_features(prev_label: str, lower: str) -> List[str]:
-    """The two templates that depend on the previous label: ``t-1`` and ``t-1w``."""
-    return [f"{PREV_TEMPLATES[0]}={prev_label}", f"{PREV_TEMPLATES[1]}={prev_label}|{lower}"]
-
-
-def token_features(tokens: Sequence[Token], i: int, prev_label: str) -> List[str]:
-    """Feature strings for one token position (all implicit weight 1)."""
-    values = _static_values(tokens)[i]
-    static = [f"{t}={v}" for t, v in zip(STATIC_TEMPLATES, values) if v is not None]
-    return static[:_N_WORD] + _prev_features(prev_label, values[1]) + static[_N_WORD:]
 
 
 _LABEL_INDEX = {label: k for k, label in enumerate(TIE_ORDER)}
@@ -185,7 +172,7 @@ def train_perceptron(train: Dataset, epochs: int, seed: int) -> TaggerModel:
 
     rows: Dict[str, tuple] = defaultdict(_new_row)  # feature -> row, every row named once
     # The t-1 and t-1w rows, per previous-label context; t-1w rows keyed by lower-cased word.
-    prev_rows = [rows[_prev_features(label, "")[0]] for label in _PREV_LABELS]
+    prev_rows = [rows[f"{PREV_TEMPLATES[0]}={label}"] for label in _PREV_LABELS]
     prev_word_rows: List[Dict[str, tuple]] = [{} for _ in _PREV_LABELS]
     # tokens tuple -> per token: (static rows, their weight lists, lower-cased word)
     cache: Dict[tuple, list] = {}
@@ -222,7 +209,7 @@ def train_perceptron(train: Dataset, epochs: int, seed: int) -> TaggerModel:
                 if guess != truth:
                     mistakes += 1
                     if word_row is None:
-                        feat = _prev_features(_PREV_LABELS[prev], lower)[1]
+                        feat = f"{PREV_TEMPLATES[1]}={_PREV_LABELS[prev]}|{lower}"
                         word_row = prev_word_rows[prev][lower] = rows[feat]
                     active = static + (prev_rows[prev], word_row)
                     for w, u in active:
@@ -259,7 +246,7 @@ class _CompiledWeights:
     ``t-1`` context outside ``_PREV_LABELS``) never matches and is left out.
     A label missing from a feature's weights is 0.0 in its row; adding it
     leaves a score unchanged, so the sums equal those over the weights dicts
-    in token_features order.
+    in template order.
     """
 
     def __init__(self, weights: Mapping[str, Mapping[str, float]]):
@@ -302,10 +289,10 @@ def tag(model: TaggerModel, sentence: Sentence) -> TagSequence:
         _static_values(tokens)
     ):
         scores = _ZERO_SCORES
-        # The templates in token_features order; get(None) finds no row for
-        # an absent POS. Each row wraps the sum so far in one more lazy map,
-        # and tuple() then adds every label's weights left to right in this
-        # order, without a tuple per row.
+        # The templates in order; get(None) finds no row for an absent POS.
+        # Each row wraps the sum so far in one more lazy map, and tuple() then
+        # adds every label's weights left to right in this order, without a
+        # tuple per row.
         for row in (
             w_0(text), w_lw(lower), w_suf3(suf3), w_pre2(pre2), w_shape(shape),
             w_m1(m1), w_p1(p1), w_m2(m2), w_p2(p2),

@@ -18,7 +18,8 @@ from sentigraph import (Dataset, OpinionTuple, Role, Sentence, Span, Token, Vali
                         encode, save_dataset)
 from sentigraph.cli import main
 from sentigraph.synth import generate_corpus
-from sentigraph.taggers import TIE_ORDER, token_features
+from sentigraph.taggers import (PREV_TEMPLATES, STATIC_TEMPLATES, TIE_ORDER, WORD_TEMPLATES,
+                                _static_values)
 
 ROLES = (Role.HOLDER, Role.TARGET, Role.EXPRESSION)
 
@@ -145,6 +146,55 @@ def random_dataset(rng: random.Random, n_sentences: int, name: str = "rand") -> 
             random_overlap_free_sentence(rng, f"r{k}") for k in range(n_sentences)
         ),
     )
+
+
+def _span_pairs(spans: Iterable[Span]) -> List[List[int]]:
+    return [[s.start, s.end] for s in sorted(spans, key=Span.sort_key)]
+
+
+def dataset_to_dict(ds: Dataset) -> dict:
+    """A dataset as the JSON schema's dict, kept as the reference that
+    ``save_dataset``'s bytes are checked against: ``json.dumps`` of it."""
+    return {
+        "name": ds.name,
+        "sentences": [
+            {
+                "id": s.id,
+                "text": s.text,
+                "tokens": [
+                    {"text": t.text, "start": t.char_start, "end": t.char_end, "pos": t.pos}
+                    for t in s.tokens
+                ],
+                "opinions": [
+                    {
+                        "holders": _span_pairs(o.holders),
+                        "targets": _span_pairs(o.targets),
+                        "expressions": _span_pairs(o.expressions),
+                        "polarity": o.polarity,
+                    }
+                    for o in s.opinions
+                ],
+            }
+            for s in ds.sentences
+        ],
+    }
+
+
+_N_WORD = len(WORD_TEMPLATES)
+
+
+def _prev_features(prev_label: str, lower: str) -> List[str]:
+    """The two templates that depend on the previous label: ``t-1`` and ``t-1w``."""
+    return [f"{PREV_TEMPLATES[0]}={prev_label}", f"{PREV_TEMPLATES[1]}={prev_label}|{lower}"]
+
+
+def token_features(tokens: Sequence[Token], i: int, prev_label: str) -> List[str]:
+    """Feature strings for one token position (all implicit weight 1), in the
+    order the perceptron adds their rows; kept as the reference that training
+    and ``tag()`` are checked against."""
+    values = _static_values(tokens)[i]
+    static = [f"{t}={v}" for t, v in zip(STATIC_TEMPLATES, values) if v is not None]
+    return static[:_N_WORD] + _prev_features(prev_label, values[1]) + static[_N_WORD:]
 
 
 def reference_perceptron(

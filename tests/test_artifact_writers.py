@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import dataset_to_dict
 from sentigraph import (
     Dataset,
     OpinionTuple,
@@ -26,7 +27,6 @@ from sentigraph import (
     save_dataset,
 )
 from sentigraph.aggregator import write_triples
-from sentigraph.corpus import dataset_to_dict
 from sentigraph.relation import dump_instances
 
 # Characters JSON escapes or that a text codec might treat specially.

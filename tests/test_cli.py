@@ -4,10 +4,9 @@ import sys
 
 import pytest
 
-from helpers import cli_process, opinion, sent, span
+from helpers import cli_process, dataset_to_dict, opinion, sent, span
 from sentigraph import Dataset, load_conll, load_dataset, save_conll, save_dataset, taggers
 from sentigraph.cli import main
-from sentigraph.corpus import dataset_to_dict
 from sentigraph.span_codec import read_conll_blocks
 from sentigraph.synth import generate_corpus
 
@@ -639,18 +638,30 @@ _REFUSED = "applies only to '{}' and '{}', not '{}'"
      "config field 'tagger.pos_map': POS map entry 'NOUN': label 'B-THING' is not in the BIO"),
     (["evaluate", "--gold", "{data}", "--pred-conll", "{tmp}/missing.conll"],
      "missing.conll: cannot read"),
+    (["stats", "{badtok}"],
+     "badtok.json: sentence 's1', token 1: invalid character range [3, 3)"),
+    (["convert", "{empty}", "{tmp}/o.json", "--from", "conll", "--to", "json"],
+     "empty.conll: sentence 'a', token 1: invalid character range [2, 2)"),
 ], ids=["train_overlap_without_policy", "tagger_scores_overflow", "format_convert",
         "format_train", "format_predict", "format_pipeline", "output_dir_convert",
         "output_dir_train", "output_dir_evaluate", "output_dir_pipeline",
-        "pos_map_for_perceptron", "pos_map_label_outside_bio", "missing_pred_conll"])
+        "pos_map_for_perceptron", "pos_map_label_outside_bio", "missing_pred_conll",
+        "empty_token_range_json", "empty_token_text_conll"])
 def test_an_input_fault_exits_2_and_writes_nothing(tmp_path, argv, message):
     clash = sent("clash", ["w0", "w1", "w2"],
                  opinions=[opinion(targets=[span("t", 0, 2)], expressions=[span("e", 1, 3)])])
     paths = {name: tmp_path / f"{name}.json" for name in (
         "clash", "data", "inf", "most", "train", "test", "config", "perceptron_map",
-        "unknown_label")}
+        "unknown_label", "badtok")}
+    paths["empty"] = tmp_path / "empty.conll"
     save_dataset(Dataset("c", [clash]), str(paths["clash"]))
     save_dataset(Dataset("d", [sent("a", ["a"])]), str(paths["data"]))
+    # The second token's character range is empty, in a JSON dataset and in a CoNLL block.
+    paths["badtok"].write_text(json.dumps({"name": "b", "sentences": [{
+        "id": "s1", "text": "ab cd", "tokens": [{"text": "ab", "start": 0, "end": 2},
+                                                {"text": "cd", "start": 3, "end": 3}]}]}),
+        encoding="utf-8")
+    paths["empty"].write_text("# sent_id = a\n1\ta\t_\tO\n2\t\t_\tO\n\n", encoding="utf-8")
     # Finite weights whose sums overflow to -inf for every label that may start a sentence.
     paths["inf"].write_text(json.dumps({"kind": "PERCEPTRON", "weights": {
         f"{feat}\t{label}": -1e308 for feat in ("w=a", "lw=a") for label in taggers.TIE_ORDER

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import love_school, opinion, random_dataset, sent, span
+from helpers import dataset_to_dict, love_school, opinion, random_dataset, sent, span
 from sentigraph import (
     Dataset,
     OpinionTuple,
@@ -26,7 +26,7 @@ from sentigraph import (
     save_dataset,
     upsample,
 )
-from sentigraph.corpus import dataset_from_dict, dataset_to_dict
+from sentigraph.corpus import dataset_from_dict
 from sentigraph.span_codec import read_conll_blocks, write_conll
 
 
@@ -36,8 +36,12 @@ from sentigraph.span_codec import read_conll_blocks, write_conll
 
 
 def test_token_rejects_inverted_range():
-    with pytest.raises(ValidationError):
-        Token(text="x", char_start=3, char_end=3)
+    # A bare Token is not checked; the sentence that holds it names its place.
+    for start, end in ((3, 3), (-1, 1)):
+        with pytest.raises(ValidationError) as err:
+            Sentence(id="s1", text="ab x", tokens=[Token("ab", 0, 2), Token("x", start, end)])
+        assert str(err.value) == (
+            f"sentence 's1', token 1: invalid character range [{start}, {end})")
 
 
 def test_span_rejects_empty_range():

@@ -1,5 +1,5 @@
+from helpers import dataset_to_dict
 from sentigraph import Role, encode
-from sentigraph.corpus import dataset_to_dict
 from sentigraph.relation import generate_instances
 from sentigraph.synth import (
     EXPRESSIONS_1,

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import love_school, opinion, reference_perceptron, sent, span
+from helpers import love_school, opinion, reference_perceptron, sent, span, token_features
 from sentigraph import (
     Dataset,
     ParseError,
@@ -32,7 +32,6 @@ from sentigraph.taggers import (
     load_model,
     save_model,
     save_predictions_conll,
-    token_features,
 )
 
 
