@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .corpus import Dataset, OpinionTuple, Role, Sentence, Span, replacing
+from .corpus import Dataset, OpinionTuple, Role, Sentence, Span, load_dataset, replacing
 from .errors import ValidationError
-from .relation import RelationInstance, RelationModel, classify, generate_instances, linked_pairs
+from .relation import (RelationInstance, RelationModel, candidate_spans, classify,
+                       generate_instances, linked_pairs)
 from .span_codec import TagSequence, decode
 from .taggers import TaggerModel, tag
 
@@ -96,9 +97,7 @@ def end_to_end(
     the graph and each candidate pair with its score, in instance order.
     """
     labels = tag(tagger, sentence) if labels is None else tuple(labels)
-    spans = decode(labels)
-    entities = {s for s in spans if s.role is not Role.EXPRESSION}
-    expressions = {s for s in spans if s.role is Role.EXPRESSION}
+    entities, expressions = candidate_spans(decode(labels))
     linked = []
     scored = []
     for inst in generate_instances(sentence, entities, expressions):
@@ -123,6 +122,19 @@ def graphs_to_dataset(ds: Dataset, graphs: Mapping[str, SentimentGraph]) -> Data
             raise ValidationError(f"no graph for sentence '{sentence.id}'")
         sentences.append(replace(sentence, opinions=graphs[sentence.id].tuples))
     return Dataset(name=ds.name, sentences=tuple(sentences))
+
+
+def load_graphs(path: str, gold: Dataset,
+                required: Iterable[Sentence]) -> Dict[str, SentimentGraph]:
+    """By sentence id, the graphs of a dataset file in ``graphs_to_dataset``'s
+    layout, read by ``Dataset.predictions``' rule against ``gold`` and
+    ``required``; an error names ``path``."""
+    predicted = gold.predictions(path, (
+        (s.id, [tok.text for tok in s.tokens], s.opinions) for s in load_dataset(path)), required)
+    try:
+        return {i: SentimentGraph(i, ops) for i, ops in predicted.items()}
+    except ValidationError as err:
+        raise ValidationError(f"{path}: {err}") from err
 
 
 def write_triples(path: str, graphs: Iterable[SentimentGraph]) -> None:

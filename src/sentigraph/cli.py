@@ -352,13 +352,7 @@ def _cmd_evaluate(args) -> int:
     if args.pred_conll:
         tags = taggers.load_external_predictions(args.pred_conll, gold, ds.sentences)
     if args.pred_graphs:
-        predicted = gold.predictions(args.pred_graphs, (
-            (s.id, [tok.text for tok in s.tokens], s.opinions)
-            for s in corpus.load_dataset(args.pred_graphs)), ds.sentences)
-        try:
-            graphs = {i: aggregator.SentimentGraph(i, ops) for i, ops in predicted.items()}
-        except ValidationError as err:
-            raise ValidationError(f"{args.pred_graphs}: {err}") from err
+        graphs = aggregator.load_graphs(args.pred_graphs, gold, ds.sentences)
     _score(ds, tags, graphs, args.strata, args.format == "json", args.output)
     return 0
 

@@ -19,7 +19,7 @@ JSON dataset schema (one file per dataset)::
 Span pairs are half-open token-index ranges. Token ``start``/``end`` are
 character offsets (Unicode code points) into the sentence text; a token's
 range must be non-empty and in order, and ``text[start:end]`` must equal
-its ``text``. An error names the sentence, and the token or its offset.
+its ``text``. An error names the sentence and the token.
 
 ``JSON_FORMAT`` states the artifact format once: every JSON file has the
 bytes of ``json.dump(obj, fh, **JSON_FORMAT)`` plus a newline, and the CLI
@@ -92,6 +92,11 @@ class Span:
         return (self.start, self.end, self.role._value_)
 
 
+# The OpinionTuple field that holds the spans of each role.
+_ROLE_FIELD = {Role.HOLDER: "holders", Role.TARGET: "targets", Role.EXPRESSION: "expressions"}
+_ROLE_FIELDS = tuple(_ROLE_FIELD.values())
+
+
 @dataclass(frozen=True)
 class OpinionTuple:
     """One opinion: holder/target span sets anchored by expression spans.
@@ -106,30 +111,19 @@ class OpinionTuple:
     polarity: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "holders", frozenset(self.holders))
-        object.__setattr__(self, "targets", frozenset(self.targets))
-        object.__setattr__(self, "expressions", frozenset(self.expressions))
+        for name in _ROLE_FIELDS:
+            object.__setattr__(self, name, frozenset(getattr(self, name)))
         if not self.expressions:
             raise ValidationError("opinion tuple has no expression span")
-        for field_name, spans, role in (
-            ("holders", self.holders, Role.HOLDER),
-            ("targets", self.targets, Role.TARGET),
-            ("expressions", self.expressions, Role.EXPRESSION),
-        ):
-            for span in spans:
+        for role, name in _ROLE_FIELD.items():
+            for span in getattr(self, name):
                 if span.role is not role:
                     raise ValidationError(
-                        f"opinion tuple: {field_name} contains a span with role "
-                        f"{span.role.value}"
+                        f"opinion tuple: {name} contains a span with role {span.role.value}"
                     )
 
     def spans(self) -> frozenset:
         return self.holders | self.targets | self.expressions
-
-
-# The OpinionTuple field that holds the spans of each role.
-_ROLE_FIELD = {Role.HOLDER: "holders", Role.TARGET: "targets", Role.EXPRESSION: "expressions"}
-_ROLE_FIELDS = tuple(_ROLE_FIELD.values())
 
 
 @dataclass(frozen=True)
@@ -152,10 +146,8 @@ class Sentence:
                 raise ValidationError(f"sentence '{self.id}', token {i}: invalid character "
                                       f"range [{tok.char_start}, {tok.char_end})")
             if tok.char_start < prev_end:
-                raise ValidationError(
-                    f"sentence '{self.id}': tokens overlap or are out of order "
-                    f"at character offset {tok.char_start}"
-                )
+                raise ValidationError(f"sentence '{self.id}', token {i}: starts at character "
+                                      f"{tok.char_start}, before the end of the token before it")
             prev_end = tok.char_end
             covered = self.text[tok.char_start:tok.char_end]
             if covered != tok.text:
@@ -165,6 +157,17 @@ class Sentence:
                 )
         for opinion in self.opinions:
             self.check_spans(opinion.spans())
+
+    @classmethod
+    def from_words(cls, sent_id: str, words: Sequence[str], pos: Sequence[Optional[str]],
+                   opinions: Iterable[OpinionTuple] = ()) -> Sentence:
+        """The sentence whose text is ``words`` joined by single spaces, with one
+        token per word, tagged with the ``pos`` at the same index."""
+        tokens, offset = [], 0
+        for word, tag in zip(words, pos, strict=True):
+            tokens.append(Token(word, offset, offset + len(word), tag))
+            offset += len(word) + 1
+        return cls(sent_id, " ".join(words), tokens, opinions)
 
     def check_spans(self, spans: Iterable[Span]) -> None:
         """Raise ``ValidationError`` for the first span that runs past the last token."""

@@ -17,7 +17,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from .aggregator import SentimentGraph, gold_graph
 from .corpus import Dataset, Role, Sentence
 from .errors import ValidationError
-from .relation import RelationInstance, linked_pairs
+from .relation import RelationInstance, candidate_spans, linked_pairs
 from .span_codec import BIO_LABELS, TagSequence, encode, label_role
 
 
@@ -243,8 +243,7 @@ def stratified_report(
             predicted.append(pred_graphs[sentence.id])
             gold_links = linked_pairs(sentence.opinions)
             connected = linked_pairs(predicted[-1].tuples)
-            entities = sentence.spans(Role.HOLDER) | sentence.spans(Role.TARGET)
-            for pair in product(entities, sentence.spans(Role.EXPRESSION)):
+            for pair in product(*candidate_spans(sentence.spans())):
                 outcomes[pair in gold_links, pair in connected] += 1
         graph = graph_f1(gold_graphs, predicted)
         rel = _relation_section(outcomes)

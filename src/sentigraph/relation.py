@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
@@ -57,13 +57,11 @@ class RelationInstance:
 @dataclass(frozen=True)
 class RelationModel:
     kind: RelationKind
-    weights: Mapping[str, float] = None
+    weights: Mapping[str, float] = field(default_factory=dict)
     bias: float = 0.0
     threshold: float = 0.5
 
     def __post_init__(self):
-        if self.weights is None:
-            object.__setattr__(self, "weights", {})
         if not (0.0 < self.threshold < 1.0):
             raise ValidationError(f"threshold must be in (0, 1), got {self.threshold}")
         for feat, w in self.weights.items():
@@ -75,6 +73,13 @@ class RelationModel:
 
 def always_true_model(threshold: float = 0.5) -> RelationModel:
     return RelationModel(kind=RelationKind.ALWAYS_TRUE, threshold=threshold)
+
+
+def candidate_spans(spans: Set[Span]) -> Tuple[Set[Span], Set[Span]]:
+    """The entities (holders and targets) and the expressions among a set of
+    spans: the two sides of every candidate pair."""
+    expressions = {s for s in spans if s.role is Role.EXPRESSION}
+    return spans - expressions, expressions
 
 
 def generate_instances(
@@ -119,12 +124,8 @@ def linked_pairs(tuples: Iterable) -> Set[Tuple[Span, Span]]:
 
 def gold_instances(sentence: Sentence) -> List[RelationInstance]:
     """Labeled instances for every gold holder|target x expression pair."""
-    return generate_instances(
-        sentence,
-        sentence.spans(Role.HOLDER) | sentence.spans(Role.TARGET),
-        sentence.spans(Role.EXPRESSION),
-        gold=sentence.opinions,
-    )
+    return generate_instances(sentence, *candidate_spans(sentence.spans()),
+                              gold=sentence.opinions)
 
 
 def _distance_bucket(gap: int) -> str:

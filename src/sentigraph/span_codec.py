@@ -29,8 +29,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from .corpus import (Dataset, OpinionTuple, Role, Sentence, Span, Token, replacing,
-                     token_roles)
+from .corpus import Dataset, OpinionTuple, Role, Sentence, Span, replacing, token_roles
 from .errors import ParseError, ValidationError
 
 _ROLE_SUFFIX = {Role.HOLDER: "HOLDER", Role.TARGET: "TARG", Role.EXPRESSION: "EXP"}
@@ -192,10 +191,6 @@ def read_conll_blocks(path: str) -> List[ConllBlock]:
 
 
 def _sentence_from_conll(sent_id: str, rows: Sequence[Tuple[str, Optional[str], str]]) -> Sentence:
-    tokens, offset = [], 0
-    for text, pos, _ in rows:
-        tokens.append(Token(text=text, char_start=offset, char_end=offset + len(text), pos=pos))
-        offset += len(text) + 1
     spans = decode([label for _, _, label in rows])
     by_role = {role: {s for s in spans if s.role is role} for role in Role}
     if spans and not by_role[Role.EXPRESSION]:
@@ -205,7 +200,8 @@ def _sentence_from_conll(sent_id: str, rows: Sequence[Tuple[str, Optional[str], 
         )
     opinions = [OpinionTuple(holders=by_role[Role.HOLDER], targets=by_role[Role.TARGET],
                              expressions=by_role[Role.EXPRESSION])] if spans else []
-    return Sentence(sent_id, " ".join(text for text, _, _ in rows), tokens, opinions)
+    return Sentence.from_words(sent_id, [text for text, _, _ in rows],
+                               [pos for _, pos, _ in rows], opinions)
 
 
 def load_conll(path: str) -> Dataset:

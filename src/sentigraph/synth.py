@@ -19,7 +19,7 @@ import argparse
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from .corpus import Dataset, OpinionTuple, Role, Sentence, Span, Token, save_dataset
+from .corpus import Dataset, OpinionTuple, Role, Sentence, Span, save_dataset
 
 HOLDERS = (
     "alice", "bob", "carol", "dave", "erin", "frank", "grace",
@@ -137,18 +137,7 @@ def _sentence(sent_id: str, rng: random.Random, cluster_kinds: Sequence[str]) ->
     if not cluster_kinds:
         builder.add_fillers(rng, rng.randint(4, 9))
     builder.add_fillers(rng, rng.randint(0, 2))
-
-    tokens = []
-    offset = 0
-    for word, pos in zip(builder.words, builder.pos):
-        tokens.append(Token(text=word, char_start=offset, char_end=offset + len(word), pos=pos))
-        offset += len(word) + 1
-    return Sentence(
-        id=sent_id,
-        text=" ".join(builder.words),
-        tokens=tuple(tokens),
-        opinions=tuple(opinions),
-    )
+    return Sentence.from_words(sent_id, builder.words, builder.pos, opinions)
 
 
 def generate_corpus(n_sentences: int, seed: int, name: str = "synthetic") -> Dataset:

@@ -39,7 +39,7 @@ DEFAULT_POS_MAP = {
 }
 
 # Tie-break order for argmax: O first, then alphabetical.
-TIE_ORDER = ("O", "B-EXP", "B-HOLDER", "B-TARG", "I-EXP", "I-HOLDER", "I-TARG")
+TIE_ORDER = ("O",) + tuple(sorted(set(BIO_LABELS) - {"O"}))
 
 _BOS = "<s>"
 _EOS = "</s>"

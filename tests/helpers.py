@@ -45,19 +45,8 @@ def sent(
     opinions: Iterable[OpinionTuple] = (),
     pos: Optional[Sequence[Optional[str]]] = None,
 ) -> Sentence:
-    tokens = []
-    offset = 0
-    for i, word in enumerate(words):
-        tokens.append(
-            Token(
-                text=word,
-                char_start=offset,
-                char_end=offset + len(word),
-                pos=pos[i] if pos is not None else None,
-            )
-        )
-        offset += len(word) + 1
-    return Sentence(id=sent_id, text=" ".join(words), tokens=tuple(tokens), opinions=opinions)
+    return Sentence.from_words(sent_id, words, [None] * len(words) if pos is None else pos,
+                               opinions)
 
 
 def love_school() -> Sentence:

@@ -124,6 +124,17 @@ def test_stats_token_off_its_offsets_exits_2(tmp_path, capsys):
     assert "sentence 'a', token 1" in capsys.readouterr().err
 
 
+def test_stats_on_tokens_out_of_order_exits_2_naming_the_token(tmp_path, capsys):
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps({"name": "o", "sentences": [{
+        "id": "s1", "text": "ab",
+        "tokens": [{"text": "ab", "start": 0, "end": 2}, {"text": "b", "start": 1, "end": 2}],
+    }]}), encoding="utf-8")
+    assert main(["stats", str(path)]) == 2
+    assert (f"error: {path}: sentence 's1', token 1: starts at character 1, before the end "
+            "of the token before it") in capsys.readouterr().err
+
+
 def test_stats_names_the_file_that_fails_validation(tmp_path, capsys):
     good = tmp_path / "good.json"
     save_dataset(Dataset(name="g", sentences=[sent("s", ["x"])]), str(good))

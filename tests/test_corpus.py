@@ -67,12 +67,30 @@ def test_sentence_rejects_out_of_range_span():
 
 
 def test_sentence_rejects_overlapping_tokens():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         Sentence(
             id="s1",
             text="ab",
             tokens=[Token("ab", 0, 2), Token("b", 1, 2)],
         )
+    assert str(err.value) == (
+        "sentence 's1', token 1: starts at character 1, before the end of the token before it")
+
+
+@pytest.mark.parametrize("words, pos", [
+    ([], []),
+    (["I"], ["PRON"]),
+    (["I", "love", "école"], [None, "VERB", "NOUN"]),
+    (["a", "bb", "ccc", "dddd", "x"], [None] * 5),
+])
+def test_from_words_gives_the_text_and_offsets_of_a_loop_over_the_words(words, pos):
+    # The offsets as a loop over the words gives them, kept as the reference.
+    tokens, offset = [], 0
+    for word, tag in zip(words, pos):
+        tokens.append(Token(text=word, char_start=offset, char_end=offset + len(word), pos=tag))
+        offset += len(word) + 1
+    expected = Sentence(id="s", text=" ".join(words), tokens=tuple(tokens))
+    assert Sentence.from_words("s", words, pos) == expected
 
 
 def test_dataset_rejects_duplicate_ids():

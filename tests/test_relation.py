@@ -1,9 +1,10 @@
 import json
 import math
+import random
 
 import pytest
 
-from helpers import opinion, sent, span
+from helpers import opinion, random_overlap_free_sentence, sent, span
 from sentigraph import (
     Dataset,
     RelationInstance,
@@ -17,7 +18,7 @@ from sentigraph import (
     generate_instances,
     train_logistic,
 )
-from sentigraph.relation import _sigmoid, dump_instances, load_model, save_model
+from sentigraph.relation import _sigmoid, candidate_spans, dump_instances, load_model, save_model
 from sentigraph.synth import generate_corpus
 
 
@@ -71,6 +72,17 @@ def test_gold_labeling_matches_brute_force():
                 ):
                     expected = True
             assert inst.label == expected
+
+
+def test_candidate_spans_splits_entities_from_expressions():
+    rng = random.Random(27)
+    sentences = list(generate_corpus(80, seed=27).sentences) + [
+        random_overlap_free_sentence(rng, f"r{k}") for k in range(200)]
+    for sentence in sentences:
+        assert candidate_spans(sentence.spans()) == (
+            sentence.spans(Role.HOLDER) | sentence.spans(Role.TARGET),
+            sentence.spans(Role.EXPRESSION),
+        )
 
 
 def test_entity_role_violation():
