@@ -19,61 +19,17 @@ from typing import Dict, Mapping, Optional, Sequence
 
 from . import aggregator, corpus, metrics, relation, span_codec, taggers
 from .corpus import Dataset, OverlapPolicy
-from .errors import InputError, ValidationError
+from .errors import InputError, ValidationError, check_field
 from .metrics import Stratum
+from .relation import RelationConfig
 # Not called here; benchmark/test_benchmark.py checks that its tracer restores cli.decode.
 from .span_codec import decode  # noqa: F401
+from .taggers import TaggerConfig
 
 
 # ---------------------------------------------------------------------------
 # Pipeline configuration
 # ---------------------------------------------------------------------------
-
-
-def _check(name: str, ok: bool, problem: str) -> None:
-    if not ok:
-        raise ValidationError(f"config field '{name}': {problem}")
-
-
-# The options of both stages are checked when they are built, so a config
-# file and the ``train`` flags go through the same checks. The field
-# defaults here are the only defaults of either.
-@dataclass
-class TaggerConfig:
-    kind: str = "PERCEPTRON"
-    epochs: int = 10
-    seed: int = 1
-    pos_map: Optional[Dict[str, str]] = None
-
-    def __post_init__(self):
-        self.kind = self.kind.upper()
-        _check("tagger.kind", self.kind in taggers.TaggerKind.__members__,
-               f"unknown kind {self.kind!r}")
-        _check("tagger.epochs", self.epochs >= 0, "must be >= 0")
-        if self.pos_map is not None:
-            _check("tagger.pos_map", self.kind == "POS_CHUNK", "applies only to kind POS_CHUNK")
-            _check("tagger.pos_map", isinstance(self.pos_map, dict), "expected an object")
-            try:
-                taggers.pos_chunk_tagger(self.pos_map)
-            except ValidationError as err:
-                raise ValidationError(f"config field 'tagger.pos_map': {err}") from None
-
-
-@dataclass
-class RelationConfig:
-    kind: str = "LOGISTIC"
-    epochs: int = 30
-    learning_rate: float = 0.5
-    threshold: float = 0.5
-    seed: int = 2
-
-    def __post_init__(self):
-        self.kind = self.kind.upper()
-        _check("relation.kind", self.kind in relation.RelationKind.__members__,
-               f"unknown kind {self.kind!r}")
-        _check("relation.epochs", self.epochs >= 1, "must be >= 1")
-        _check("relation.learning_rate", self.learning_rate > 0, "must be > 0")
-        _check("relation.threshold", 0.0 < self.threshold < 1.0, "must be in (0, 1)")
 
 
 @dataclass
@@ -89,8 +45,8 @@ class PipelineConfig:
     relation: RelationConfig = field(default_factory=RelationConfig)
 
     def __post_init__(self):
-        _check("overlap_policy", self.overlap_policy in OverlapPolicy.__members__,
-               f"unknown policy {self.overlap_policy!r}")
+        check_field("overlap_policy", self.overlap_policy in OverlapPolicy.__members__,
+                    f"unknown policy {self.overlap_policy!r}")
 
 
 def _present(obj: Mapping, types: Mapping[str, type], where: str) -> dict:
@@ -100,8 +56,7 @@ def _present(obj: Mapping, types: Mapping[str, type], where: str) -> dict:
     not in ``types`` is an error, so a misspelt or retired field is not
     silently ignored."""
     for key in obj:
-        if key not in types:
-            raise ValidationError(f"config field '{where}{key}': unknown field")
+        check_field(where + key, key in types, "unknown field")
     out = {}
     for key, kind in types.items():
         if key not in obj:
@@ -109,10 +64,8 @@ def _present(obj: Mapping, types: Mapping[str, type], where: str) -> dict:
         value = obj[key]
         if kind is float:
             value = corpus.finite_number(value, f"config field '{where}{key}'")
-        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-            raise ValidationError(
-                f"config field '{where}{key}': expected {kind.__name__}, got {value!r}"
-            )
+        check_field(where + key, kind is object or type(value) is kind,
+                    f"expected {kind.__name__}, got {value!r}")
         out[key] = value
     return out
 
@@ -120,24 +73,22 @@ def _present(obj: Mapping, types: Mapping[str, type], where: str) -> dict:
 def load_config(path: str) -> PipelineConfig:
     obj = corpus.read_json_object(path)
     for key in ("train", "test", "output_dir"):
-        if key not in obj:
-            raise ValidationError(f"config field '{key}': missing")
+        check_field(key, key in obj, "missing")
     top = _present(obj, {
         "train": str, "test": str, "output_dir": str, "dev": str, "overlap_policy": str,
         "upsample": bool, "upsample_seed": int, "tagger": dict, "relation": dict,
     }, "")
     tagger_obj = _present(top.pop("tagger", {}), {
-        "kind": str, "epochs": int, "seed": int, "pos_map": object,
+        "kind": str, "epochs": object, "seed": int, "pos_map": object,
     }, "tagger.")
     rel_obj = _present(top.pop("relation", {}), {
-        "kind": str, "epochs": int, "learning_rate": float, "threshold": float, "seed": int,
+        "kind": str, "epochs": object, "learning_rate": float, "threshold": float, "seed": int,
     }, "relation.")
     cfg = PipelineConfig(
         **top, tagger=TaggerConfig(**tagger_obj), relation=RelationConfig(**rel_obj)
     )
     for key, value in (("train", cfg.train), ("test", cfg.test), ("dev", cfg.dev)):
-        if value is not None and not os.path.isfile(value):
-            raise ValidationError(f"config field '{key}': file not found: {value}")
+        check_field(key, value is None or os.path.isfile(value), f"file not found: {value}")
     return cfg
 
 
@@ -397,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a tagger or relation model")
     p.add_argument("stage", choices=("tagger", "relation"))
     p.add_argument("--train", required=True, help="JSON training dataset")
-    # Unset flags stay None and take the TaggerConfig / RelationConfig defaults.
+    # Unset flags stay None and take the defaults of taggers.TaggerConfig and
+    # relation.RelationConfig, which check every value given before data is read.
     p.add_argument("--kind", default=None, help="model kind (default: perceptron / logistic)")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--learning-rate", type=float, default=None)

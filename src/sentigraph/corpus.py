@@ -258,14 +258,11 @@ def compute_stats(sentences: Iterable[Sentence]) -> dict:
     groups = [0, 0, 0, 0]
     for sentence in sentences:
         total += 1
-        present = 0
         for role in Role:
             n = len(sentence.spans(role))
             counts[role] += n
             maxima[role] = max(maxima[role], n)
-            if n:
-                present += 1
-        groups[present] += 1
+        groups[sentence.distinct_role_count()] += 1
     row = {"total_sentence": total}
     for role, name in ((Role.HOLDER, "source"), (Role.TARGET, "target"), (Role.EXPRESSION, "exp")):
         row[f"{name}_count"] = counts[role]

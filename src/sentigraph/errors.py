@@ -24,3 +24,8 @@ class ParseError(InputError):
 
 class ValidationError(InputError):
     """Parseable input that violates a domain invariant."""
+
+
+def check_field(name: str, ok: bool, problem: str) -> None:
+    if not ok:
+        raise ValidationError(f"config field '{name}': {problem}")

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .corpus import (Dataset, Role, Sentence, Span, finite_number, json_scalar, read_json_object,
                      replacing, write_json_object)
-from .errors import ValidationError
+from .errors import ValidationError, check_field
 
 # Sparse features in sorted order, so weight sums do not depend on the
 # string-hash seed; every present feature has implicit weight 1.
@@ -30,6 +30,28 @@ _MAX_BETWEEN_WORDS = 10
 class RelationKind(Enum):
     ALWAYS_TRUE = "ALWAYS_TRUE"
     LOGISTIC = "LOGISTIC"
+
+
+# The relation stage's options, checked when built: config files, ``train`` flags,
+# ``train_logistic`` and ``RelationModel`` check through here. Its defaults are the only ones.
+@dataclass
+class RelationConfig:
+    kind: str = "LOGISTIC"
+    epochs: int = 30
+    learning_rate: float = 0.5
+    threshold: float = 0.5
+    seed: int = 2
+
+    def __post_init__(self):
+        self.kind = self.kind.upper()
+        check_field("relation.kind", self.kind in RelationKind.__members__,
+                    f"unknown kind {self.kind!r}")
+        check_field("relation.epochs", type(self.epochs) is int and self.epochs >= 1,
+                    f"must be an integer >= 1, got {self.epochs!r}")
+        check_field("relation.learning_rate", 0 < self.learning_rate < math.inf,
+                    f"must be finite and > 0, got {self.learning_rate!r}")
+        check_field("relation.threshold", 0.0 < self.threshold < 1.0,
+                    f"must be in (0, 1), got {self.threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +84,7 @@ class RelationModel:
     threshold: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 < self.threshold < 1.0):
-            raise ValidationError(f"threshold must be in (0, 1), got {self.threshold}")
+        RelationConfig(threshold=self.threshold)
         for feat, w in self.weights.items():
             if not math.isfinite(w):
                 raise ValidationError(f"non-finite weight for feature {feat!r}")
@@ -193,10 +214,7 @@ def train_logistic(
     Every example's gradient has the same weight, so the natural class
     distribution is kept. Deterministic for fixed inputs.
     """
-    if not isinstance(epochs, int) or epochs < 1:
-        raise ValidationError(f"epochs must be a positive integer, got {epochs!r}")
-    if not (learning_rate > 0):
-        raise ValidationError(f"learning_rate must be positive, got {learning_rate!r}")
+    RelationConfig(epochs=epochs, learning_rate=learning_rate, seed=seed)
     for inst in instances:
         if inst.label is None:
             raise ValidationError(

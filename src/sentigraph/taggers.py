@@ -17,7 +17,7 @@ from operator import add
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .corpus import Dataset, Sentence, Token, finite_number, read_json_object, write_json_object
-from .errors import ValidationError
+from .errors import ValidationError, check_field
 from .span_codec import (BIO_LABELS, TagSequence, bio_label, continues, encode, label_role,
                          read_conll_blocks, write_conll)
 
@@ -76,6 +76,31 @@ def pos_chunk_tagger(pos_map: Optional[Mapping[str, str]] = None) -> TaggerModel
                 f"POS map entry {pos!r}: label {label!r} is not in the BIO alphabet"
             )
     return TaggerModel(kind=TaggerKind.POS_CHUNK, pos_map=dict(pos_map))
+
+
+# The tagger stage's options, checked when built: config files, ``train`` flags
+# and ``train_perceptron`` check through here. Its defaults are the only ones.
+@dataclass
+class TaggerConfig:
+    kind: str = "PERCEPTRON"
+    epochs: int = 10
+    seed: int = 1
+    pos_map: Optional[Dict[str, str]] = None
+
+    def __post_init__(self):
+        self.kind = self.kind.upper()
+        check_field("tagger.kind", self.kind in TaggerKind.__members__,
+                    f"unknown kind {self.kind!r}")
+        check_field("tagger.epochs", type(self.epochs) is int and self.epochs >= 0,
+                    f"must be an integer >= 0, got {self.epochs!r}")
+        if self.pos_map is not None:
+            check_field("tagger.pos_map", self.kind == "POS_CHUNK",
+                        "applies only to kind POS_CHUNK")
+            check_field("tagger.pos_map", isinstance(self.pos_map, dict), "expected an object")
+            try:
+                pos_chunk_tagger(self.pos_map)
+            except ValidationError as err:
+                raise ValidationError(f"config field 'tagger.pos_map': {err}") from None
 
 
 def _word_shape(word: str) -> str:
@@ -165,8 +190,7 @@ def train_perceptron(train: Dataset, epochs: int, seed: int) -> TaggerModel:
     advance the step count; it is advanced by their tokens instead, and the
     returned model equals the one that all ``epochs`` passes give.
     """
-    if not isinstance(epochs, int) or epochs < 0:
-        raise ValidationError(f"epochs must be a non-negative integer, got {epochs!r}")
+    TaggerConfig(epochs=epochs, seed=seed)
     if not train.sentences:
         raise ValidationError("cannot train a perceptron on an empty dataset")
 

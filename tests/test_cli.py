@@ -1,11 +1,14 @@
 import json
+import math
 import os
+import re
 import sys
 
 import pytest
 
 from helpers import cli_process, dataset_to_dict, opinion, sent, span
-from sentigraph import Dataset, load_conll, load_dataset, save_conll, save_dataset, taggers
+from sentigraph import (Dataset, ValidationError, load_conll, load_dataset, relation,
+                        save_conll, save_dataset, taggers)
 from sentigraph.cli import main
 from sentigraph.span_codec import read_conll_blocks
 from sentigraph.synth import generate_corpus
@@ -780,9 +783,83 @@ def test_train_tagger_rejects_relation_only_flags(tmp_path, capsys, flag, value)
     assert not out.exists()
 
 
+def _exit_code(argv):
+    """``main``'s exit code, or the one argparse exits with on a value its
+    flag type cannot read."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _learn(stage, option, value, ds):
+    """The stage's library learner, or for ``threshold`` a relation model,
+    given ``option=value``."""
+    if option == "threshold":
+        return relation.RelationModel(kind=relation.RelationKind.LOGISTIC, threshold=value)
+    if stage == "tagger":
+        return taggers.train_perceptron(ds, epochs=value, seed=1)
+    instances = [inst for s in ds.sentences for inst in relation.gold_instances(s)]
+    options = {"epochs": 1, "learning_rate": 0.5, option: value}
+    return relation.train_logistic(instances, ds, seed=2, **options)
+
+
+# One verdict per stage option value, on every path that can carry it: a
+# pipeline config, the `train` flag, and the library learner or model.
+@pytest.mark.parametrize("stage, option, value, refused", [
+    ("tagger", "epochs", -1, True),
+    ("tagger", "epochs", True, True),
+    ("tagger", "epochs", 1.5, True),
+    ("tagger", "epochs", 0, False),
+    ("relation", "epochs", 0, True),
+    ("relation", "epochs", True, True),
+    ("relation", "epochs", 1, False),
+    ("relation", "learning_rate", 0, True),
+    ("relation", "learning_rate", -3, True),
+    ("relation", "learning_rate", math.inf, True),
+    ("relation", "learning_rate", math.nan, True),
+    ("relation", "threshold", 0, True),
+    ("relation", "threshold", 1, True),
+    ("relation", "threshold", 1.5, True),
+    ("relation", "threshold", math.nan, True),
+    ("relation", "threshold", math.nextafter(0.0, 1.0), False),
+    ("relation", "threshold", math.nextafter(1.0, 0.0), False),
+])
+def test_every_path_gives_an_option_value_the_same_verdict(tmp_path, capsys, stage, option,
+                                                          value, refused):
+    name = f"{stage}.{option}"
+    flag = "--" + option.replace("_", "-")
+    train = generate_corpus(40, seed=281, name="train")
+    if refused:  # the datasets do not parse, so only a check made before reading them passes
+        train_path = test_path = str(tmp_path / "broken.json")
+        (tmp_path / "broken.json").write_text("{", encoding="utf-8")
+    else:
+        train_path, test_path = str(tmp_path / "train.json"), str(tmp_path / "test.json")
+        save_dataset(train, train_path)
+        save_dataset(generate_corpus(10, seed=282, name="test"), test_path)
+
+    config = _write_config(tmp_path, train_path, test_path, **{stage: {option: value}})
+    assert _exit_code(["pipeline", config]) == (2 if refused else 0)
+    out = tmp_path / "model.json"
+    assert _exit_code(["train", stage, "--train", train_path, f"{flag}={value}",
+                       "--out", str(out)]) == (2 if refused else 0)
+    assert out.exists() is not refused
+    if refused:
+        config_err, flag_err = capsys.readouterr().err.split("\n", 1)
+        assert name in config_err
+        # argparse refuses a value that the flag's type cannot read, naming the flag.
+        assert name in flag_err or f"argument {flag}: invalid" in flag_err
+        assert train_path not in config_err + flag_err
+        with pytest.raises(ValidationError, match=re.escape(f"config field '{name}'")):
+            _learn(stage, option, value, train)
+    else:
+        _learn(stage, option, value, train)
+
+
 def test_train_defaults_equal_pipeline_defaults(tmp_path, synth_paths):
     # A config with only the required keys and `train` with no optional flags
-    # both take the TaggerConfig / RelationConfig defaults, so the models match.
+    # both take the defaults of taggers.TaggerConfig and relation.RelationConfig,
+    # so the models match.
     train_path, test_path = synth_paths
     config = tmp_path / "minimal.json"
     config.write_text(json.dumps({"train": train_path, "test": test_path,
