@@ -14,12 +14,12 @@ import gc
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Mapping, Optional, Sequence
 
 from . import aggregator, corpus, metrics, relation, span_codec, taggers
 from .corpus import Dataset, OverlapPolicy
-from .errors import InputError, ValidationError, check_field
+from .errors import InputError, ValidationError, check_field, check_type
 from .metrics import Stratum
 from .relation import RelationConfig
 # Not called here; benchmark/test_benchmark.py checks that its tracer restores cli.decode.
@@ -45,48 +45,33 @@ class PipelineConfig:
     relation: RelationConfig = field(default_factory=RelationConfig)
 
     def __post_init__(self):
+        for name, kind in (("train", str), ("test", str), ("output_dir", str),
+                           ("dev", type(None) if self.dev is None else str), ("overlap_policy", str),
+                           ("upsample", bool), ("upsample_seed", int),
+                           ("tagger", TaggerConfig), ("relation", RelationConfig)):
+            check_type(name, getattr(self, name), kind)
         check_field("overlap_policy", self.overlap_policy in OverlapPolicy.__members__,
                     f"unknown policy {self.overlap_policy!r}")
 
 
-def _present(obj: Mapping, types: Mapping[str, type], where: str) -> dict:
-    """The keys of ``obj``, each named in ``types`` and type-checked (``object``
-    takes any value and leaves the check to the config dataclass); absent
-    keys are left out, so the config dataclasses supply their defaults. A key
-    not in ``types`` is an error, so a misspelt or retired field is not
-    silently ignored."""
+def _known(obj: dict, config: type, where: str) -> dict:
+    """``obj``, each of whose keys must name a field of ``config`` (so a misspelt one is refused)."""
+    names = {f.name for f in fields(config)}
     for key in obj:
-        check_field(where + key, key in types, "unknown field")
-    out = {}
-    for key, kind in types.items():
-        if key not in obj:
-            continue
-        value = obj[key]
-        if kind is float:
-            value = corpus.finite_number(value, f"config field '{where}{key}'")
-        check_field(where + key, kind is object or type(value) is kind,
-                    f"expected {kind.__name__}, got {value!r}")
-        out[key] = value
-    return out
+        check_field(where + key, key in names, "unknown field")
+    return obj
 
 
 def load_config(path: str) -> PipelineConfig:
+    """The config in a JSON file; the class that declares a field checks its value."""
     obj = corpus.read_json_object(path)
     for key in ("train", "test", "output_dir"):
         check_field(key, key in obj, "missing")
-    top = _present(obj, {
-        "train": str, "test": str, "output_dir": str, "dev": str, "overlap_policy": str,
-        "upsample": bool, "upsample_seed": int, "tagger": dict, "relation": dict,
-    }, "")
-    tagger_obj = _present(top.pop("tagger", {}), {
-        "kind": str, "epochs": object, "seed": int, "pos_map": object,
-    }, "tagger.")
-    rel_obj = _present(top.pop("relation", {}), {
-        "kind": str, "epochs": object, "learning_rate": float, "threshold": float, "seed": int,
-    }, "relation.")
-    cfg = PipelineConfig(
-        **top, tagger=TaggerConfig(**tagger_obj), relation=RelationConfig(**rel_obj)
-    )
+    _known(obj, PipelineConfig, "")
+    for key, config in (("tagger", TaggerConfig), ("relation", RelationConfig)):
+        check_type(key, obj.setdefault(key, {}), dict)
+        obj[key] = config(**_known(obj[key], config, key + "."))
+    cfg = PipelineConfig(**obj)
     for key, value in (("train", cfg.train), ("test", cfg.test), ("dev", cfg.dev)):
         check_field(key, value is None or os.path.isfile(value), f"file not found: {value}")
     return cfg
@@ -246,28 +231,24 @@ def _cmd_stats(args) -> int:
 
 def _cmd_convert(args) -> int:
     load = span_codec.load_conll if args.from_format == "conll" else corpus.load_dataset
-    ds = load(args.input)
-    if args.to_format == "conll":
-        ds = _filter_overlaps(ds, args.overlap_policy, "sentence(s)")
-        span_codec.save_conll(ds, args.output)
-    else:
-        corpus.save_dataset(ds, args.output)
+    save = span_codec.save_conll if args.to_format == "conll" else corpus.save_dataset
+    save(_filter_overlaps(load(args.input), args.overlap_policy, "sentence(s)"), args.output)
     return 0
 
 
 def _cmd_train(args) -> int:
-    given = {"kind": args.kind, "epochs": args.epochs, "seed": args.train_seed}
     if args.stage == "tagger":
-        for flag, value in (("--learning-rate", args.learning_rate),
-                            ("--threshold", args.threshold)):
-            if value is not None:
-                raise ValidationError(
-                    f"{flag} applies only to 'train relation', not 'train tagger'")
         config, train, save = TaggerConfig, _train_tagger, taggers.save_model
     else:
-        given.update(learning_rate=args.learning_rate, threshold=args.threshold)
         config, train, save = RelationConfig, _train_relation, relation.save_model
-    cfg = config(**{key: value for key, value in given.items() if value is not None})
+    flags = ("kind", "epochs", "learning_rate", "threshold", "seed")  # each a RelationConfig field
+    given = {key: getattr(args, key) for key in flags if getattr(args, key) is not None}
+    names = {f.name for f in fields(config)}
+    for key in given:
+        if key not in names:
+            raise ValidationError(f"--{key.replace('_', '-')} applies only to 'train relation', "
+                                  f"not 'train {args.stage}'")
+    cfg = config(**given)
     ds = corpus.load_dataset(args.train)
     ds = _filter_overlaps(ds, args.overlap_policy, "sentence(s)")
     save(train(cfg, ds), args.out)
@@ -354,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--learning-rate", type=float, default=None)
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--train-seed", type=int, default=None, dest="train_seed")
+    p.add_argument("--train-seed", type=int, default=None, dest="seed")
     _add_overlap_policy(p, "drop_sentence")
     p.add_argument("--out", required=True, help="model JSON output path")
     p.set_defaults(func=_cmd_train)

@@ -582,18 +582,6 @@ def json_scalar(value) -> str:
     return _LEAF_TEXT[type(value)](value)
 
 
-def finite_number(value, what: str) -> float:
-    """A JSON number as a finite float; anything else raises ``ValidationError``."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise ValidationError(f"{what} must be a finite number, got {value!r}")
-
-
 def load_dataset(path: str) -> Dataset:
     """Load a JSON dataset file; every invariant is validated on the way in."""
     return dataset_from_dict(read_json_object(path), source=path)

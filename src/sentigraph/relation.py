@@ -15,9 +15,9 @@ from enum import Enum
 from json.encoder import encode_basestring
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .corpus import (Dataset, Role, Sentence, Span, finite_number, json_scalar, read_json_object,
-                     replacing, write_json_object)
-from .errors import ValidationError, check_field
+from .corpus import (Dataset, Role, Sentence, Span, json_scalar, read_json_object, replacing,
+                     write_json_object)
+from .errors import ValidationError, as_number, check_field, check_type, finite_number
 
 # Sparse features in sorted order, so weight sums do not depend on the
 # string-hash seed; every present feature has implicit weight 1.
@@ -32,8 +32,9 @@ class RelationKind(Enum):
     LOGISTIC = "LOGISTIC"
 
 
-# The relation stage's options, checked when built: config files, ``train`` flags,
-# ``train_logistic`` and ``RelationModel`` check through here. Its defaults are the only ones.
+# The relation stage's options, each field's type and range checked when built:
+# config files, ``train`` flags, ``train_logistic``, ``RelationModel`` and relation
+# model files check through here. Its defaults are the only ones.
 @dataclass
 class RelationConfig:
     kind: str = "LOGISTIC"
@@ -43,15 +44,17 @@ class RelationConfig:
     seed: int = 2
 
     def __post_init__(self):
+        check_type("relation.kind", self.kind, str)
         self.kind = self.kind.upper()
         check_field("relation.kind", self.kind in RelationKind.__members__,
                     f"unknown kind {self.kind!r}")
         check_field("relation.epochs", type(self.epochs) is int and self.epochs >= 1,
                     f"must be an integer >= 1, got {self.epochs!r}")
-        check_field("relation.learning_rate", 0 < self.learning_rate < math.inf,
+        check_field("relation.learning_rate", 0 < as_number(self.learning_rate) < math.inf,
                     f"must be finite and > 0, got {self.learning_rate!r}")
-        check_field("relation.threshold", 0.0 < self.threshold < 1.0,
+        check_field("relation.threshold", 0.0 < as_number(self.threshold) < 1.0,
                     f"must be in (0, 1), got {self.threshold!r}")
+        check_type("relation.seed", self.seed, int)
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,7 @@ class RelationModel:
     kind: RelationKind
     weights: Mapping[str, float] = field(default_factory=dict)
     bias: float = 0.0
-    threshold: float = 0.5
+    threshold: float = RelationConfig.threshold
 
     def __post_init__(self):
         RelationConfig(threshold=self.threshold)
@@ -92,7 +95,7 @@ class RelationModel:
             raise ValidationError("non-finite bias")
 
 
-def always_true_model(threshold: float = 0.5) -> RelationModel:
+def always_true_model(threshold: float = RelationConfig.threshold) -> RelationModel:
     return RelationModel(kind=RelationKind.ALWAYS_TRUE, threshold=threshold)
 
 
@@ -315,9 +318,9 @@ def load_model(path: str) -> RelationModel:
         raise ValidationError(f"{path}: 'weights' must map features to numbers")
     weights = {k: finite_number(v, f"{path}: weight for {k!r}") for k, v in weights.items()}
     bias = finite_number(obj.get("bias", 0.0), f"{path}: 'bias'")
-    threshold = finite_number(obj.get("threshold", 0.5), f"{path}: 'threshold'")
     try:
-        return RelationModel(kind=kind, weights=weights, bias=bias, threshold=threshold)
+        return RelationModel(kind=kind, weights=weights, bias=bias,
+                             threshold=obj.get("threshold", RelationConfig.threshold))
     except ValidationError as err:
         raise ValidationError(f"{path}: {err}") from err
 

@@ -16,8 +16,8 @@ from enum import Enum
 from operator import add
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .corpus import Dataset, Sentence, Token, finite_number, read_json_object, write_json_object
-from .errors import ValidationError, check_field
+from .corpus import Dataset, Sentence, Token, read_json_object, write_json_object
+from .errors import ValidationError, check_field, check_type, finite_number
 from .span_codec import (BIO_LABELS, TagSequence, bio_label, continues, encode, label_role,
                          read_conll_blocks, write_conll)
 
@@ -78,8 +78,9 @@ def pos_chunk_tagger(pos_map: Optional[Mapping[str, str]] = None) -> TaggerModel
     return TaggerModel(kind=TaggerKind.POS_CHUNK, pos_map=dict(pos_map))
 
 
-# The tagger stage's options, checked when built: config files, ``train`` flags
-# and ``train_perceptron`` check through here. Its defaults are the only ones.
+# The tagger stage's options, each field's type and range checked when built:
+# config files, ``train`` flags and ``train_perceptron`` check through here.
+# Its defaults are the only ones.
 @dataclass
 class TaggerConfig:
     kind: str = "PERCEPTRON"
@@ -88,15 +89,17 @@ class TaggerConfig:
     pos_map: Optional[Dict[str, str]] = None
 
     def __post_init__(self):
+        check_type("tagger.kind", self.kind, str)
         self.kind = self.kind.upper()
         check_field("tagger.kind", self.kind in TaggerKind.__members__,
                     f"unknown kind {self.kind!r}")
         check_field("tagger.epochs", type(self.epochs) is int and self.epochs >= 0,
                     f"must be an integer >= 0, got {self.epochs!r}")
+        check_type("tagger.seed", self.seed, int)
         if self.pos_map is not None:
             check_field("tagger.pos_map", self.kind == "POS_CHUNK",
                         "applies only to kind POS_CHUNK")
-            check_field("tagger.pos_map", isinstance(self.pos_map, dict), "expected an object")
+            check_type("tagger.pos_map", self.pos_map, dict)
             try:
                 pos_chunk_tagger(self.pos_map)
             except ValidationError as err:

@@ -7,8 +7,8 @@ import sys
 import pytest
 
 from helpers import cli_process, dataset_to_dict, opinion, sent, span
-from sentigraph import (Dataset, ValidationError, load_conll, load_dataset, relation,
-                        save_conll, save_dataset, taggers)
+from sentigraph import (Dataset, OverlapPolicy, ValidationError, filter_overlapping, load_conll,
+                        load_dataset, relation, save_conll, save_dataset, taggers)
 from sentigraph.cli import main
 from sentigraph.span_codec import read_conll_blocks
 from sentigraph.synth import generate_corpus
@@ -716,6 +716,27 @@ def test_convert_json_to_conll_and_back(tmp_path, capsys):
         assert [t.text for t in read.tokens] == [t.text for t in original.tokens]
 
 
+@pytest.mark.parametrize("policy, kept", [("none", ["clash", "ok"]),
+                                           ("drop_sentence", ["ok"]),
+                                           ("priority_keep", ["clash", "ok"])])
+def test_convert_to_json_applies_the_overlap_policy(tmp_path, capsys, policy, kept):
+    # The policy applies before either writer, so JSON -> JSON filters as JSON -> CoNLL does;
+    # the default none writes the input's bytes.
+    clash = sent("clash", ["w0", "w1", "w2"],
+                 opinions=[opinion(targets=[span("t", 0, 2)], expressions=[span("e", 1, 3)])])
+    ds = Dataset("d", [clash, sent("ok", ["a"])])
+    src, out, expected = tmp_path / "in.json", tmp_path / "out.json", tmp_path / "expected.json"
+    save_dataset(ds, str(src))
+    if policy != "none":
+        ds, _ = filter_overlapping(ds, OverlapPolicy[policy.upper()])
+    save_dataset(ds, str(expected))
+    assert main(["convert", str(src), str(out), "--from", "json", "--to", "json",
+                 "--overlap-policy", policy]) == 0
+    assert out.read_bytes() == expected.read_bytes()
+    assert [s.id for s in load_dataset(str(out))] == kept
+    assert ("clash" in capsys.readouterr().err) is (policy != "none")
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -797,38 +818,54 @@ def _learn(stage, option, value, ds):
     given ``option=value``."""
     if option == "threshold":
         return relation.RelationModel(kind=relation.RelationKind.LOGISTIC, threshold=value)
+    options = {"epochs": 1, "seed": 1 if stage == "tagger" else 2, option: value}
     if stage == "tagger":
-        return taggers.train_perceptron(ds, epochs=value, seed=1)
+        return taggers.train_perceptron(ds, **options)
     instances = [inst for s in ds.sentences for inst in relation.gold_instances(s)]
-    options = {"epochs": 1, "learning_rate": 0.5, option: value}
-    return relation.train_logistic(instances, ds, seed=2, **options)
+    return relation.train_logistic(instances, ds, **{"learning_rate": 0.5, **options})
 
 
 # One verdict per stage option value, on every path that can carry it: a
-# pipeline config, the `train` flag, and the library learner or model.
+# pipeline config, the `train` flag, the library learner or model and, for
+# the threshold, a relation model file. A refused value gets one message on
+# the config path and the library path.
 @pytest.mark.parametrize("stage, option, value, refused", [
     ("tagger", "epochs", -1, True),
     ("tagger", "epochs", True, True),
     ("tagger", "epochs", 1.5, True),
+    ("tagger", "epochs", "10", True),
+    ("tagger", "epochs", 10.0, True),
     ("tagger", "epochs", 0, False),
+    ("tagger", "seed", None, True),
+    ("tagger", "seed", "1", True),
+    ("tagger", "seed", True, True),
     ("relation", "epochs", 0, True),
     ("relation", "epochs", True, True),
     ("relation", "epochs", 1, False),
+    ("relation", "seed", None, True),
+    ("relation", "seed", "1", True),
+    ("relation", "seed", True, True),
     ("relation", "learning_rate", 0, True),
     ("relation", "learning_rate", -3, True),
     ("relation", "learning_rate", math.inf, True),
     ("relation", "learning_rate", math.nan, True),
+    ("relation", "learning_rate", "0.5", True),
+    ("relation", "learning_rate", True, True),
+    pytest.param("relation", "learning_rate", 10 ** 400, True,
+                 id="relation-learning_rate-400_digit_int-True"),
     ("relation", "threshold", 0, True),
     ("relation", "threshold", 1, True),
     ("relation", "threshold", 1.5, True),
     ("relation", "threshold", math.nan, True),
+    ("relation", "threshold", "0.5", True),
+    ("relation", "threshold", None, True),
     ("relation", "threshold", math.nextafter(0.0, 1.0), False),
     ("relation", "threshold", math.nextafter(1.0, 0.0), False),
 ])
 def test_every_path_gives_an_option_value_the_same_verdict(tmp_path, capsys, stage, option,
                                                           value, refused):
     name = f"{stage}.{option}"
-    flag = "--" + option.replace("_", "-")
+    flag = "--train-seed" if option == "seed" else "--" + option.replace("_", "-")
     train = generate_corpus(40, seed=281, name="train")
     if refused:  # the datasets do not parse, so only a check made before reading them passes
         train_path = test_path = str(tmp_path / "broken.json")
@@ -840,20 +877,34 @@ def test_every_path_gives_an_option_value_the_same_verdict(tmp_path, capsys, sta
 
     config = _write_config(tmp_path, train_path, test_path, **{stage: {option: value}})
     assert _exit_code(["pipeline", config]) == (2 if refused else 0)
-    out = tmp_path / "model.json"
-    assert _exit_code(["train", stage, "--train", train_path, f"{flag}={value}",
-                       "--out", str(out)]) == (2 if refused else 0)
-    assert out.exists() is not refused
-    if refused:
-        config_err, flag_err = capsys.readouterr().err.split("\n", 1)
-        assert name in config_err
+    config_err = capsys.readouterr().err
+    # A flag's value is text, so a flag cannot carry the string "10" apart from the number.
+    if not isinstance(value, str):
+        out = tmp_path / "model.json"
+        assert _exit_code(["train", stage, "--train", train_path, f"{flag}={value}",
+                           "--out", str(out)]) == (2 if refused else 0)
+        assert out.exists() is not refused
+        flag_err = capsys.readouterr().err
         # argparse refuses a value that the flag's type cannot read, naming the flag.
-        assert name in flag_err or f"argument {flag}: invalid" in flag_err
-        assert train_path not in config_err + flag_err
-        with pytest.raises(ValidationError, match=re.escape(f"config field '{name}'")):
+        assert not refused or name in flag_err or f"argument {flag}: invalid" in flag_err
+        assert train_path not in flag_err
+    if refused:
+        assert name in config_err
+        assert train_path not in config_err
+        with pytest.raises(ValidationError, match=re.escape(f"config field '{name}'")) as err:
             _learn(stage, option, value, train)
+        assert config_err == f"error: {err.value}\n"
     else:
         _learn(stage, option, value, train)
+    if option == "threshold":
+        model = tmp_path / "relation_model.json"
+        model.write_text(json.dumps({"kind": "LOGISTIC", "threshold": value}), encoding="utf-8")
+        if refused:
+            with pytest.raises(ValidationError) as file_err:
+                relation.load_model(str(model))
+            assert str(file_err.value) == f"{model}: {err.value}"
+        else:
+            assert relation.load_model(str(model)).threshold == value
 
 
 def test_train_defaults_equal_pipeline_defaults(tmp_path, synth_paths):

@@ -2,8 +2,9 @@
 
 Valid files come from one small pipeline run: a dataset, a perceptron and a
 POS-chunk tagger model, a relation model, a pipeline config and a CoNLL
-predictions file. Each JSON file is mutated by swapping a value for one of
-another JSON type, editing a value, deleting or renaming a key, or
+predictions file; a config's stage objects also go to the stage config
+classes on their own. Each JSON file is mutated by swapping a value for
+one of another JSON type, editing a value, deleting or renaming a key, or
 repeating or dropping a list item. The CoNLL file is mutated by editing,
 dropping, repeating or swapping its rows. The loader of each kind must
 return or raise ``InputError``. A few mutated files of each kind then go
@@ -13,6 +14,7 @@ loader raised, and print no traceback.
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import random
@@ -22,7 +24,9 @@ import pytest
 from helpers import cli_process
 from sentigraph import InputError, load_conll, load_dataset, relation, save_dataset, taggers
 from sentigraph.cli import load_config, main
+from sentigraph.relation import RelationConfig
 from sentigraph.synth import generate_corpus
+from sentigraph.taggers import TaggerConfig
 
 SEED = 20211
 MUTANTS_PER_FILE = 150
@@ -133,6 +137,18 @@ def _mutants(rng, kind, path, count):
     return [json.dumps(mutate_json(rng, value)) for _ in range(count)]
 
 
+def _stage_configs(path):
+    """Send the ``tagger`` and ``relation`` objects of a config file, when they
+    are objects, to ``TaggerConfig`` and ``RelationConfig``, unknown keys dropped."""
+    with open(path, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    for key, config in (("tagger", TaggerConfig), ("relation", RelationConfig)):
+        section = obj.get(key) if isinstance(obj, dict) else None
+        if isinstance(section, dict):
+            names = {f.name for f in dataclasses.fields(config)}
+            config(**{name: value for name, value in section.items() if name in names})
+
+
 def _loads(kind, path, gold) -> bool:
     """Run every loader of ``kind``; True if each returned, False if one
     raised ``InputError``."""
@@ -141,7 +157,7 @@ def _loads(kind, path, gold) -> bool:
         "tagger_model": [taggers.load_model],
         "pos_chunk_model": [taggers.load_model],
         "relation_model": [relation.load_model],
-        "config": [load_config],
+        "config": [load_config, _stage_configs],
         "conll": [load_conll, lambda p: taggers.load_external_predictions(p, gold)],
     }[kind]
     loaded = True
