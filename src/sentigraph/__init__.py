@@ -45,7 +45,6 @@ from .relation import (
     RelationInstance,
     RelationKind,
     RelationModel,
-    always_true_model,
     classify,
     featurize,
     generate_instances,
@@ -58,8 +57,6 @@ from .taggers import (
     TaggerKind,
     TaggerModel,
     load_external_predictions,
-    most_common_tagger,
-    pos_chunk_tagger,
     tag,
     train_perceptron,
 )
@@ -72,12 +69,11 @@ __all__ = [
     "RelationInstance", "RelationKind", "RelationModel", "Role",
     "Sentence", "SentimentGraph", "Span",
     "Stratum", "TagSequence", "TaggerKind", "TaggerModel", "Token",
-    "ValidationError", "aggregate", "always_true_model", "classify",
+    "ValidationError", "aggregate", "classify",
     "compute_stats", "decode", "encode", "end_to_end", "featurize",
     "filter_overlapping", "format_report_table", "generate_instances",
     "gold_graph", "gold_instances", "graph_f1",
     "graphs_to_dataset", "load_conll", "load_dataset", "load_external_predictions",
-    "most_common_tagger", "pos_chunk_tagger",
     "relation_prf", "save_conll", "save_dataset",
     "stratified_report", "tag", "token_f1", "train_logistic", "train_perceptron",
     "upsample", "write_triples",

@@ -100,14 +100,12 @@ def _filter_overlaps(ds: Dataset, policy: str, what: str) -> Dataset:
 def _train_tagger(cfg: TaggerConfig, train_ds: Dataset) -> taggers.TaggerModel:
     if cfg.kind == "PERCEPTRON":
         return taggers.train_perceptron(train_ds, epochs=cfg.epochs, seed=cfg.seed)
-    if cfg.kind == "POS_CHUNK":
-        return taggers.pos_chunk_tagger(cfg.pos_map)
-    return taggers.most_common_tagger()
+    return taggers.TaggerModel(taggers.TaggerKind[cfg.kind], pos_map=cfg.pos_map)
 
 
 def _train_relation(cfg: RelationConfig, train_ds: Dataset) -> relation.RelationModel:
     if cfg.kind == "ALWAYS_TRUE":
-        return relation.always_true_model(threshold=cfg.threshold)
+        return relation.RelationModel(relation.RelationKind.ALWAYS_TRUE, threshold=cfg.threshold)
     instances = [inst for s in train_ds.sentences for inst in relation.gold_instances(s)]
     model = relation.train_logistic(
         instances,
@@ -265,7 +263,7 @@ def _cmd_predict(args) -> int:
     else:
         tagger_model = taggers.load_model(args.tagger_model)
     relation_model = (relation.load_model(args.relation_model) if args.relation_model
-                      else relation.always_true_model())
+                      else relation.RelationModel(relation.RelationKind.ALWAYS_TRUE))
     tags, graphs, rows = _predict(ds, tagger_model, relation_model, external)
     out_dir = args.output_dir or "."
     os.makedirs(out_dir, exist_ok=True)

@@ -81,22 +81,24 @@ class RelationInstance:
 
 @dataclass(frozen=True)
 class RelationModel:
+    """A relation classifier, each field checked here however it is built: ``kind``
+    is a ``RelationKind``, ``weights`` maps features to finite numbers, ``bias`` is
+    one (all stored as floats) and ``threshold`` obeys ``RelationConfig``."""
+
     kind: RelationKind
     weights: Mapping[str, float] = field(default_factory=dict)
     bias: float = 0.0
     threshold: float = RelationConfig.threshold
 
     def __post_init__(self):
+        if not isinstance(self.kind, RelationKind):
+            raise ValidationError(f"unknown relation model kind {self.kind!r}")
+        if not (isinstance(self.weights, dict) and all(isinstance(f, str) for f in self.weights)):
+            raise ValidationError("'weights' must map features to numbers")
+        object.__setattr__(self, "weights", {
+            feat: finite_number(w, f"weight for {feat!r}") for feat, w in self.weights.items()})
+        object.__setattr__(self, "bias", finite_number(self.bias, "'bias'"))
         RelationConfig(threshold=self.threshold)
-        for feat, w in self.weights.items():
-            if not math.isfinite(w):
-                raise ValidationError(f"non-finite weight for feature {feat!r}")
-        if not math.isfinite(self.bias):
-            raise ValidationError("non-finite bias")
-
-
-def always_true_model(threshold: float = RelationConfig.threshold) -> RelationModel:
-    return RelationModel(kind=RelationKind.ALWAYS_TRUE, threshold=threshold)
 
 
 def candidate_spans(spans: Set[Span]) -> Tuple[Set[Span], Set[Span]]:
@@ -308,19 +310,12 @@ def save_model(model: RelationModel, path: str) -> None:
 
 
 def load_model(path: str) -> RelationModel:
+    """A model file's kind and the fields it holds, checked by ``RelationModel``."""
     obj = read_json_object(path)
+    kind = next((k for k in RelationKind if k.value == obj.get("kind")), obj.get("kind"))
     try:
-        kind = RelationKind(obj.get("kind"))
-    except ValueError:
-        raise ValidationError(f"{path}: unknown relation model kind {obj.get('kind')!r}")
-    weights = obj.get("weights", {})
-    if not isinstance(weights, dict):
-        raise ValidationError(f"{path}: 'weights' must map features to numbers")
-    weights = {k: finite_number(v, f"{path}: weight for {k!r}") for k, v in weights.items()}
-    bias = finite_number(obj.get("bias", 0.0), f"{path}: 'bias'")
-    try:
-        return RelationModel(kind=kind, weights=weights, bias=bias,
-                             threshold=obj.get("threshold", RelationConfig.threshold))
+        return RelationModel(kind, **{key: obj[key] for key in ("weights", "bias", "threshold")
+                                      if key in obj})
     except ValidationError as err:
         raise ValidationError(f"{path}: {err}") from err
 

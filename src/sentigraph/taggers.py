@@ -2,8 +2,9 @@
 
 Three tagger kinds share one ``tag()`` interface: the all-O majority
 baseline, a POS-to-label chunking baseline and a trainable averaged
-perceptron. Tags produced by an external model are read from a CoNLL
-file with ``load_external_predictions`` instead.
+perceptron. ``TaggerModel`` checks a model's fields; ``load_model`` only
+reads a model file's layout. Tags produced by an external model are read
+from a CoNLL file with ``load_external_predictions`` instead.
 """
 
 from __future__ import annotations
@@ -47,10 +48,14 @@ _EOS = "</s>"
 
 @dataclass(frozen=True)
 class TaggerModel:
+    """A tagger of one kind, each field checked here however it is built: ``kind``
+    is a ``TaggerKind``; ``weights`` belong to a PERCEPTRON only, are required
+    there and map each feature to {BIO label: finite number}, stored as floats;
+    ``pos_map`` belongs to a POS_CHUNK only, maps POS tags to BIO labels and is
+    ``DEFAULT_POS_MAP`` if absent."""
+
     kind: TaggerKind
-    # PERCEPTRON: feature -> {label: averaged weight}
     weights: Optional[Mapping[str, Mapping[str, float]]] = None
-    # POS_CHUNK: POS tag -> BIO label
     pos_map: Optional[Mapping[str, str]] = None
     # PERCEPTRON: ``weights`` compiled for tag(), built from them here
     compiled: Optional["_CompiledWeights"] = field(
@@ -58,24 +63,37 @@ class TaggerModel:
     )
 
     def __post_init__(self):
-        if self.kind is TaggerKind.PERCEPTRON and self.weights is not None:
-            object.__setattr__(self, "compiled", _CompiledWeights(self.weights))
-
-
-def most_common_tagger() -> TaggerModel:
-    """Majority-class baseline; the majority token label is O."""
-    return TaggerModel(kind=TaggerKind.MOST_COMMON)
-
-
-def pos_chunk_tagger(pos_map: Optional[Mapping[str, str]] = None) -> TaggerModel:
-    if pos_map is None:
-        pos_map = DEFAULT_POS_MAP
-    for pos, label in pos_map.items():
-        if label not in BIO_LABELS:
-            raise ValidationError(
-                f"POS map entry {pos!r}: label {label!r} is not in the BIO alphabet"
-            )
-    return TaggerModel(kind=TaggerKind.POS_CHUNK, pos_map=dict(pos_map))
+        if not isinstance(self.kind, TaggerKind):
+            raise ValidationError(f"unknown tagger kind {self.kind!r}")
+        for name, owner in (("weights", TaggerKind.PERCEPTRON), ("pos_map", TaggerKind.POS_CHUNK)):
+            if self.kind is not owner and getattr(self, name) is not None:
+                raise ValidationError(f"'{name}' applies only to kind {owner.value}")
+        if self.kind is TaggerKind.POS_CHUNK:
+            pos_map = DEFAULT_POS_MAP if self.pos_map is None else self.pos_map
+            if not (isinstance(pos_map, dict) and all(isinstance(pos, str) for pos in pos_map)):
+                raise ValidationError(f"POS map must map POS tags to BIO labels, got {pos_map!r}")
+            for pos, label in pos_map.items():
+                if label not in BIO_LABELS:
+                    raise ValidationError(
+                        f"POS map entry {pos!r}: label {label!r} is not in the BIO alphabet")
+            object.__setattr__(self, "pos_map", dict(pos_map))
+        elif self.kind is TaggerKind.PERCEPTRON:
+            if self.weights is None:
+                raise ValidationError("perceptron model has no weights")
+            if not (isinstance(self.weights, dict) and all(
+                    isinstance(feat, str) and isinstance(row, dict)
+                    for feat, row in self.weights.items())):
+                raise ValidationError("'weights' must map features to dicts of label weights")
+            weights: Dict[str, Dict[str, float]] = {}
+            for feat, row in self.weights.items():
+                weights[feat] = {}
+                for label, w in row.items():
+                    if label not in BIO_LABELS:
+                        raise ValidationError(f"weight key has unknown label {label!r}")
+                    key = f"{feat}\t{label}"  # as a model file writes it
+                    weights[feat][label] = finite_number(w, f"weight for {key!r}")
+            object.__setattr__(self, "weights", weights)
+            object.__setattr__(self, "compiled", _CompiledWeights(weights))
 
 
 # The tagger stage's options, each field's type and range checked when built:
@@ -99,9 +117,8 @@ class TaggerConfig:
         if self.pos_map is not None:
             check_field("tagger.pos_map", self.kind == "POS_CHUNK",
                         "applies only to kind POS_CHUNK")
-            check_type("tagger.pos_map", self.pos_map, dict)
             try:
-                pos_chunk_tagger(self.pos_map)
+                TaggerModel(TaggerKind.POS_CHUNK, pos_map=self.pos_map)
             except ValidationError as err:
                 raise ValidationError(f"config field 'tagger.pos_map': {err}") from None
 
@@ -305,8 +322,6 @@ def tag(model: TaggerModel, sentence: Sentence) -> TagSequence:
     if model.kind is TaggerKind.POS_CHUNK:
         return _tag_pos_chunk(model, sentence)
     index = model.compiled
-    if index is None:
-        raise ValidationError("perceptron model has no weights; train or load it first")
     w_0, w_lw, w_suf3, w_pre2, w_shape, w_m1, w_p1, w_m2, w_p2, p_0, p_m1, p_p1 = (
         table.get for table in index.static
     )
@@ -380,39 +395,34 @@ def save_model(model: TaggerModel, path: str) -> None:
     if model.kind is TaggerKind.PERCEPTRON:
         obj["weights"] = {
             f"{feat}\t{label}": w
-            for feat, row in (model.weights or {}).items()
+            for feat, row in model.weights.items()
             for label, w in row.items()
         }
     elif model.kind is TaggerKind.POS_CHUNK:
-        obj["map"] = dict(model.pos_map or {})
+        obj["map"] = model.pos_map
     write_json_object(path, obj)
 
 
 def load_model(path: str) -> TaggerModel:
+    """A model file's kind and the field of that kind (a perceptron's
+    ``"feature\\tlabel"`` weight keys split), checked by ``TaggerModel``."""
     obj = read_json_object(path)
-    try:
-        kind = TaggerKind(obj.get("kind"))
-    except ValueError:
-        raise ValidationError(f"{path}: unknown tagger kind {obj.get('kind')!r}")
-    if kind is TaggerKind.POS_CHUNK:
-        pos_map = obj.get("map", {})
-        if not isinstance(pos_map, dict):
+    kind = next((k for k in TaggerKind if k.value == obj.get("kind")), obj.get("kind"))
+    fields = {}
+    if kind is TaggerKind.POS_CHUNK and "map" in obj:
+        if not isinstance(obj["map"], dict):
             raise ValidationError(f"{path}: 'map' must be an object")
-        try:
-            return pos_chunk_tagger(pos_map)
-        except ValidationError as err:
-            raise ValidationError(f"{path}: {err}") from err
-    if kind is TaggerKind.PERCEPTRON:
-        raw = obj.get("weights", {})
-        if not isinstance(raw, dict):
+        fields["pos_map"] = obj["map"]
+    elif kind is TaggerKind.PERCEPTRON and "weights" in obj:
+        if not isinstance(obj["weights"], dict):
             raise ValidationError(f"{path}: 'weights' must be an object")
-        weights: Dict[str, Dict[str, float]] = {}
-        for key, w in raw.items():
-            if "\t" not in key:
+        weights = fields["weights"] = {}
+        for key, w in obj["weights"].items():
+            feat, tab, label = key.rpartition("\t")
+            if not tab:
                 raise ValidationError(f"{path}: malformed weight key {key!r}")
-            feat, label = key.rsplit("\t", 1)
-            if label not in BIO_LABELS:
-                raise ValidationError(f"{path}: weight key has unknown label {label!r}")
-            weights.setdefault(feat, {})[label] = finite_number(w, f"{path}: weight for {key!r}")
-        return TaggerModel(kind=kind, weights=weights)
-    return TaggerModel(kind=kind)
+            weights.setdefault(feat, {})[label] = w
+    try:
+        return TaggerModel(kind, **fields)
+    except ValidationError as err:
+        raise ValidationError(f"{path}: {err}") from err

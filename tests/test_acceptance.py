@@ -19,11 +19,14 @@ from sentigraph import (
     BIO_LABELS,
     Dataset,
     OpinionTuple,
+    RelationKind,
+    RelationModel,
     Role,
     SentimentGraph,
     Span,
+    TaggerKind,
+    TaggerModel,
     aggregate,
-    always_true_model,
     compute_stats,
     decode,
     encode,
@@ -31,8 +34,6 @@ from sentigraph import (
     gold_graph,
     graph_f1,
     load_dataset,
-    most_common_tagger,
-    pos_chunk_tagger,
     relation_prf,
     save_dataset,
     stratified_report,
@@ -325,7 +326,7 @@ def test_criterion_6_baseline_identities():
     corpus = generate_corpus(100, seed=61)
     spanned = [s for s in corpus.sentences if s.opinions]
     assert spanned
-    model = most_common_tagger()
+    model = TaggerModel(TaggerKind.MOST_COMMON)
     pred = []
     for sentence in spanned:
         labels = tag(model, sentence)
@@ -422,8 +423,8 @@ def test_criterion_9_stratified_partition_and_merge():
     assert single_ids | multi_ids == {s.id for s in ds.sentences}
 
     # deliberately imperfect predictions from the chunking baseline
-    tagger = pos_chunk_tagger()
-    rel = always_true_model()
+    tagger = TaggerModel(TaggerKind.POS_CHUNK)
+    rel = RelationModel(RelationKind.ALWAYS_TRUE)
     tags = {s.id: tag(tagger, s) for s in ds.sentences}
     graphs = {s.id: end_to_end(s, tagger, rel)[1] for s in ds.sentences}
 

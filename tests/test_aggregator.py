@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 from helpers import love_school, opinion, sent, span
 from sentigraph import (
     OpinionTuple,
+    RelationKind,
+    RelationModel,
     Role,
     SentimentGraph,
     Span,
+    TaggerKind,
+    TaggerModel,
     ValidationError,
     aggregate,
-    always_true_model,
     classify,
     decode,
     encode,
@@ -21,8 +24,6 @@ from sentigraph import (
     gold_graph,
     gold_instances,
     graphs_to_dataset,
-    most_common_tagger,
-    pos_chunk_tagger,
     tag,
     train_logistic,
     train_perceptron,
@@ -167,7 +168,7 @@ def test_gold_echo_plus_always_true_equals_gold():
     spans = decode(encode(s))
     entities = {x for x in spans if x.role is not Role.EXPRESSION}
     expressions = {x for x in spans if x.role is Role.EXPRESSION}
-    model = always_true_model()
+    model = RelationModel(RelationKind.ALWAYS_TRUE)
     linked = [
         (i.entity, i.expression)
         for i in generate_instances(s, entities, expressions)
@@ -177,7 +178,8 @@ def test_gold_echo_plus_always_true_equals_gold():
 
 
 def test_most_common_tagger_yields_empty_graph():
-    labels, graph, scored = end_to_end(love_school(), most_common_tagger(), always_true_model())
+    labels, graph, scored = end_to_end(love_school(), TaggerModel(TaggerKind.MOST_COMMON),
+                                       RelationModel(RelationKind.ALWAYS_TRUE))
     assert labels == ("O", "O", "O")
     assert graph.tuples == ()
     assert scored == []
@@ -185,8 +187,8 @@ def test_most_common_tagger_yields_empty_graph():
 
 def test_end_to_end_matches_manual_composition():
     ds = generate_corpus(40, seed=81)
-    tagger = pos_chunk_tagger()
-    rel = always_true_model()
+    tagger = TaggerModel(TaggerKind.POS_CHUNK)
+    rel = RelationModel(RelationKind.ALWAYS_TRUE)
     for sentence in ds.sentences:
         labels = tag(tagger, sentence)
         spans = decode(labels)

@@ -6,6 +6,8 @@ leaves are drawn partly from the names those loaders look for, so the
 values also reach past the top-level checks. Arbitrary text goes the same
 way to both CoNLL readers; it is drawn either whole or line by line from
 cells that are partly CoNLL columns, labels and ``# sent_id`` headers.
+The same JSON values, as the fields of ``TaggerModel`` and ``RelationModel``
+built in code, give a model that tags or classifies, or an ``InputError``.
 """
 
 import contextlib
@@ -16,15 +18,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import sent
+from helpers import sent, span
 from sentigraph import (
     BIO_LABELS,
     Dataset,
     InputError,
+    RelationInstance,
+    RelationKind,
+    RelationModel,
+    TaggerKind,
+    TaggerModel,
+    classify,
+    featurize,
     load_conll,
     load_dataset,
     relation,
     save_dataset,
+    tag,
     taggers,
 )
 from sentigraph.cli import load_config, main
@@ -35,7 +45,7 @@ KEYS = (
     "holders", "targets", "expressions", "polarity", "kind", "weights", "map", "bias",
     "threshold", "train", "test", "dev", "output_dir", "overlap_policy", "upsample",
     "upsample_seed", "tagger", "relation", "epochs", "seed", "pos_map", "learning_rate",
-    "class_weight",
+    "class_weight", "O", "B-EXP", "NOUN", "w=x", "p0=NOUN",
 )
 WORDS = (
     "PERCEPTRON", "POS_CHUNK", "MOST_COMMON", "LOGISTIC", "ALWAYS_TRUE", "balanced",
@@ -65,6 +75,10 @@ conll_lines = (
     | st.lists(conll_cells, min_size=1, max_size=5).map(" ".join)
 )
 conll_texts = st.text() | st.lists(conll_lines, max_size=12).map("\n".join)
+
+# A sentence whose first token has the features w=x and p0=NOUN, and one of its pairs.
+PROBE = sent("probe", ["x", "love", "school"], pos=["NOUN", "VERB", "NOUN"])
+PROBE_PAIR = RelationInstance("probe", entity=span("t", 0, 1), expression=span("e", 1, 2))
 
 # Gold sentences for load_external_predictions: ids a and b, 1 and 2 tokens.
 CONLL_GOLD = Dataset(name="gold", sentences=[sent("a", ["x"]), sent("b", ["y", "z"])])
@@ -124,3 +138,37 @@ def test_conll_loaders_return_or_raise_input_error(workdir, text):
     path.write_text(text, encoding="utf-8")
     _returns_or_input_error(load_conll, path)
     _returns_or_input_error(lambda p: taggers.load_external_predictions(p, CONLL_GOLD), path)
+
+
+# Each model field left out, drawn from json_values, or drawn in the field's
+# shape, where a label or number may still be junk; weight keys include
+# features of PROBE and PROBE_PAIR.
+labels = st.sampled_from(BIO_LABELS + ("B-HOLDERX",))
+numbers = st.floats(allow_nan=False, allow_infinity=False) | scalars
+tagger_fields = st.fixed_dictionaries({}, optional={
+    "weights": json_values | st.dictionaries(
+        st.sampled_from(KEYS), st.dictionaries(labels, numbers, max_size=4), max_size=4),
+    "pos_map": json_values | st.dictionaries(st.sampled_from(KEYS), labels | scalars, max_size=4),
+})
+relation_fields = st.fixed_dictionaries({}, optional={
+    "weights": json_values | st.dictionaries(
+        st.sampled_from(KEYS + featurize(PROBE, PROBE_PAIR, [PROBE_PAIR.expression])), numbers,
+        max_size=6),
+    "bias": json_values | numbers,
+    "threshold": json_values | st.floats(0, 1),
+})
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(list(TaggerKind)) | json_values, fields=tagger_fields)
+def test_tagger_model_fields_give_a_model_that_tags_or_input_error(kind, fields):
+    with contextlib.suppress(InputError):
+        tag(TaggerModel(kind, **fields), PROBE)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(list(RelationKind)) | json_values, fields=relation_fields)
+def test_relation_model_fields_give_a_model_that_classifies_or_input_error(kind, fields):
+    with contextlib.suppress(InputError):
+        classify(RelationModel(kind, **fields), PROBE, PROBE_PAIR,
+                 expressions=[PROBE_PAIR.expression])

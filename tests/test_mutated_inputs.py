@@ -117,7 +117,8 @@ def valid(tmp_path_factory):
     (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["pipeline", str(root / "config.json")]) == 0
-    taggers.save_model(taggers.pos_chunk_tagger(), str(root / "pos_chunk.json"))
+    taggers.save_model(taggers.TaggerModel(taggers.TaggerKind.POS_CHUNK),
+                       str(root / "pos_chunk.json"))
     return root, {
         "dataset": root / "test.json",
         "tagger_model": root / "run" / "tagger_model.json",

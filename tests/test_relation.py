@@ -12,7 +12,6 @@ from sentigraph import (
     RelationModel,
     Role,
     ValidationError,
-    always_true_model,
     classify,
     featurize,
     generate_instances,
@@ -261,7 +260,8 @@ def test_logistic_training_loss_decreases():
 def test_always_true_classify():
     s = _pair_sentence()
     inst = RelationInstance("p", entity=span("t", 0, 1), expression=span("e", 1, 2))
-    assert classify(always_true_model(), s, inst, expressions={span("e", 1, 2)}) == (True, 1.0)
+    model = RelationModel(RelationKind.ALWAYS_TRUE)
+    assert classify(model, s, inst, expressions={span("e", 1, 2)}) == (True, 1.0)
 
 
 def test_zero_weight_logistic_is_false_at_threshold():
@@ -303,10 +303,21 @@ def test_relation_model_threshold_validation():
 
 
 def test_relation_model_rejects_a_non_finite_weight_or_bias():
-    with pytest.raises(ValidationError, match="non-finite weight for feature 'f'"):
+    with pytest.raises(ValidationError, match="weight for 'f' must be a finite number, got inf"):
         RelationModel(kind=RelationKind.LOGISTIC, weights={"f": math.inf})
-    with pytest.raises(ValidationError, match="non-finite bias"):
+    with pytest.raises(ValidationError, match="'bias' must be a finite number, got nan"):
         RelationModel(kind=RelationKind.LOGISTIC, bias=math.nan)
+    with pytest.raises(ValidationError, match="weight for 'a' must be a finite number, got 'x'"):
+        RelationModel(kind=RelationKind.LOGISTIC, weights={"a": "x"})
+    with pytest.raises(ValidationError, match="'bias' must be a finite number, got None"):
+        RelationModel(kind=RelationKind.LOGISTIC, bias=None)
+    with pytest.raises(ValidationError, match="'weights' must map features to numbers"):
+        RelationModel(kind=RelationKind.LOGISTIC, weights=[("a", 1.0)])
+
+
+def test_relation_model_stores_its_numbers_as_floats():
+    model = RelationModel(kind=RelationKind.LOGISTIC, weights={"a": 2}, bias=-1)
+    assert [type(x) for x in (model.weights["a"], model.bias)] == [float, float]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from helpers import love_school, opinion, reference_perceptron, sent, span, toke
 from sentigraph import (
     Dataset,
     ParseError,
+    RelationModel,
     TaggerKind,
     ValidationError,
     decode,
@@ -15,8 +16,6 @@ from sentigraph import (
     filter_overlapping,
     load_conll,
     load_external_predictions,
-    most_common_tagger,
-    pos_chunk_tagger,
     tag,
     train_perceptron,
     upsample,
@@ -37,39 +36,40 @@ from sentigraph.taggers import (
 
 def test_most_common_is_all_o():
     s = love_school()
-    assert tag(most_common_tagger(), s) == ("O", "O", "O")
+    assert tag(TaggerModel(TaggerKind.MOST_COMMON), s) == ("O", "O", "O")
 
 
 def test_pos_chunk_default_map():
     s = sent("p", ["I", "love", "school"], pos=["PRON", "VERB", "NOUN"])
-    assert tag(pos_chunk_tagger(), s) == ("B-HOLDER", "B-EXP", "B-TARG")
+    assert tag(TaggerModel(TaggerKind.POS_CHUNK), s) == ("B-HOLDER", "B-EXP", "B-TARG")
 
 
 def test_pos_chunk_continuation_becomes_inside():
     s = sent("nn", ["front", "desk"], pos=["NOUN", "NOUN"])
-    assert tag(pos_chunk_tagger(), s) == ("B-TARG", "I-TARG")
+    assert tag(TaggerModel(TaggerKind.POS_CHUNK), s) == ("B-TARG", "I-TARG")
 
 
 def test_pos_chunk_single_verb():
     s = sent("v", ["recommends"], pos=["VERB"])
-    assert tag(pos_chunk_tagger(), s) == ("B-EXP",)
+    assert tag(TaggerModel(TaggerKind.POS_CHUNK), s) == ("B-EXP",)
 
 
 def test_pos_chunk_missing_pos_is_o():
     s = sent("m", ["thing", "x"], pos=["NOUN", None])
-    assert tag(pos_chunk_tagger(), s) == ("B-TARG", "O")
+    assert tag(TaggerModel(TaggerKind.POS_CHUNK), s) == ("B-TARG", "O")
 
 
 def test_pos_chunk_rejects_bad_label():
     with pytest.raises(ValidationError):
-        pos_chunk_tagger({"NOUN": "B-THING"})
+        TaggerModel(TaggerKind.POS_CHUNK, pos_map={"NOUN": "B-THING"})
 
 
 def test_pos_chunk_same_role_continues_and_role_change_begins():
     # Adjacent same-role tokens continue one span, whichever prefix the map
     # gives; a role change, an O or a missing POS starts afresh.
-    model = pos_chunk_tagger({"NOUN": "I-TARG", "PROPN": "B-TARG", "VERB": "I-EXP",
-                              "ADJ": "B-EXP", "PRON": "B-HOLDER", "DET": "O"})
+    model = TaggerModel(TaggerKind.POS_CHUNK, pos_map={
+        "NOUN": "I-TARG", "PROPN": "B-TARG", "VERB": "I-EXP", "ADJ": "B-EXP", "PRON": "B-HOLDER",
+        "DET": "O"})
     pos = ["NOUN", "PROPN", "VERB", "ADJ", "PRON", "NOUN", "DET", "NOUN", None]
     s = sent("c", [f"w{i}" for i in range(len(pos))], pos=pos)
     assert tag(model, s) == (
@@ -91,14 +91,15 @@ def test_legal_after_admits_inside_labels_only_where_they_continue():
 
 
 def test_pos_chunk_custom_map_with_explicit_o():
-    model = pos_chunk_tagger({"NOUN": "O", "VERB": "B-EXP"})
+    model = TaggerModel(TaggerKind.POS_CHUNK, pos_map={"NOUN": "O", "VERB": "B-EXP"})
     s = sent("c", ["bread", "rocks"], pos=["NOUN", "VERB"])
     assert tag(model, s) == ("O", "B-EXP")
 
 
 def test_output_length_matches_tokens():
     corpus = generate_corpus(30, seed=1)
-    models = [most_common_tagger(), pos_chunk_tagger(), train_perceptron(corpus, epochs=1, seed=0)]
+    models = [TaggerModel(TaggerKind.MOST_COMMON), TaggerModel(TaggerKind.POS_CHUNK),
+              train_perceptron(corpus, epochs=1, seed=0)]
     for model in models:
         for sentence in corpus.sentences:
             assert len(tag(model, sentence)) == len(sentence.tokens)
@@ -334,8 +335,40 @@ def test_tag_adds_previous_label_rows_before_pos_rows():
 
 
 def test_tag_without_weights_is_rejected():
-    with pytest.raises(ValidationError, match="has no weights"):
-        tag(TaggerModel(kind=TaggerKind.PERCEPTRON), love_school())
+    # Refused when the model is built, before anything is tagged.
+    with pytest.raises(ValidationError, match="perceptron model has no weights"):
+        TaggerModel(kind=TaggerKind.PERCEPTRON)
+
+
+# Each field rule of the two model classes, broken in code: (class, fields, message).
+@pytest.mark.parametrize("model, fields, message", [
+    (TaggerModel, {"kind": "POS_CHUNK"}, "unknown tagger kind 'POS_CHUNK'"),
+    (RelationModel, {"kind": "ALWAYS_TRUE"}, "unknown relation model kind 'ALWAYS_TRUE'"),
+    (TaggerModel, {"kind": TaggerKind.PERCEPTRON, "weights": {"w=a": {"O": "x"}}},
+     "weight for 'w=a\\tO' must be a finite number, got 'x'"),
+    (TaggerModel, {"kind": TaggerKind.PERCEPTRON, "weights": {"w=alice": {"B-HOLDERX": 5.0}}},
+     "weight key has unknown label 'B-HOLDERX'"),
+    (TaggerModel, {"kind": TaggerKind.PERCEPTRON, "weights": {"w=a": 1.0}},
+     "'weights' must map features to dicts of label weights"),
+    (TaggerModel, {"kind": TaggerKind.MOST_COMMON, "weights": {}},
+     "'weights' applies only to kind PERCEPTRON"),
+    (TaggerModel, {"kind": TaggerKind.PERCEPTRON, "weights": {}, "pos_map": {}},
+     "'pos_map' applies only to kind POS_CHUNK"),
+    (TaggerModel, {"kind": TaggerKind.POS_CHUNK, "pos_map": ["NOUN"]},
+     "POS map must map POS tags to BIO labels, got ['NOUN']"),
+], ids=["tagger_kind_string", "relation_kind_string", "weight_not_a_number", "unknown_label",
+        "weight_row_not_a_dict", "weights_of_most_common", "pos_map_of_perceptron",
+        "pos_map_list"])
+def test_a_model_field_that_breaks_its_rule_is_refused_when_built(model, fields, message):
+    with pytest.raises(ValidationError) as err:
+        model(**fields)
+    assert str(err.value) == message
+
+
+def test_perceptron_weights_are_stored_as_floats():
+    model = TaggerModel(kind=TaggerKind.PERCEPTRON, weights={"w=a": {"O": 2}})
+    assert model.weights == {"w=a": {"O": 2.0}}
+    assert type(model.weights["w=a"]["O"]) is float
 
 
 def test_tag_with_no_finite_score_names_the_token():
@@ -436,6 +469,12 @@ _CONLL_READERS = (load_conll, lambda path: load_external_predictions(path, _FAUL
      (load_model,), ValidationError, ": malformed weight key 'w=x'"),
     ("label.json", json.dumps({"kind": "PERCEPTRON", "weights": {"w=x\tB-THING": 1.0}}),
      (load_model,), ValidationError, ": weight key has unknown label 'B-THING'"),
+    ("noweights.json", '{"kind": "PERCEPTRON"}', (load_model,), ValidationError,
+     ": perceptron model has no weights"),
+    ("mapentry.json", '{"kind": "POS_CHUNK", "map": {"NOUN": "B-THING"}}', (load_model,),
+     ValidationError, ": POS map entry 'NOUN': label 'B-THING' is not in the BIO alphabet"),
+    ("map.json", '{"kind": "POS_CHUNK", "map": "NOUN"}', (load_model,), ValidationError,
+     ": 'map' must be an object"),
 ])
 def test_a_reader_fault_names_the_file(tmp_path, name, content, readers, error, message):
     path = tmp_path / name
@@ -470,7 +509,7 @@ def test_perceptron_model_round_trip(tmp_path):
 
 
 def test_pos_chunk_model_round_trip(tmp_path):
-    model = pos_chunk_tagger()
+    model = TaggerModel(TaggerKind.POS_CHUNK)
     path = tmp_path / "pos.json"
     save_model(model, str(path))
     loaded = load_model(str(path))
@@ -478,15 +517,25 @@ def test_pos_chunk_model_round_trip(tmp_path):
     assert loaded.pos_map == model.pos_map
 
 
+def test_a_pos_chunk_model_file_without_a_map_uses_the_default_map(tmp_path):
+    path = tmp_path / "pos.json"
+    path.write_text('{"kind": "POS_CHUNK"}', encoding="utf-8")
+    model = load_model(str(path))
+    assert model == TaggerModel(TaggerKind.POS_CHUNK)
+    s = sent("p", ["I", "love", "school"], pos=["PRON", "VERB", "NOUN"])
+    assert tag(model, s) == ("B-HOLDER", "B-EXP", "B-TARG")
+
+
 def test_load_model_rejects_unknown_kind(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"kind": "ORACLE"}', encoding="utf-8")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="bad.json: unknown tagger kind 'ORACLE'$"):
         load_model(str(path))
 
 
 def test_load_model_rejects_non_finite_weight(tmp_path):
     path = tmp_path / "inf.json"
     path.write_text('{"kind": "PERCEPTRON", "weights": {"w=x\\tB-EXP": Infinity}}', encoding="utf-8")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match=r"inf.json: weight for 'w=x\\tB-EXP' must be a finite number, got inf$"):
         load_model(str(path))
