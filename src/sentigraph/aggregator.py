@@ -101,7 +101,7 @@ def end_to_end(
     linked = []
     scored = []
     for inst in generate_instances(sentence, entities, expressions):
-        decision, score = classify(rel, sentence, inst, expressions=expressions)
+        decision, score = classify(rel, sentence, inst)
         if decision:
             linked.append((inst.entity, inst.expression))
         scored.append((inst, score))

@@ -83,7 +83,8 @@ class RelationInstance:
 class RelationModel:
     """A relation classifier, each field checked here however it is built: ``kind``
     is a ``RelationKind``, ``weights`` maps features to finite numbers, ``bias`` is
-    one (all stored as floats) and ``threshold`` obeys ``RelationConfig``."""
+    one (all stored as floats; an ALWAYS_TRUE model holds none of either) and
+    ``threshold`` obeys ``RelationConfig``."""
 
     kind: RelationKind
     weights: Mapping[str, float] = field(default_factory=dict)
@@ -98,6 +99,9 @@ class RelationModel:
         object.__setattr__(self, "weights", {
             feat: finite_number(w, f"weight for {feat!r}") for feat, w in self.weights.items()})
         object.__setattr__(self, "bias", finite_number(self.bias, "'bias'"))
+        for name in ("weights", "bias"):
+            if self.kind is RelationKind.ALWAYS_TRUE and getattr(self, name):
+                raise ValidationError(f"'{name}' applies only to kind LOGISTIC")
         RelationConfig(threshold=self.threshold)
 
 
@@ -161,15 +165,10 @@ def _distance_bucket(gap: int) -> str:
     return ">10"
 
 
-def featurize(
-    sentence: Sentence, inst: RelationInstance, expressions: Iterable[Span]
-) -> FeatureVector:
-    """Sparse features for one instance.
-
-    ``expressions`` is the full set of candidate expression spans in the
-    sentence (gold spans at training time, decoded spans at inference); it
-    feeds the between-span expression count.
-    """
+def featurize(sentence: Sentence, inst: RelationInstance) -> FeatureVector:
+    """Sparse features for one instance, read from the sentence and the pair
+    alone: distance bucket, order, entity role, span lengths, span words and
+    up to ten words between the spans."""
     ent, exp = inst.entity, inst.expression
     sentence.check_spans((ent, exp))
     first, second = (ent, exp) if ent.sort_key() <= exp.sort_key() else (exp, ent)
@@ -190,13 +189,6 @@ def featurize(
     between = range(first.end, max(second.start, first.end))
     for i in between[:_MAX_BETWEEN_WORDS]:
         feats.add(f"btw_w={tokens[i].text.lower()}")
-
-    n_between = sum(
-        1
-        for s in set(expressions)
-        if s.start >= first.end and s.end <= second.start
-    )
-    feats.add(f"n_exp_between={n_between}")
     return tuple(sorted(feats))
 
 
@@ -233,16 +225,13 @@ def train_logistic(
         )
 
     by_id = sentences.by_id()
-    context: Dict[str, set] = {}
-    for inst in instances:
-        context.setdefault(inst.sentence_id, set()).add(inst.expression)
     # Each example's features as integer ids, in featurize's sorted order.
     ids: Dict[str, int] = {}
     examples: List[Tuple[List[int], float]] = []
     for inst in instances:
         if inst.sentence_id not in by_id:
             raise ValidationError(f"instance references unknown sentence '{inst.sentence_id}'")
-        feats = featurize(by_id[inst.sentence_id], inst, expressions=context[inst.sentence_id])
+        feats = featurize(by_id[inst.sentence_id], inst)
         examples.append((
             [ids.setdefault(f, len(ids)) for f in feats],
             1.0 if inst.label else 0.0,
@@ -275,12 +264,9 @@ def train_logistic(
 
 
 def classify(
-    model: RelationModel,
-    sentence: Sentence,
-    inst: RelationInstance,
-    expressions: Iterable[Span],
+    model: RelationModel, sentence: Sentence, inst: RelationInstance
 ) -> Tuple[bool, float]:
-    """Decision and score for one instance; ``expressions`` as in ``featurize``.
+    """Decision and score for one instance.
 
     ALWAYS_TRUE returns (True, 1.0). LOGISTIC thresholds the sigmoid score
     with a strict comparison, so a score exactly at the threshold is False.
@@ -289,7 +275,7 @@ def classify(
         return True, 1.0
     weights = model.weights
     z = 0.0  # added left to right, as in train_logistic
-    for feat in featurize(sentence, inst, expressions=expressions):
+    for feat in featurize(sentence, inst):
         z += weights.get(feat, 0.0)
     score = _sigmoid(model.bias + z)
     return score > model.threshold, score

@@ -302,8 +302,7 @@ def test_criterion_5_relation_learnability():
     model = train_logistic(train_instances, train, epochs=25, learning_rate=0.5, seed=5)
     by_id = held_out.by_id()
     decisions = [
-        classify(model, by_id[i.sentence_id], i,
-                 expressions=by_id[i.sentence_id].spans(Role.EXPRESSION))[0]
+        classify(model, by_id[i.sentence_id], i)[0]
         for i in test_instances
     ]
     scores = relation_prf(test_instances, decisions)

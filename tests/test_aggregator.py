@@ -172,7 +172,7 @@ def test_gold_echo_plus_always_true_equals_gold():
     linked = [
         (i.entity, i.expression)
         for i in generate_instances(s, entities, expressions)
-        if classify(model, s, i, expressions=expressions)[0]
+        if classify(model, s, i)[0]
     ]
     assert aggregate(s, expressions, linked) == gold_graph(s)
 
@@ -197,10 +197,23 @@ def test_end_to_end_matches_manual_composition():
         linked = [
             (i.entity, i.expression)
             for i in generate_instances(sentence, entities, expressions)
-            if classify(rel, sentence, i, expressions=expressions)[0]
+            if classify(rel, sentence, i)[0]
         ]
         manual = aggregate(sentence, expressions, linked)
         assert end_to_end(sentence, tagger, rel)[:2] == (labels, manual)
+
+
+def test_a_pair_scores_the_same_whatever_other_expressions_lie_between():
+    s = sent("seam", ["alice", "hates", "and", "loves"])
+    holder, loves = span("h", 0, 1), span("e", 3, 4)
+    # No feature counts the expressions between two spans, so this weight does nothing.
+    rel = RelationModel(RelationKind.LOGISTIC, weights={"n_exp_between=1": 5.0, "dist=2": 1.0})
+    scores = []
+    for labels in (("B-HOLDER", "O", "O", "B-EXP"), ("B-HOLDER", "B-EXP", "O", "B-EXP")):
+        scored = end_to_end(s, None, rel, labels=labels)[2]
+        scores.append([score for inst, score in scored
+                       if (inst.entity, inst.expression) == (holder, loves)])
+    assert scores[0] == scores[1] == [pytest.approx(0.7310585786300049)]
 
 
 def test_end_to_end_with_trained_models():

@@ -766,9 +766,11 @@ def test_predict_bad_tagger_model_exits_2(tmp_path, capsys, synth_paths, content
         '{"kind": "LOGISTIC", "weights": {"a": true}}',
         '{"kind": "LOGISTIC", "bias": 1' + "0" * 400 + "}",
         '{"kind": "LOGISTIC", "threshold": 1.5}',
+        '{"kind": "ALWAYS_TRUE", "weights": {"a": 1.0}}',
+        '{"kind": "ALWAYS_TRUE", "bias": 0.5}',
     ],
     ids=["top_level_list", "threshold_string", "bias_list", "boolean_weight", "bias_too_large",
-         "threshold_above_one"],
+         "threshold_above_one", "always_true_weights", "always_true_bias"],
 )
 def test_predict_bad_relation_model_exits_2(tmp_path, capsys, synth_paths, content):
     _, test_path = synth_paths

@@ -512,6 +512,7 @@ def test_stats_synthetic_target_counts():
     assert stats["target_max_count"] == 3
     assert stats["target_avg_count"] == 2.0
     assert stats["source_count"] == 0
+    assert stats["source_max_count"] == 0
     assert stats["label_group_counts"] == {"0": 0, "1": 0, "2": 2, "3": 0}
 
 

@@ -5,7 +5,8 @@ interpreter. Each one runs the pinned digest runs of
 ``tests/test_pipeline_digests.py`` in a child process started with ``-S``
 (no site-packages, so only the standard library and the package are
 importable), and every artifact digest is compared with the pins. Skips
-when no other interpreter is found.
+when no other interpreter is found, and warns, naming it, of each one on
+``PATH`` that does not start, since its bytes go unchecked.
 """
 
 import json
@@ -13,6 +14,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -43,7 +45,8 @@ found["stats"] = stats_digests(root / "stats")
 
 def other_interpreters():
     """(name, path) of each python3.10 to python3.13 on PATH that starts, is
-    the version its name says and is not the running interpreter."""
+    the version its name says and is not the running interpreter; a warning
+    names each one that does not start."""
     running = os.path.realpath(sys.executable)
     found, seen = [], {running}
     for minor in range(10, 14):
@@ -54,9 +57,11 @@ def other_interpreters():
         try:
             probe = subprocess.run([path, "-S", "-c", PROBE], capture_output=True,
                                    encoding="utf-8", timeout=60)
+            started = probe.returncode == 0
         except (OSError, subprocess.TimeoutExpired):
-            continue
-        if probe.returncode != 0:  # a pyenv shim whose version is not selected
+            started = False
+        if not started:  # for example a pyenv shim whose version is not selected
+            warnings.warn(f"{name} ({path}) does not start; artifacts are not checked under it")
             continue
         got_minor, real = probe.stdout.split(maxsplit=1)
         if int(got_minor) == minor and real.strip() not in seen:
@@ -80,3 +85,12 @@ def test_pinned_artifacts_under_other_interpreters(tmp_path):
         found = json.loads((root / "digests.json").read_text(encoding="utf-8"))
         assert found == expected, f"{name} ({path}) wrote other bytes"
         print(f"{name} ({path}): {sum(map(len, found.values()))} digests match the pins")
+
+
+def test_an_interpreter_that_does_not_start_is_named_in_a_warning(tmp_path, monkeypatch):
+    shim = tmp_path / "python3.10"
+    shim.write_text("#!/bin/sh\nexit 1\n", encoding="utf-8")
+    shim.chmod(0o755)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    with pytest.warns(UserWarning, match=r"python3\.10 \(.*\) does not start"):
+        assert other_interpreters() == []

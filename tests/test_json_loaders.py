@@ -152,7 +152,7 @@ tagger_fields = st.fixed_dictionaries({}, optional={
 })
 relation_fields = st.fixed_dictionaries({}, optional={
     "weights": json_values | st.dictionaries(
-        st.sampled_from(KEYS + featurize(PROBE, PROBE_PAIR, [PROBE_PAIR.expression])), numbers,
+        st.sampled_from(KEYS + featurize(PROBE, PROBE_PAIR)), numbers,
         max_size=6),
     "bias": json_values | numbers,
     "threshold": json_values | st.floats(0, 1),
@@ -170,5 +170,4 @@ def test_tagger_model_fields_give_a_model_that_tags_or_input_error(kind, fields)
 @given(kind=st.sampled_from(list(RelationKind)) | json_values, fields=relation_fields)
 def test_relation_model_fields_give_a_model_that_classifies_or_input_error(kind, fields):
     with contextlib.suppress(InputError):
-        classify(RelationModel(kind, **fields), PROBE, PROBE_PAIR,
-                 expressions=[PROBE_PAIR.expression])
+        classify(RelationModel(kind, **fields), PROBE, PROBE_PAIR)

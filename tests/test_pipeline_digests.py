@@ -22,15 +22,15 @@ from sentigraph.cli import main
 
 PIPELINE = {
     "dev_graphs.json": "100a5818123325b437329b674287b01b31c7b111919b8e2e94a3cd870e3ada0e",
-    "dev_instances.jsonl": "acbf23c7c243ffd59cfa02a85a244eefc7d32a7ef0b3ec2fa0379f92b4641231",
+    "dev_instances.jsonl": "038082a4b1b344049b43e46148a1eb5ad8204bcda2c028fb852bcd8ff92ec6ec",
     "dev_predictions.conll": "29e488c8a9cedfacd2437af8cde45dc796d78b6457d182014b9b5ad28a02e3ba",
     "dev_report.json": "2cf9861e96113c7d59c62bb34fba2d6828b269c941a589b9c605a2fe7911fb59",
     "dev_report.txt": "6061d23428bb9a7a467e3a98d820a95cca6d5542ea51513e035a71289ae430c2",
     "dev_triples.jsonl": "6bcffbbc8504620124a2d944ccb698555e6b64d94a1da85e5798112b6166e9d7",
     "graphs.json": "979c4ba96f44131af0a160d733e296f7d9a6d7ccb6bdef9db07f3631c8d640d7",
-    "instances.jsonl": "c5e5cd000550d39bc39e0188ac48ca39513aabc239f0c2c533159b72d551612a",
+    "instances.jsonl": "202c67ad6fb14f0a77b31c8ebc277dd333ab6d19083031ee04f8393c5864ce7c",
     "predictions.conll": "08d89f9d57dac97c3a5636d9fed67380f10c36d3f6a2b83d2da9723d61211d1c",
-    "relation_model.json": "1c8fd4bd7b6da9dad7c936d717c3fffffce6f0c34df459954f6a6e684f68ac01",
+    "relation_model.json": "9237eb503e00f7b75d178704aef84f75b7857b199bfcbba94f685be27266c3da",
     "report.json": "84125f5827e62a946ff4feca09632c517fef7cef7b702614d69f0cf946aad7ef",
     "report.txt": "5acf5a190551da76ce496afb6ffb8d35425acf8e345637670a5c429d70b60618",
     "tagger_model.json": "70a06df315dc1bed5c06d24cbe29ab501cd3ca4827da5a5eafd4e7441f34ab99",
@@ -38,7 +38,7 @@ PIPELINE = {
 }
 PREDICT_EXTERNAL = {
     "graphs.json": "100a5818123325b437329b674287b01b31c7b111919b8e2e94a3cd870e3ada0e",
-    "instances.jsonl": "acbf23c7c243ffd59cfa02a85a244eefc7d32a7ef0b3ec2fa0379f92b4641231",
+    "instances.jsonl": "038082a4b1b344049b43e46148a1eb5ad8204bcda2c028fb852bcd8ff92ec6ec",
     "predictions.conll": "29e488c8a9cedfacd2437af8cde45dc796d78b6457d182014b9b5ad28a02e3ba",
     "triples.jsonl": "6bcffbbc8504620124a2d944ccb698555e6b64d94a1da85e5798112b6166e9d7",
 }

@@ -103,18 +103,17 @@ def test_instance_rejects_non_expression():
 def test_featurize_adjacent_distance_zero():
     s = _pair_sentence()
     inst = RelationInstance("p", entity=span("t", 0, 1), expression=span("e", 1, 2))
-    feats = featurize(s, inst, expressions=s.spans(Role.EXPRESSION))
-    assert "dist=0" in feats
-    assert "order=ent_first" in feats
-    assert "role=TARGET" in feats
-    assert "ent_len=1" in feats and "exp_len=1" in feats
-    assert "ent_w=pizza" in feats and "exp_w=rocks" in feats
+    # The whole tuple: a pair's features are these templates and no others.
+    assert featurize(s, inst) == (
+        "dist=0", "ent_len=1", "ent_w=pizza", "exp_len=1", "exp_w=rocks", "order=ent_first",
+        "role=TARGET",
+    )
 
 
 def test_featurize_bucketed_distance_and_between_words():
     s = sent("d", [f"w{i}" for i in range(6)])
     inst = RelationInstance("d", entity=span("h", 0, 1), expression=span("e", 5, 6))
-    feats = featurize(s, inst, expressions={span("e", 5, 6)})
+    feats = featurize(s, inst)
     # four tokens strictly between -> bucket 3-5
     assert "dist=3-5" in feats
     assert "order=ent_first" in feats
@@ -124,34 +123,25 @@ def test_featurize_bucketed_distance_and_between_words():
 def test_featurize_reversed_order():
     s = sent("r", [f"w{i}" for i in range(4)])
     inst = RelationInstance("r", entity=span("t", 3, 4), expression=span("e", 0, 1))
-    feats = featurize(s, inst, expressions={span("e", 0, 1)})
-    assert "order=exp_first" in feats
-    assert "dist=2" in feats
+    assert featurize(s, inst) == (
+        "btw_w=w1", "btw_w=w2", "dist=2", "ent_len=1", "ent_w=w3", "exp_len=1", "exp_w=w0",
+        "order=exp_first", "role=TARGET",
+    )
 
 
 def test_featurize_between_word_cap():
     s = sent("long", [f"w{i}" for i in range(13)])
     inst = RelationInstance("long", entity=span("t", 0, 1), expression=span("e", 12, 13))
-    feats = featurize(s, inst, expressions={span("e", 12, 13)})
+    feats = featurize(s, inst)
     assert "dist=>10" in feats
     assert "btw_w=w10" in feats
     assert "btw_w=w11" not in feats  # 11 tokens between, capped at 10
 
 
-def test_featurize_counts_other_expressions_between():
-    s = sent("n", [f"w{i}" for i in range(8)])
-    ctx = {span("e", 7, 8), span("e", 3, 4)}
-    inst = RelationInstance("n", entity=span("h", 0, 1), expression=span("e", 7, 8))
-    feats = featurize(s, inst, expressions=ctx)
-    assert "n_exp_between=1" in feats
-    assert "n_exp_between=0" in featurize(s, inst, expressions={span("e", 7, 8)})
-
-
 def test_featurize_deterministic():
     s = _pair_sentence()
     inst = RelationInstance("p", entity=span("t", 3, 4), expression=span("e", 1, 2))
-    expressions = s.spans(Role.EXPRESSION)
-    assert featurize(s, inst, expressions) == featurize(s, inst, expressions)
+    assert featurize(s, inst) == featurize(s, inst)
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +168,7 @@ def test_logistic_learns_distance_rule():
     tp = fp = fn = 0
     for inst in _gold_instances(test_ds):
         sentence = by_id[inst.sentence_id]
-        decision, _ = classify(
-            model, sentence, inst, expressions=sentence.spans(Role.EXPRESSION)
-        )
+        decision, _ = classify(model, sentence, inst)
         if decision and inst.label:
             tp += 1
         elif decision:
@@ -243,7 +231,7 @@ def _mean_log_loss(model, ds, instances):
     total = 0.0
     for inst in instances:
         sentence = by_id[inst.sentence_id]
-        _, score = classify(model, sentence, inst, expressions=sentence.spans(Role.EXPRESSION))
+        _, score = classify(model, sentence, inst)
         p = min(max(score, 1e-12), 1 - 1e-12)
         total += -(math.log(p) if inst.label else math.log(1 - p))
     return total / len(instances)
@@ -261,14 +249,14 @@ def test_always_true_classify():
     s = _pair_sentence()
     inst = RelationInstance("p", entity=span("t", 0, 1), expression=span("e", 1, 2))
     model = RelationModel(RelationKind.ALWAYS_TRUE)
-    assert classify(model, s, inst, expressions={span("e", 1, 2)}) == (True, 1.0)
+    assert classify(model, s, inst) == (True, 1.0)
 
 
 def test_zero_weight_logistic_is_false_at_threshold():
     model = RelationModel(kind=RelationKind.LOGISTIC)
     s = _pair_sentence()
     inst = RelationInstance("p", entity=span("t", 0, 1), expression=span("e", 1, 2))
-    decision, score = classify(model, s, inst, expressions={span("e", 1, 2)})
+    decision, score = classify(model, s, inst)
     assert score == 0.5
     assert decision is False
 
@@ -278,13 +266,12 @@ def test_classify_adds_weights_left_to_right():
     # 0.0; a compensated sum, such as sum() from Python 3.12 on, gives 1.0.
     s = _pair_sentence()
     inst = RelationInstance("p", entity=span("t", 0, 1), expression=span("e", 1, 2))
-    expressions = {span("e", 1, 2)}
-    a, b, *_, c = featurize(s, inst, expressions=expressions)
+    a, b, *_, c = featurize(s, inst)
     bias = 0.25
     model = RelationModel(
         kind=RelationKind.LOGISTIC, weights={a: 1e16, b: 1.0, c: -1e16}, bias=bias
     )
-    _, score = classify(model, s, inst, expressions=expressions)
+    _, score = classify(model, s, inst)
     assert score == _sigmoid(bias + 0.0)
 
 
@@ -293,7 +280,7 @@ def test_trained_model_accepts_close_pair():
     model = train_logistic(_gold_instances(ds), ds, epochs=20, learning_rate=0.5, seed=3)
     s = sent("probe", ["alice", "loves", "the", "pizza"])
     inst = RelationInstance("probe", entity=span("h", 0, 1), expression=span("e", 1, 2))
-    decision, score = classify(model, s, inst, expressions={span("e", 1, 2)})
+    decision, score = classify(model, s, inst)
     assert decision is True and score > 0.5
 
 
@@ -313,6 +300,11 @@ def test_relation_model_rejects_a_non_finite_weight_or_bias():
         RelationModel(kind=RelationKind.LOGISTIC, bias=None)
     with pytest.raises(ValidationError, match="'weights' must map features to numbers"):
         RelationModel(kind=RelationKind.LOGISTIC, weights=[("a", 1.0)])
+    # An ALWAYS_TRUE model reads neither, so it may hold neither.
+    with pytest.raises(ValidationError, match="'weights' applies only to kind LOGISTIC"):
+        RelationModel(kind=RelationKind.ALWAYS_TRUE, weights={"a": 1.0})
+    with pytest.raises(ValidationError, match="'bias' applies only to kind LOGISTIC"):
+        RelationModel(kind=RelationKind.ALWAYS_TRUE, bias=0.5)
 
 
 def test_relation_model_stores_its_numbers_as_floats():
