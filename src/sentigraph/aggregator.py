@@ -13,7 +13,7 @@ from json.encoder import encode_basestring
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .corpus import Dataset, OpinionTuple, Role, Sentence, Span, load_dataset, replacing
-from .errors import ValidationError
+from .errors import ValidationError, hold_items
 from .relation import (RelationInstance, RelationModel, candidate_spans, classify,
                        generate_instances, linked_pairs)
 from .span_codec import TagSequence, decode
@@ -28,24 +28,21 @@ class SentimentGraph:
     tuples: Tuple[OpinionTuple, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "tuples", tuple(self.tuples))
-        seen = set()
+        if type(self.sentence_id) is not str:
+            raise ValidationError(f"graph: sentence_id must be a str, got {self.sentence_id!r}")
+        where, seen = f"graph for sentence '{self.sentence_id}'", set()
+        hold_items(self, "tuples", tuple, "graph for sentence '{0.sentence_id}'", "OpinionTuples")
         for t in self.tuples:
-            if len(t.expressions) != 1:
-                raise ValidationError(
-                    f"graph for sentence '{self.sentence_id}': every tuple must have "
-                    f"exactly one expression span"
-                )
+            if type(t) is not OpinionTuple or len(t.expressions) != 1:
+                raise ValidationError(f"{where}: " + (
+                    "every tuple must have exactly one expression span"
+                    if type(t) is OpinionTuple else f"{t!r} is not an OpinionTuple"))
             if t.polarity is not None:
-                raise ValidationError(
-                    f"graph for sentence '{self.sentence_id}': tuples carry no polarity"
-                )
+                raise ValidationError(f"{where}: tuples carry no polarity")
             (expression,) = t.expressions
             if expression in seen:
-                raise ValidationError(
-                    f"graph for sentence '{self.sentence_id}': two tuples share the "
-                    f"expression span [{expression.start}, {expression.end})"
-                )
+                raise ValidationError(f"{where}: two tuples share the expression span "
+                                      f"[{expression.start}, {expression.end})")
             seen.add(expression)
 
 

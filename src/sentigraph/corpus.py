@@ -5,21 +5,22 @@ plus the dataset-level operations: JSON (de)serialization, distribution
 statistics, cross-role overlap filtering, and group up-sampling. BIO
 labels and the CoNLL format live in ``span_codec``.
 
-JSON dataset schema (one file per dataset)::
+JSON dataset schema (one file per dataset), with each field's type::
 
     {"name": str,
      "sentences": [
-        {"id": str, "text": str,
+        {"id": non-empty str, "text": str,
          "tokens": [{"text": str, "start": int, "end": int, "pos": str|null}, ...],
-         "opinions": [{"holders": [[s, e], ...],
-                       "targets": [[s, e], ...],
-                       "expressions": [[s, e], ...],
-                       "polarity": str|null}, ...]}]}
+         "opinions": [{"holders": [[s, e], ...], "targets": [[s, e], ...],
+                       "expressions": [[s, e], ...], "polarity": str|null}, ...]}]}
 
-Span pairs are half-open token-index ranges. Token ``start``/``end`` are
-character offsets (Unicode code points) into the sentence text; a token's
-range must be non-empty and in order, and ``text[start:end]`` must equal
-its ``text``. An error names the sentence and the token.
+A span pair ``[s, e]`` is a half-open token-index range of ints, ``0 <= s
+< e``. Token ``start``/``end`` are character offsets (Unicode code points)
+into the sentence text; a token's range must be non-empty and in order, and
+``text[start:end]`` must equal its ``text``. The data classes check these
+types and rules however they are built (a file, CoNLL, ``synth`` or code),
+and an error names the sentence and the token. The reader checks only the
+file layout, and ``save_dataset`` writes only what ``load_dataset`` reads.
 
 ``JSON_FORMAT`` states the artifact format once: every JSON file has the
 bytes of ``json.dump(obj, fh, **JSON_FORMAT)`` plus a newline, and the CLI
@@ -45,7 +46,7 @@ from enum import Enum
 from json.encoder import encode_basestring
 from typing import IO, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, hold_items
 
 
 class Role(Enum):
@@ -76,10 +77,10 @@ class Span:
     end: int
 
     def __post_init__(self):
-        if self.start < 0 or self.start >= self.end:
-            raise ValidationError(
-                f"span: invalid token range [{self.start}, {self.end})"
-            )
+        if not (type(self.start) is int and type(self.end) is int
+                and 0 <= self.start < self.end and type(self.role) is Role):
+            raise ValidationError(f"span: need a Role and ints 0 <= start < end, got role "
+                                  f"{self.role!r}, range [{self.start!r}, {self.end!r})")
 
     # Spans are hashed and sorted often, and the role's Enum.__hash__ and
     # Enum.value run in Python, so the hash leaves the role out (equal spans
@@ -112,15 +113,17 @@ class OpinionTuple:
 
     def __post_init__(self):
         for name in _ROLE_FIELDS:
-            object.__setattr__(self, name, frozenset(getattr(self, name)))
+            hold_items(self, name, frozenset, "opinion tuple", "Spans")
         if not self.expressions:
             raise ValidationError("opinion tuple has no expression span")
         for role, name in _ROLE_FIELD.items():
             for span in getattr(self, name):
-                if span.role is not role:
+                if type(span) is not Span or span.role is not role:
                     raise ValidationError(
-                        f"opinion tuple: {name} contains a span with role {span.role.value}"
-                    )
+                        f"opinion tuple: {name} must hold {role.value} Spans, got {span!r}")
+        if self.polarity is not None and type(self.polarity) is not str:
+            raise ValidationError(
+                f"opinion tuple: polarity must be a str or None, got {self.polarity!r}")
 
     def spans(self) -> frozenset:
         return self.holders | self.targets | self.expressions
@@ -128,7 +131,7 @@ class OpinionTuple:
 
 @dataclass(frozen=True)
 class Sentence:
-    """A tokenized sentence and its opinions; it checks each token's range, order and text."""
+    """A tokenized sentence and its opinions; it checks its tokens' fields, order and text."""
 
     id: str
     text: str
@@ -136,27 +139,43 @@ class Sentence:
     opinions: Tuple[OpinionTuple, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "opinions", tuple(self.opinions))
-        if not self.id:
-            raise ValidationError("sentence id must be non-empty")
-        prev_end = 0
+        if type(self.id) is not str or not self.id:
+            raise ValidationError(f"sentence id must be a non-empty str, got {self.id!r}")
+        if type(self.text) is not str:
+            raise ValidationError(f"sentence '{self.id}': text must be a str, got {self.text!r}")
+        hold_items(self, "tokens", tuple, "sentence '{0.id}'", "Tokens")
+        hold_items(self, "opinions", tuple, "sentence '{0.id}'", "OpinionTuples")
+        text, prev_end = self.text, 0
         for i, tok in enumerate(self.tokens):
-            if not 0 <= tok.char_start < tok.char_end:
-                raise ValidationError(f"sentence '{self.id}', token {i}: invalid character "
-                                      f"range [{tok.char_start}, {tok.char_end})")
-            if tok.char_start < prev_end:
-                raise ValidationError(f"sentence '{self.id}', token {i}: starts at character "
-                                      f"{tok.char_start}, before the end of the token before it")
+            if not (type(tok) is Token and type(tok.char_start) is int
+                    and type(tok.char_end) is int and prev_end <= tok.char_start < tok.char_end
+                    and text[tok.char_start:tok.char_end] == tok.text
+                    and (type(tok.pos) is str or tok.pos is None)):
+                raise ValidationError(f"sentence '{self.id}', token {i}: "
+                                      f"{self._token_problem(tok, prev_end)}")
             prev_end = tok.char_end
-            covered = self.text[tok.char_start:tok.char_end]
-            if covered != tok.text:
-                raise ValidationError(
-                    f"sentence '{self.id}', token {i}: text[{tok.char_start}:{tok.char_end}] "
-                    f"is {covered!r}, not the token text {tok.text!r}"
-                )
         for opinion in self.opinions:
+            if type(opinion) is not OpinionTuple:
+                raise ValidationError(f"sentence '{self.id}': {opinion!r} is not an OpinionTuple")
             self.check_spans(opinion.spans())
+
+    def _token_problem(self, tok, prev_end: int) -> str:
+        """What is wrong with a token that fails the test of ``__post_init__``."""
+        if type(tok) is not Token:
+            return f"{tok!r} is not a Token"
+        start, end = tok.char_start, tok.char_end
+        if type(start) is not int or type(end) is not int:
+            return f"char_start and char_end must be ints, got [{start!r}, {end!r})"
+        if not 0 <= start < end:
+            return f"invalid character range [{start}, {end})"
+        if start < prev_end:
+            return f"starts at character {start}, before the end of the token before it"
+        if type(tok.text) is not str:
+            return f"text must be a str, got {tok.text!r}"
+        if self.text[start:end] != tok.text:
+            return (f"text[{start}:{end}] is {self.text[start:end]!r}, "
+                    f"not the token text {tok.text!r}")
+        return f"pos must be a str or None, got {tok.pos!r}"
 
     @classmethod
     def from_words(cls, sent_id: str, words: Sequence[str], pos: Sequence[Optional[str]],
@@ -198,11 +217,14 @@ class Dataset:
     sentences: Tuple[Sentence, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "sentences", tuple(self.sentences))
+        if type(self.name) is not str:
+            raise ValidationError(f"dataset name must be a str, got {self.name!r}")
+        hold_items(self, "sentences", tuple, "dataset", "Sentences")
         seen = set()
         for s in self.sentences:
-            if s.id in seen:
-                raise ValidationError(f"duplicate sentence id '{s.id}' in dataset")
+            if type(s) is not Sentence or s.id in seen:
+                raise ValidationError(f"dataset: {s!r} is not a Sentence" if type(s) is not Sentence
+                                      else f"duplicate sentence id '{s.id}' in dataset")
             seen.add(s.id)
 
     def __len__(self) -> int:
@@ -391,12 +413,7 @@ def _parse_span_list(pairs, role: Role, where: str) -> List[Span]:
         raise ParseError(f"{where}: expected a list of [start, end] pairs")
     spans = []
     for pair in pairs:
-        if not (
-            isinstance(pair, (list, tuple))
-            and len(pair) == 2
-            and type(pair[0]) is int
-            and type(pair[1]) is int
-        ):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ParseError(f"{where}: malformed span pair {pair!r}")
         spans.append(Span(role, pair[0], pair[1]))
     return spans
@@ -408,79 +425,58 @@ def _parse_tokens(records: list, where: str) -> List[Token]:
         if not isinstance(tok, dict):
             raise ParseError(f"{where}, token {j}: expected an object")
         try:
-            t_text, t_start, t_end = tok["text"], tok["start"], tok["end"]
-        except KeyError:
-            missing = next(key for key in ("text", "start", "end") if key not in tok)
-            raise ParseError(f"{where}, token {j}: missing key '{missing}'") from None
-        t_pos = tok.get("pos")
-        if not isinstance(t_text, str):
-            raise ParseError(f"{where}, token {j}: 'text' must be a string")
-        if type(t_start) is not int or type(t_end) is not int:
-            raise ParseError(f"{where}, token {j}: 'start'/'end' must be integers")
-        if t_pos is not None and not isinstance(t_pos, str):
-            raise ParseError(f"{where}, token {j}: 'pos' must be a string or null")
-        tokens.append(Token(t_text, t_start, t_end, t_pos))
+            tokens.append(Token(tok["text"], tok["start"], tok["end"], tok.get("pos")))
+        except KeyError as err:  # err is the first of text, start and end that is missing
+            raise ParseError(f"{where}, token {j}: missing key {err}") from None
     return tokens
 
 
 def _parse_opinion(op, sent_id: str, where: str) -> OpinionTuple:
     if not isinstance(op, dict):
         raise ParseError(f"{where}: expected an object")
-    polarity = op.get("polarity")
-    if polarity is not None and not isinstance(polarity, str):
-        raise ParseError(f"{where}: 'polarity' must be a string or null")
     try:
         return OpinionTuple(
-            holders=_parse_span_list(op.get("holders", []), Role.HOLDER, where),
-            targets=_parse_span_list(op.get("targets", []), Role.TARGET, where),
-            expressions=_parse_span_list(
-                _require(op, "expressions", where), Role.EXPRESSION, where
-            ),
-            polarity=polarity,
-        )
+            _parse_span_list(op.get("holders", []), Role.HOLDER, where),
+            _parse_span_list(op.get("targets", []), Role.TARGET, where),
+            _parse_span_list(_require(op, "expressions", where), Role.EXPRESSION, where),
+            op.get("polarity"))
     except ValidationError as err:
         raise ValidationError(f"sentence '{sent_id}': {err}") from err
 
 
-def _parse_sentence(record, where: str) -> Sentence:
+def _parse_sentence(record, source: str, index: int) -> Sentence:
+    where = f"{source}: sentence record {index}"
     if not isinstance(record, dict):
         raise ParseError(f"{where}: expected an object")
     sent_id = _require(record, "id", where)
-    if isinstance(sent_id, str) and sent_id:
+    named = isinstance(sent_id, str) and sent_id  # else Sentence refuses it: name the record
+    if named:
         where = f"{where} (id='{sent_id}')"
     text = _require(record, "text", where)
     token_records = _require(record, "tokens", where)
     opinion_records = record.get("opinions", [])
-    if not isinstance(sent_id, str) or not isinstance(text, str):
-        raise ParseError(f"{where}: 'id' and 'text' must be strings")
     if not isinstance(token_records, list) or not isinstance(opinion_records, list):
         raise ParseError(f"{where}: 'tokens' and 'opinions' must be lists")
-    tokens = _parse_tokens(token_records, where)
-    opinions = [
-        _parse_opinion(op, sent_id, f"{where}, opinion {j}")
-        for j, op in enumerate(opinion_records)
-    ]
-    return Sentence(id=sent_id, text=text, tokens=tokens, opinions=opinions)
+    try:
+        return Sentence(sent_id, text, _parse_tokens(token_records, where), [
+            _parse_opinion(op, sent_id, f"{where}, opinion {j}")
+            for j, op in enumerate(opinion_records)])
+    except ValidationError as err:
+        raise ValidationError(str(err) if named else f"sentence record {index}: {err}") from err
 
 
 def dataset_from_dict(obj: dict, source: str = "<memory>") -> Dataset:
-    """The dataset of a parsed JSON file. Malformed records raise
-    ``ParseError`` and violated invariants ``ValidationError``; both name
-    ``source``."""
+    """The dataset of a parsed JSON file: the reader checks its layout (``ParseError``), the
+    class that holds each value checks the value (``ValidationError``); both name ``source``."""
     if not isinstance(obj, dict):
         raise ParseError(f"{source}: top-level value must be an object")
     name = _require(obj, "name", source)
     records = _require(obj, "sentences", source)
-    if not isinstance(name, str):
-        raise ParseError(f"{source}: 'name' must be a string")
     if not isinstance(records, list):
         raise ParseError(f"{source}: 'sentences' must be a list")
     try:
-        sentences = [
-            _parse_sentence(record, f"{source}: sentence record {i}")
-            for i, record in enumerate(records)
-        ]
-        return Dataset(name=name, sentences=tuple(sentences))
+        return Dataset(name, [_parse_sentence(record, source, i)
+                              for i, record in enumerate(records)])
     except ValidationError as err:
         raise ValidationError(f"{source}: {err}") from err
 
@@ -492,15 +488,15 @@ def dataset_from_dict(obj: dict, source: str = "<memory>") -> Dataset:
 
 @contextmanager
 def replacing(path: str) -> Iterator[IO[str]]:
-    """Write a new UTF-8 text file, created as a plain ``open`` creates it,
-    under a temporary name beside ``path``, and move it onto ``path`` when
-    the block ends. On an error the temporary file is deleted instead, so an
-    earlier file at ``path`` keeps its bytes; a character that UTF-8 cannot
-    encode (a lone surrogate) raises ``ValidationError``."""
+    """Write a new UTF-8 text file with ``\\n`` line endings on every OS, as
+    ``open`` creates it, under a temporary name beside ``path``, and move it
+    onto ``path`` when the block ends. On an error the temporary file is
+    deleted instead, so an earlier file at ``path`` keeps its bytes; a
+    character that UTF-8 cannot encode (a lone surrogate) raises ``ValidationError``."""
     directory, name = os.path.split(path)
     temp = os.path.join(directory, f".{name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     try:
-        fh = open(temp, "x", encoding="utf-8")
+        fh = open(temp, "x", encoding="utf-8", newline="\n")
     except OSError as err:  # name the target, not the temporary file
         err.filename = path
         raise

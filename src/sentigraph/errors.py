@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the checks of a number
-or a config field that raise them.
+"""Exception types shared across the package, and the checks of a number,
+a config field or a data-model collection that raise them.
 
 Every error the package raises is an ``InputError``: something the user can
 fix. The CLI prints it and exits 2; exit code 1 is left to an output that
@@ -7,9 +7,9 @@ could not be written (``OSError``). It comes in two kinds:
 
 - ``ParseError``: a file cannot be read or parsed. Its message carries a
   line or record locator.
-- ``ValidationError``: a parsed value breaks an invariant, such as an
-  invalid span, spans that CoNLL cannot hold, an unusable model, or a bad
-  configuration field or flag.
+- ``ValidationError``: a value breaks an invariant, such as a field of the
+  wrong type, an invalid span, spans that CoNLL cannot hold, an unusable
+  model, or a bad configuration field or flag.
 """
 
 from __future__ import annotations
@@ -37,6 +37,16 @@ def check_field(name: str, ok: bool, problem: str) -> None:
 def check_type(name: str, value, kind: type) -> None:
     """Refuse ``value`` unless its type is exactly ``kind`` (so a bool is not an int)."""
     check_field(name, type(value) is kind, f"expected {kind.__name__}, got {value!r}")
+
+
+def hold_items(obj, name: str, kind: type, owner: str, items: str) -> None:
+    """Set field ``name`` of frozen ``obj`` to ``kind(value)``, or raise ``ValidationError``
+    naming ``owner.format(obj)``."""
+    try:
+        object.__setattr__(obj, name, kind(getattr(obj, name)))
+    except TypeError:
+        raise ValidationError(f"{owner.format(obj)}: {name} must be a collection of {items}, "
+                              f"got {getattr(obj, name)!r}") from None
 
 
 def as_number(value) -> float:

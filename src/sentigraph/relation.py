@@ -67,16 +67,15 @@ class RelationInstance:
     label: Optional[bool] = None
 
     def __post_init__(self):
-        if self.entity.role is Role.EXPRESSION:
-            raise ValidationError(
-                f"sentence '{self.sentence_id}': relation entity must be a holder "
-                f"or target span, not an expression"
-            )
-        if self.expression.role is not Role.EXPRESSION:
-            raise ValidationError(
-                f"sentence '{self.sentence_id}': relation expression span has role "
-                f"{self.expression.role.value}"
-            )
+        if not (type(self.sentence_id) is str and (self.label is None or type(self.label) is bool)):
+            raise ValidationError(f"relation instance: need a str sentence_id and a bool or "
+                                  f"None label, got {self.sentence_id!r}, {self.label!r}")
+        if type(self.entity) is not Span or self.entity.role is Role.EXPRESSION:
+            raise ValidationError(f"sentence '{self.sentence_id}': relation entity must be a "
+                                  f"holder or target Span, got {self.entity!r}")
+        if type(self.expression) is not Span or self.expression.role is not Role.EXPRESSION:
+            raise ValidationError(f"sentence '{self.sentence_id}': relation expression must "
+                                  f"be an expression Span, got {self.expression!r}")
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,6 @@ _LABEL_ROLE = {"O": None, **{f"{prefix}-{suffix}": role
 BIO_LABELS = tuple(_LABEL_ROLE)
 
 
-def bio_label(prefix: str, role: Role) -> str:
-    return f"{prefix}-{_ROLE_SUFFIX[role]}"
-
-
 def label_role(label: str) -> Optional[Role]:
     """Role of a BIO label, or None for ``O``."""
     return _LABEL_ROLE[label]
@@ -57,16 +53,23 @@ def continues(prev: str, label: str) -> bool:
 TagSequence = Tuple[str, ...]
 
 
+def role_labels(roles: Iterable[Optional[Role]]) -> TagSequence:
+    """The BIO label of each token's role: ``O`` for None, ``I-`` where the role
+    is the one of the token before, else ``B-``."""
+    labels, prev = [], None
+    for role in roles:
+        labels.append("O" if role is None else
+                      f"{'I' if role is prev else 'B'}-{_ROLE_SUFFIX[role]}")
+        prev = role
+    return tuple(labels)
+
+
 def encode(sentence: Sentence) -> TagSequence:
     """BIO labels for a sentence's spans, read off ``token_roles``, which raises
     ``ValidationError`` on a cross-role overlap. A run of tokens under one role
     is one span, so same-role spans that overlap or touch merge (touching spans
     merge by a choice that loses spans)."""
-    labels, prev = [], None
-    for role in token_roles(sentence):
-        labels.append("O" if role is None else bio_label("I" if role is prev else "B", role))
-        prev = role
-    return tuple(labels)
+    return role_labels(token_roles(sentence))
 
 
 def decode(labels: Sequence[str]) -> Set[Span]:

@@ -19,8 +19,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .corpus import Dataset, Sentence, Token, read_json_object, write_json_object
 from .errors import ValidationError, check_field, check_type, finite_number
-from .span_codec import (BIO_LABELS, TagSequence, bio_label, continues, encode, label_role,
-                         read_conll_blocks, write_conll)
+from .span_codec import (BIO_LABELS, TagSequence, continues, encode, label_role, read_conll_blocks,
+                         role_labels, write_conll)
 
 
 class TaggerKind(Enum):
@@ -357,13 +357,8 @@ def tag(model: TaggerModel, sentence: Sentence) -> TagSequence:
 
 
 def _tag_pos_chunk(model: TaggerModel, sentence: Sentence) -> TagSequence:
-    labels = []
-    prev_role = None
-    for tok in sentence.tokens:
-        role = label_role(model.pos_map.get(tok.pos, "O")) if tok.pos is not None else None
-        labels.append("O" if role is None else bio_label("I" if role is prev_role else "B", role))
-        prev_role = role
-    return tuple(labels)
+    return role_labels(None if tok.pos is None else label_role(model.pos_map.get(tok.pos, "O"))
+                       for tok in sentence.tokens)
 
 
 def load_external_predictions(path: str, ds: Dataset,

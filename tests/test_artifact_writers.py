@@ -7,6 +7,7 @@ and ``write_triples`` is ``json.dumps(row, sort_keys=True,
 ensure_ascii=False)`` of its row.
 """
 
+import builtins
 import json
 
 import pytest
@@ -26,6 +27,7 @@ from sentigraph import (
     ValidationError,
     save_dataset,
 )
+from sentigraph import corpus
 from sentigraph.aggregator import write_triples
 from sentigraph.relation import dump_instances
 
@@ -175,3 +177,16 @@ def test_lone_surrogate_in_a_sentence_id_keeps_the_earlier_file(tmp_path, writer
         _surrogate_writes()[writer](str(path))
     assert path.read_bytes() == b"earlier\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_every_writer_opens_its_file_with_newline_line_endings(tmp_path, monkeypatch):
+    # Without newline="\n", open writes each "\n" as os.linesep ("\r\n" on Windows).
+    calls = []
+
+    def spy(file, mode="r", **kwargs):
+        calls.append((mode, kwargs))
+        return builtins.open(file, mode, **kwargs)
+
+    monkeypatch.setattr(corpus, "open", spy, raising=False)
+    save_dataset(Dataset("d"), str(tmp_path / "d.json"))
+    assert calls == [("x", {"encoding": "utf-8", "newline": "\n"})]

@@ -13,8 +13,10 @@ from sentigraph import (
     OpinionTuple,
     OverlapPolicy,
     ParseError,
+    RelationInstance,
     Role,
     Sentence,
+    SentimentGraph,
     Span,
     Token,
     ValidationError,
@@ -98,6 +100,35 @@ def test_dataset_rejects_duplicate_ids():
     with pytest.raises(ValidationError) as err:
         Dataset(name="d", sentences=[s, s])
     assert "dup" in str(err.value)
+
+
+_EXP = Span(Role.EXPRESSION, 0, 1)
+
+
+# Values that each data class once took and then failed on, or saved to a
+# file that load_dataset refused. Each raises ValidationError naming the
+# field and the value.
+@pytest.mark.parametrize("build, field, value", [
+    (lambda: Span(Role.HOLDER, 0.5, 2), "start", "0.5"),
+    (lambda: Span("HOLDER", 0, 1), "Role", "'HOLDER'"),
+    (lambda: Span(Role.EXPRESSION, False, True), "start", "False"),
+    (lambda: Sentence("s", "a", [Token("a", 0, 1, 7)]), "pos", "7"),
+    (lambda: OpinionTuple(expressions={_EXP}, polarity=3), "polarity", "3"),
+    (lambda: Sentence("s", "ab", [Token("ab", 0.0, 2.0)]), "char_start", "0.0"),
+    (lambda: Sentence("s", 5, [Token("a", 0, 1)]), "text", "5"),
+    (lambda: Dataset(3), "name", "3"),
+    (lambda: OpinionTuple(expressions={(0, 1)}), "expressions", "(0, 1)"),
+    (lambda: Sentence("s", "a", [Token("a", 0, 1)], opinions=[1]), "OpinionTuple", "1"),
+    (lambda: Dataset("d", [1]), "Sentence", "1"),
+    (lambda: RelationInstance("s", (0, 1), _EXP), "entity", "(0, 1)"),
+    (lambda: SentimentGraph("s", [1]), "OpinionTuple", "1"),
+], ids=["span_float", "span_role_str", "span_bools", "token_pos", "polarity", "token_floats",
+        "sentence_text", "dataset_name", "expression_pair", "opinion_int", "sentence_int",
+        "relation_entity_pair", "graph_tuple_int"])
+def test_a_data_class_refuses_a_field_of_the_wrong_type(build, field, value):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert field in str(err.value) and value in str(err.value)
 
 
 def test_predictions_rule_names_the_file():
@@ -228,19 +259,19 @@ _TOKEN, _OPINION = f"{_RECORD}, token 0", f"{_RECORD}, opinion 0"
         (_set("sentences", 0, "opinions", 0, "holders", "x"), ParseError,
          f"{_OPINION}: expected a list of [start, end] pairs"),
         (_set("sentences", 0, "tokens", 0, "x"), ParseError, f"{_TOKEN}: expected an object"),
-        (_set("sentences", 0, "tokens", 0, "text", 1), ParseError,
-         f"{_TOKEN}: 'text' must be a string"),
-        (_set("sentences", 0, "tokens", 0, "start", "0"), ParseError,
-         f"{_TOKEN}: 'start'/'end' must be integers"),
-        (_set("sentences", 0, "tokens", 0, "pos", 1), ParseError,
-         f"{_TOKEN}: 'pos' must be a string or null"),
+        (_set("sentences", 0, "tokens", 0, "text", 1), ValidationError,
+         "sentence 'a', token 0: text must be a str, got 1"),
+        (_set("sentences", 0, "tokens", 0, "start", "0"), ValidationError,
+         "sentence 'a', token 0: char_start and char_end must be ints, got ['0', 1)"),
+        (_set("sentences", 0, "tokens", 0, "pos", 1), ValidationError,
+         "sentence 'a', token 0: pos must be a str or None, got 1"),
         (_set("sentences", 0, "opinions", 0, "x"), ParseError, f"{_OPINION}: expected an object"),
-        (_set("sentences", 0, "opinions", 0, "polarity", 1), ParseError,
-         f"{_OPINION}: 'polarity' must be a string or null"),
+        (_set("sentences", 0, "opinions", 0, "polarity", 1), ValidationError,
+         "sentence 'a': opinion tuple: polarity must be a str or None, got 1"),
         (_set("sentences", 0, "opinions", 0, "expressions", []), ValidationError,
          "sentence 'a': opinion tuple has no expression span"),
         (_set("sentences", 0, "x"), ParseError, "sentence record 0: expected an object"),
-        (_set("sentences", 0, "text", 1), ParseError, f"{_RECORD}: 'id' and 'text' must be strings"),
+        (_set("sentences", 0, "text", 1), ValidationError, "sentence 'a': text must be a str, got 1"),
         (_set("sentences", 0, "tokens", {}), ParseError,
          f"{_RECORD}: 'tokens' and 'opinions' must be lists"),
         (_set("sentences", {}), ParseError, "'sentences' must be a list"),

@@ -8,6 +8,10 @@ way to both CoNLL readers; it is drawn either whole or line by line from
 cells that are partly CoNLL columns, labels and ``# sent_id`` headers.
 The same JSON values, as the fields of ``TaggerModel`` and ``RelationModel``
 built in code, give a model that tags or classifies, or an ``InputError``.
+As the fields of the data model (``Span``, ``Token`` in a ``Sentence``,
+``OpinionTuple``, ``Sentence``, ``Dataset``, ``RelationInstance`` and
+``SentimentGraph``) they give an object or an ``InputError``, and every
+``Dataset`` that is built reads back equal from the file it is saved to.
 """
 
 import contextlib
@@ -23,11 +27,17 @@ from sentigraph import (
     BIO_LABELS,
     Dataset,
     InputError,
+    OpinionTuple,
     RelationInstance,
     RelationKind,
     RelationModel,
+    Role,
+    Sentence,
+    SentimentGraph,
+    Span,
     TaggerKind,
     TaggerModel,
+    Token,
     classify,
     featurize,
     load_conll,
@@ -171,3 +181,89 @@ def test_tagger_model_fields_give_a_model_that_tags_or_input_error(kind, fields)
 def test_relation_model_fields_give_a_model_that_classifies_or_input_error(kind, fields):
     with contextlib.suppress(InputError):
         classify(RelationModel(kind, **fields), PROBE, PROBE_PAIR)
+
+
+# Each data-model field drawn from json_values or in the field's shape, where
+# an offset may be out of range and a text may not match its token; a class
+# that refuses the fields it drew gives None, which the class above refuses.
+@st.composite
+def built(draw, cls, fields):
+    try:
+        return cls(*draw(fields))
+    except InputError:
+        return None
+
+
+roles = st.sampled_from(list(Role)) | json_values
+offsets = st.integers(-1, 6) | json_values
+texts = st.text(max_size=4) | json_values
+maybe_texts = st.none() | st.text(max_size=4) | json_values
+tokens = st.builds(Token, texts, offsets, offsets, maybe_texts)
+spans = built(Span, st.tuples(roles, offsets, offsets))
+span_sets = st.lists(spans, max_size=2) | json_values
+OPINION_FIELDS = st.tuples(span_sets, span_sets, span_sets, maybe_texts)
+
+
+@st.composite
+def sentence_fields(draw):
+    """An id, and text, tokens and opinions each in shape or not; tokens in
+    shape are the words of the text, which joins them with single spaces."""
+    words = draw(st.lists(st.text(min_size=1, max_size=3), max_size=4))
+    offset, in_shape = 0, []
+    for word in words:
+        in_shape.append(Token(word, offset, offset + len(word), draw(maybe_texts)))
+        offset += len(word) + 1
+    return (draw(texts), draw(st.just(" ".join(words)) | texts),
+            draw(st.just(in_shape) | st.lists(tokens, max_size=3) | json_values),
+            draw(st.lists(built(OpinionTuple, OPINION_FIELDS), max_size=2) | json_values))
+
+
+DATA_MODEL = {
+    Span: st.tuples(roles, offsets, offsets),
+    OpinionTuple: OPINION_FIELDS,
+    Sentence: sentence_fields(),
+    Dataset: st.tuples(texts, st.lists(built(Sentence, sentence_fields()), max_size=3)
+                       | json_values),
+    RelationInstance: st.tuples(texts, spans | json_values, spans | json_values,
+                                st.none() | st.booleans() | json_values),
+    SentimentGraph: st.tuples(texts, st.lists(built(OpinionTuple, OPINION_FIELDS), max_size=2)
+                              | json_values),
+}
+
+
+@st.composite
+def datasets(draw):
+    """A dataset that every class accepts, its strings drawn from all of Unicode."""
+    sentences = []
+    for k in range(draw(st.integers(0, 3))):
+        words = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=4))
+
+        def span_set(role, min_size=0):
+            starts = draw(st.lists(st.integers(0, len(words) - 1), min_size=min_size, max_size=2))
+            return {Span(role, start, draw(st.integers(start + 1, len(words)))) for start in starts}
+
+        opinions = [OpinionTuple(span_set(Role.HOLDER), span_set(Role.TARGET),
+                                 span_set(Role.EXPRESSION, 1), draw(st.none() | st.text(max_size=4)))
+                    for _ in range(draw(st.integers(0, 2)))]
+        pos = draw(st.lists(st.none() | st.text(max_size=3), min_size=len(words),
+                            max_size=len(words)))
+        sentences.append(Sentence.from_words(f"{k}{draw(st.text(max_size=3))}", words, pos,
+                                             opinions))
+    return Dataset(draw(st.text(max_size=4)), sentences)
+
+
+@pytest.mark.parametrize("cls", DATA_MODEL, ids=lambda cls: cls.__name__)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_data_model_fields_give_an_object_or_input_error(cls, data):
+    with contextlib.suppress(InputError):
+        cls(*data.draw(DATA_MODEL[cls]))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ds=datasets() | built(Dataset, DATA_MODEL[Dataset]))
+def test_a_built_dataset_reads_back_equal(workdir, ds):
+    if ds is not None:
+        path = workdir / "round_trip.json"
+        save_dataset(ds, str(path))
+        assert load_dataset(str(path)) == ds
