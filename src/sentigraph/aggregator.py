@@ -13,7 +13,7 @@ from json.encoder import encode_basestring
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .corpus import Dataset, OpinionTuple, Role, Sentence, Span, load_dataset, replacing
-from .errors import ValidationError, hold_items
+from .errors import ValidationError, hold_items, naming
 from .relation import (RelationInstance, RelationModel, candidate_spans, classify,
                        generate_instances, linked_pairs)
 from .span_codec import TagSequence, decode
@@ -128,10 +128,8 @@ def load_graphs(path: str, gold: Dataset,
     ``required``; an error names ``path``."""
     predicted = gold.predictions(path, (
         (s.id, [tok.text for tok in s.tokens], s.opinions) for s in load_dataset(path)), required)
-    try:
+    with naming(path):
         return {i: SentimentGraph(i, ops) for i, ops in predicted.items()}
-    except ValidationError as err:
-        raise ValidationError(f"{path}: {err}") from err
 
 
 def write_triples(path: str, graphs: Iterable[SentimentGraph]) -> None:

@@ -16,11 +16,12 @@ JSON dataset schema (one file per dataset), with each field's type::
 
 A span pair ``[s, e]`` is a half-open token-index range of ints, ``0 <= s
 < e``. Token ``start``/``end`` are character offsets (Unicode code points)
-into the sentence text; a token's range must be non-empty and in order, and
-``text[start:end]`` must equal its ``text``. The data classes check these
-types and rules however they are built (a file, CoNLL, ``synth`` or code),
-and an error names the sentence and the token. The reader checks only the
-file layout, and ``save_dataset`` writes only what ``load_dataset`` reads.
+into the sentence text; a token's range must be non-empty and in order and
+lie within the text, and ``text[start:end]`` must equal its ``text``. The
+data classes check these types and rules however they are built (a file,
+CoNLL, ``synth`` or code), and an error names the sentence and the token.
+The reader checks only the file layout, and ``save_dataset`` writes only
+what ``load_dataset`` reads.
 
 ``JSON_FORMAT`` states the artifact format once: every JSON file has the
 bytes of ``json.dump(obj, fh, **JSON_FORMAT)`` plus a newline, and the CLI
@@ -44,9 +45,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from json.encoder import encode_basestring
-from typing import IO, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import IO, Iterable, Iterator, List, NoReturn, Optional, Sequence, Tuple
 
-from .errors import ParseError, ValidationError, hold_items
+from .errors import ParseError, ValidationError, hold_items, naming
 
 
 class Role(Enum):
@@ -145,45 +146,44 @@ class Sentence:
             raise ValidationError(f"sentence '{self.id}': text must be a str, got {self.text!r}")
         hold_items(self, "tokens", tuple, "sentence '{0.id}'", "Tokens")
         hold_items(self, "opinions", tuple, "sentence '{0.id}'", "OpinionTuples")
-        text, prev_end = self.text, 0
+        text, n, prev_end = self.text, len(self.text), 0
         for i, tok in enumerate(self.tokens):
-            if not (type(tok) is Token and type(tok.char_start) is int
-                    and type(tok.char_end) is int and prev_end <= tok.char_start < tok.char_end
-                    and text[tok.char_start:tok.char_end] == tok.text
-                    and (type(tok.pos) is str or tok.pos is None)):
-                raise ValidationError(f"sentence '{self.id}', token {i}: "
-                                      f"{self._token_problem(tok, prev_end)}")
-            prev_end = tok.char_end
+            if type(tok) is not Token:
+                self._fail(i, f"{tok!r} is not a Token")
+            start, end = tok.char_start, tok.char_end
+            if type(start) is not int or type(end) is not int:
+                self._fail(i, f"char_start and char_end must be ints, got [{start!r}, {end!r})")
+            if not 0 <= start < end:
+                self._fail(i, f"invalid character range [{start}, {end})")
+            if start < prev_end:
+                self._fail(i, f"starts at character {start}, before the end of the token before it")
+            if end > n:
+                self._fail(i, f"character range [{start}, {end}) runs past the text ({n} chars)")
+            if type(tok.text) is not str:
+                self._fail(i, f"text must be a str, got {tok.text!r}")
+            if text[start:end] != tok.text:
+                self._fail(i, f"text[{start}:{end}] is {text[start:end]!r}, "
+                              f"not the token text {tok.text!r}")
+            if tok.pos is not None and type(tok.pos) is not str:
+                self._fail(i, f"pos must be a str or None, got {tok.pos!r}")
+            prev_end = end
         for opinion in self.opinions:
             if type(opinion) is not OpinionTuple:
                 raise ValidationError(f"sentence '{self.id}': {opinion!r} is not an OpinionTuple")
             self.check_spans(opinion.spans())
 
-    def _token_problem(self, tok, prev_end: int) -> str:
-        """What is wrong with a token that fails the test of ``__post_init__``."""
-        if type(tok) is not Token:
-            return f"{tok!r} is not a Token"
-        start, end = tok.char_start, tok.char_end
-        if type(start) is not int or type(end) is not int:
-            return f"char_start and char_end must be ints, got [{start!r}, {end!r})"
-        if not 0 <= start < end:
-            return f"invalid character range [{start}, {end})"
-        if start < prev_end:
-            return f"starts at character {start}, before the end of the token before it"
-        if type(tok.text) is not str:
-            return f"text must be a str, got {tok.text!r}"
-        if self.text[start:end] != tok.text:
-            return (f"text[{start}:{end}] is {self.text[start:end]!r}, "
-                    f"not the token text {tok.text!r}")
-        return f"pos must be a str or None, got {tok.pos!r}"
+    def _fail(self, i: int, problem: str) -> NoReturn:
+        raise ValidationError(f"sentence '{self.id}', token {i}: {problem}")
 
     @classmethod
     def from_words(cls, sent_id: str, words: Sequence[str], pos: Sequence[Optional[str]],
                    opinions: Iterable[OpinionTuple] = ()) -> Sentence:
         """The sentence whose text is ``words`` joined by single spaces, with one
         token per word, tagged with the ``pos`` at the same index."""
+        if len(words) != len(pos):
+            raise ValidationError(f"sentence '{sent_id}': {len(words)} words, {len(pos)} POS tags")
         tokens, offset = [], 0
-        for word, tag in zip(words, pos, strict=True):
+        for word, tag in zip(words, pos):
             tokens.append(Token(word, offset, offset + len(word), tag))
             offset += len(word) + 1
         return cls(sent_id, " ".join(words), tokens, opinions)
@@ -431,7 +431,7 @@ def _parse_tokens(records: list, where: str) -> List[Token]:
     return tokens
 
 
-def _parse_opinion(op, sent_id: str, where: str) -> OpinionTuple:
+def _parse_opinion(op, owner: str, where: str) -> OpinionTuple:
     if not isinstance(op, dict):
         raise ParseError(f"{where}: expected an object")
     try:
@@ -441,7 +441,7 @@ def _parse_opinion(op, sent_id: str, where: str) -> OpinionTuple:
             _parse_span_list(_require(op, "expressions", where), Role.EXPRESSION, where),
             op.get("polarity"))
     except ValidationError as err:
-        raise ValidationError(f"sentence '{sent_id}': {err}") from err
+        raise ValidationError(f"{owner}{err}") from err
 
 
 def _parse_sentence(record, source: str, index: int) -> Sentence:
@@ -450,6 +450,7 @@ def _parse_sentence(record, source: str, index: int) -> Sentence:
         raise ParseError(f"{where}: expected an object")
     sent_id = _require(record, "id", where)
     named = isinstance(sent_id, str) and sent_id  # else Sentence refuses it: name the record
+    owner = f"sentence '{sent_id}': " if named else ""
     if named:
         where = f"{where} (id='{sent_id}')"
     text = _require(record, "text", where)
@@ -459,7 +460,7 @@ def _parse_sentence(record, source: str, index: int) -> Sentence:
         raise ParseError(f"{where}: 'tokens' and 'opinions' must be lists")
     try:
         return Sentence(sent_id, text, _parse_tokens(token_records, where), [
-            _parse_opinion(op, sent_id, f"{where}, opinion {j}")
+            _parse_opinion(op, owner, f"{where}, opinion {j}")
             for j, op in enumerate(opinion_records)])
     except ValidationError as err:
         raise ValidationError(str(err) if named else f"sentence record {index}: {err}") from err
@@ -474,11 +475,9 @@ def dataset_from_dict(obj: dict, source: str = "<memory>") -> Dataset:
     records = _require(obj, "sentences", source)
     if not isinstance(records, list):
         raise ParseError(f"{source}: 'sentences' must be a list")
-    try:
+    with naming(source):
         return Dataset(name, [_parse_sentence(record, source, i)
                               for i, record in enumerate(records)])
-    except ValidationError as err:
-        raise ValidationError(f"{source}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +551,7 @@ def write_json_object(path: str, obj) -> None:
 
 
 def _float_text(value: float) -> str:
+    """The JSON text of a float, as ``json.dumps`` writes it."""
     if value != value:
         return "NaN"
     if value == math.inf:
@@ -559,23 +559,6 @@ def _float_text(value: float) -> str:
     if value == -math.inf:
         return "-Infinity"
     return float.__repr__(value)
-
-
-# The JSON text of a scalar, by exact type.
-_LEAF_TEXT = {
-    str: encode_basestring,
-    int: int.__repr__,
-    float: _float_text,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
-}
-
-
-def json_scalar(value) -> str:
-    """The JSON text of a ``str``, ``int``, ``float``, ``bool`` or ``None``
-    (by exact type; any other type raises ``KeyError``), as
-    ``write_json_object`` and ``json.dumps`` write it."""
-    return _LEAF_TEXT[type(value)](value)
 
 
 def load_dataset(path: str) -> Dataset:
@@ -592,6 +575,10 @@ def _json_list(items: List[str], indent: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
+def _str_or_null(value: Optional[str]) -> str:
+    return "null" if value is None else encode_basestring(value)
+
+
 def _span_list_json(spans: Iterable[Span]) -> str:
     return _json_list([f"[\n              {s.start},\n              {s.end}\n            ]"
                        for s in sorted(spans, key=Span.sort_key)], "          ")
@@ -602,12 +589,12 @@ def _sentence_json(s: Sentence) -> str:
     opinions = [
         f'{{\n          "expressions": {_span_list_json(o.expressions)},'
         f'\n          "holders": {_span_list_json(o.holders)},'
-        f'\n          "polarity": {json_scalar(o.polarity)},'
+        f'\n          "polarity": {_str_or_null(o.polarity)},'
         f'\n          "targets": {_span_list_json(o.targets)}\n        }}'
         for o in s.opinions
     ]
     tokens = [
-        f'{{\n          "end": {t.char_end},\n          "pos": {json_scalar(t.pos)},'
+        f'{{\n          "end": {t.char_end},\n          "pos": {_str_or_null(t.pos)},'
         f'\n          "start": {t.char_start},'
         f'\n          "text": {encode_basestring(t.text)}\n        }}'
         for t in s.tokens

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the checks of a number,
-a config field or a data-model collection that raise them.
+"""Exception types shared across the package, the checks that raise them, and
+``naming``, the one way a reader names its file in a ``ValidationError``.
 
 Every error the package raises is an ``InputError``: something the user can
 fix. The CLI prints it and exits 2; exit code 1 is left to an output that
@@ -15,6 +15,8 @@ could not be written (``OSError``). It comes in two kinds:
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from typing import Iterator
 
 
 class InputError(Exception):
@@ -27,6 +29,15 @@ class ParseError(InputError):
 
 class ValidationError(InputError):
     """Parseable input that violates a domain invariant."""
+
+
+@contextmanager
+def naming(where: str) -> Iterator[None]:
+    """Put ``where: `` in front of the message of a ``ValidationError`` raised in the block."""
+    try:
+        yield
+    except ValidationError as err:
+        raise ValidationError(f"{where}: {err}") from err
 
 
 def check_field(name: str, ok: bool, problem: str) -> None:

@@ -15,9 +15,9 @@ from enum import Enum
 from json.encoder import encode_basestring
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .corpus import (Dataset, Role, Sentence, Span, json_scalar, read_json_object, replacing,
+from .corpus import (Dataset, Role, Sentence, Span, _float_text, read_json_object, replacing,
                      write_json_object)
-from .errors import ValidationError, as_number, check_field, check_type, finite_number
+from .errors import ValidationError, as_number, check_field, check_type, finite_number, naming
 
 # Sparse features in sorted order, so weight sums do not depend on the
 # string-hash seed; every present feature has implicit weight 1.
@@ -298,11 +298,13 @@ def load_model(path: str) -> RelationModel:
     """A model file's kind and the fields it holds, checked by ``RelationModel``."""
     obj = read_json_object(path)
     kind = next((k for k in RelationKind if k.value == obj.get("kind")), obj.get("kind"))
-    try:
+    with naming(path):
         return RelationModel(kind, **{key: obj[key] for key in ("weights", "bias", "threshold")
                                       if key in obj})
-    except ValidationError as err:
-        raise ValidationError(f"{path}: {err}") from err
+
+
+# The JSON text of a ``RelationInstance`` label, a bool or None.
+_LABEL_TEXT = {True: "true", False: "false", None: "null"}
 
 
 def dump_instances(
@@ -317,5 +319,6 @@ def dump_instances(
             ent, exp = inst.entity, inst.expression
             fh.write(f'{{"entity": [{ent.start}, {ent.end}, "{ent.role._value_}"], '
                      f'"expression": [{exp.start}, {exp.end}], '
-                     f'"label": {json_scalar(inst.label)}, "score": {json_scalar(score)}, '
+                     f'"label": {_LABEL_TEXT[inst.label]}, '
+                     f'"score": {"null" if score is None else _float_text(score)}, '
                      f'"sentence_id": {encode_basestring(inst.sentence_id)}}}\n')

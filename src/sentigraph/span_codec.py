@@ -30,7 +30,7 @@ import re
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .corpus import Dataset, OpinionTuple, Role, Sentence, Span, replacing, token_roles
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, naming
 
 _ROLE_SUFFIX = {Role.HOLDER: "HOLDER", Role.TARGET: "TARG", Role.EXPRESSION: "EXP"}
 # Each label's role, None for O; its keys are the alphabet, in order.
@@ -212,11 +212,8 @@ def load_conll(path: str) -> Dataset:
     spans form one opinion tuple, which needs an expression span."""
     blocks = read_conll_blocks(path)
     name = re.sub(r"\.[^.]*$", "", path.replace("\\", "/").rsplit("/", 1)[-1]) or "dataset"
-    try:
-        sentences = [_sentence_from_conll(sent_id, rows) for sent_id, rows in blocks]
-        return Dataset(name=name, sentences=sentences)
-    except ValidationError as err:
-        raise ValidationError(f"{path}: {err}") from err
+    with naming(path):
+        return Dataset(name, [_sentence_from_conll(sent_id, rows) for sent_id, rows in blocks])
 
 
 def save_conll(ds: Dataset, path: str) -> None:

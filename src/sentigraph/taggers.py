@@ -18,7 +18,7 @@ from operator import add
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .corpus import Dataset, Sentence, Token, read_json_object, write_json_object
-from .errors import ValidationError, check_field, check_type, finite_number
+from .errors import ValidationError, check_field, check_type, finite_number, naming
 from .span_codec import (BIO_LABELS, TagSequence, continues, encode, label_role, read_conll_blocks,
                          role_labels, write_conll)
 
@@ -117,10 +117,8 @@ class TaggerConfig:
         if self.pos_map is not None:
             check_field("tagger.pos_map", self.kind == "POS_CHUNK",
                         "applies only to kind POS_CHUNK")
-            try:
+            with naming("config field 'tagger.pos_map'"):
                 TaggerModel(TaggerKind.POS_CHUNK, pos_map=self.pos_map)
-            except ValidationError as err:
-                raise ValidationError(f"config field 'tagger.pos_map': {err}") from None
 
 
 def _word_shape(word: str) -> str:
@@ -404,20 +402,16 @@ def load_model(path: str) -> TaggerModel:
     obj = read_json_object(path)
     kind = next((k for k in TaggerKind if k.value == obj.get("kind")), obj.get("kind"))
     fields = {}
-    if kind is TaggerKind.POS_CHUNK and "map" in obj:
-        if not isinstance(obj["map"], dict):
-            raise ValidationError(f"{path}: 'map' must be an object")
-        fields["pos_map"] = obj["map"]
-    elif kind is TaggerKind.PERCEPTRON and "weights" in obj:
-        if not isinstance(obj["weights"], dict):
-            raise ValidationError(f"{path}: 'weights' must be an object")
-        weights = fields["weights"] = {}
-        for key, w in obj["weights"].items():
-            feat, tab, label = key.rpartition("\t")
-            if not tab:
-                raise ValidationError(f"{path}: malformed weight key {key!r}")
-            weights.setdefault(feat, {})[label] = w
-    try:
+    with naming(path):
+        if kind is TaggerKind.POS_CHUNK and "map" in obj:
+            fields["pos_map"] = obj["map"]
+        elif kind is TaggerKind.PERCEPTRON and "weights" in obj:
+            if not isinstance(obj["weights"], dict):
+                raise ValidationError("'weights' must be an object")
+            weights = fields["weights"] = {}
+            for key, w in obj["weights"].items():
+                feat, tab, label = key.rpartition("\t")
+                if not tab:
+                    raise ValidationError(f"malformed weight key {key!r}")
+                weights.setdefault(feat, {})[label] = w
         return TaggerModel(kind, **fields)
-    except ValidationError as err:
-        raise ValidationError(f"{path}: {err}") from err

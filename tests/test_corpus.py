@@ -46,6 +46,22 @@ def test_token_rejects_inverted_range():
             f"sentence 's1', token 1: invalid character range [{start}, {end})")
 
 
+def test_token_rejects_a_range_past_the_text():
+    # text[5:6] of "" is "", the token text, so only the rule on the text's length refuses it.
+    for text, tokens in (("", [Token("", 5, 6)]), ("ab", [Token("ab", 0, 2), Token("", 5, 6)])):
+        with pytest.raises(ValidationError) as err:
+            Sentence(id="s1", text=text, tokens=tokens)
+        assert str(err.value) == (f"sentence 's1', token {len(tokens) - 1}: "
+                                  f"character range [5, 6) runs past the text ({len(text)} chars)")
+
+
+def test_from_words_refuses_unequal_words_and_pos():
+    for pos in ([None], [None, None, None]):
+        with pytest.raises(ValidationError) as err:
+            Sentence.from_words("s1", ["a", "b"], pos)
+        assert str(err.value) == f"sentence 's1': 2 words, {len(pos)} POS tags"
+
+
 def test_span_rejects_empty_range():
     with pytest.raises(ValidationError):
         Span(Role.TARGET, 2, 2)
@@ -249,6 +265,11 @@ def _set(*keys_and_value):
     return mutate
 
 
+def _bad_id_and_span(payload):
+    payload["sentences"][0]["id"] = 5
+    payload["sentences"][0]["opinions"][0]["expressions"] = [[0, 0]]
+
+
 _RECORD = "sentence record 0 (id='a')"
 _TOKEN, _OPINION = f"{_RECORD}, token 0", f"{_RECORD}, opinion 0"
 
@@ -275,10 +296,14 @@ _TOKEN, _OPINION = f"{_RECORD}, token 0", f"{_RECORD}, opinion 0"
         (_set("sentences", 0, "tokens", {}), ParseError,
          f"{_RECORD}: 'tokens' and 'opinions' must be lists"),
         (_set("sentences", {}), ParseError, "'sentences' must be a list"),
+        (_set("sentences", 0, "tokens", 2, "end", 14), ValidationError,
+         "sentence 'a', token 2: character range [7, 14) runs past the text (13 chars)"),
+        (_bad_id_and_span, ValidationError, "sentence record 0: span: need a Role and ints "
+         "0 <= start < end, got role <Role.EXPRESSION: 'EXPRESSION'>, range [0, 0)"),
     ],
     ids=["span_list", "token_object", "token_text", "token_offsets", "token_pos",
          "opinion_object", "polarity", "no_expression", "sentence_object", "id_text",
-         "tokens_opinions", "sentences_list"],
+         "tokens_opinions", "sentences_list", "token_past_text", "bad_id_and_span"],
 )
 def test_load_json_malformed_record_names_file_and_record(tmp_path, mutate, error, message):
     payload = _two_sentence_payload()

@@ -20,6 +20,8 @@ from sentigraph import (
     train_perceptron,
     upsample,
 )
+from sentigraph.aggregator import load_graphs
+from sentigraph.relation import load_model as load_relation_model
 from sentigraph.span_codec import save_conll
 from sentigraph.synth import generate_corpus
 from sentigraph.taggers import (
@@ -447,8 +449,8 @@ def test_external_predictions_require_only_the_required_sentences(tmp_path):
 
 
 # Each reader fault as (file name, content, readers, error, message after the
-# path): CoNLL faults go through both CoNLL readers, model faults through
-# load_model.
+# path), which names the file once: CoNLL layout faults go through both CoNLL
+# readers, each other fault through the reader of its file.
 _FAULT_GOLD = Dataset(name="g", sentences=[sent("a", ["x"]), sent("b", ["y"])])
 _CONLL_READERS = (load_conll, lambda path: load_external_predictions(path, _FAULT_GOLD))
 
@@ -474,7 +476,19 @@ _CONLL_READERS = (load_conll, lambda path: load_external_predictions(path, _FAUL
     ("mapentry.json", '{"kind": "POS_CHUNK", "map": {"NOUN": "B-THING"}}', (load_model,),
      ValidationError, ": POS map entry 'NOUN': label 'B-THING' is not in the BIO alphabet"),
     ("map.json", '{"kind": "POS_CHUNK", "map": "NOUN"}', (load_model,), ValidationError,
-     ": 'map' must be an object"),
+     ": POS map must map POS tags to BIO labels, got 'NOUN'"),
+    ("threshold.json", json.dumps({"kind": "LOGISTIC", "threshold": 1.5}),
+     (load_relation_model,), ValidationError,
+     ": config field 'relation.threshold': must be in (0, 1), got 1.5"),
+    ("graphs.json", json.dumps({"name": "g", "sentences": [
+        {"id": "a", "text": "x", "tokens": [{"text": "x", "start": 0, "end": 1}],
+         "opinions": [{"expressions": [[0, 1]]}, {"expressions": [[0, 1]]}]},
+        {"id": "b", "text": "y", "tokens": [{"text": "y", "start": 0, "end": 1}]}]}),
+     (lambda path: load_graphs(path, _FAULT_GOLD, _FAULT_GOLD.sentences),), ValidationError,
+     ": graph for sentence 'a': two tuples share the expression span [0, 1)"),
+    ("holder.conll", "# sent_id = a\n1\tx\t_\tB-HOLDER\n\n", (load_conll,), ValidationError,
+     ": sentence 'a': CoNLL block has holder/target spans but no expression span; "
+     "opinion tuples require an expression"),
 ])
 def test_a_reader_fault_names_the_file(tmp_path, name, content, readers, error, message):
     path = tmp_path / name
